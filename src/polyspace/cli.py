@@ -105,12 +105,7 @@ def _add_space_args(parser):
 def _add_quad_args(parser):
     parser.add_argument("--quad-nr", type=int, default=quadrature.DEFAULT_N_R)
     parser.add_argument("--quad-ntheta", type=int, default=quadrature.DEFAULT_N_THETA)
-    parser.add_argument("--quad-R", dest="quad_R", type=float, default=None)
-    parser.add_argument("--quad-rel-tol", type=float,
-                        default=quadrature.DEFAULT_REL_TOL)
-    parser.add_argument("--no-refine", action="store_true")
     parser.add_argument("--output", default=None)
-    parser.add_argument("--seed", type=int, default=0)
 
 
 def _build_parser():
@@ -122,6 +117,10 @@ def _build_parser():
         _add_space_args(p)
         _add_weight_args(p, bare_spellings=False)
         _add_quad_args(p)
+        p.add_argument("--quad-R", dest="quad_R", type=float, default=None)
+        p.add_argument("--quad-rel-tol", type=float,
+                       default=quadrature.DEFAULT_REL_TOL)
+        p.add_argument("--no-refine", action="store_true")
         if name in ("converge", "limsup-check"):
             p.add_argument("--r-grid", default=None)
         if name == "converge":
@@ -143,6 +142,7 @@ def _build_parser():
     p = sub.add_parser("suite")
     p.add_argument("--r-grid", default=None)
     p.add_argument("--threshold", type=float, default=0.02)
+    p.add_argument("--seed", type=int, default=0)
     _add_quad_args(p)
     return parser
 
@@ -166,8 +166,9 @@ def _build_weight(args, domain):
     n = args.weight_n
     alpha = args.weight_alpha
     gamma = args.weight_gamma
-    theta_default = 2.0 * math.pi if domain is Domain.DISK else math.pi
-    theta_max = args.weight_theta_max or theta_default
+    theta_max = args.weight_theta_max
+    if theta_max is None:
+        theta_max = 2.0 * math.pi if domain is Domain.DISK else math.pi
     try:
         if tag == "uniform":
             return Uniform()
@@ -206,8 +207,6 @@ def _build_spec(args, weight):
         beta = 1.0 if beta is None else beta
     elif alpha is not None or beta is not None:
         raise UsageError("--alpha/--beta apply to --domain halfplane only")
-    if kind is SpaceKind.BESOV and args.p < 2:
-        raise UsageError("besov requires p >= 2")
     try:
         return SpaceSpec(domain=domain, kind=kind, p=args.p, weight=weight,
                          alpha=alpha, beta=beta, quad_R=args.quad_R)
@@ -239,22 +238,25 @@ def parse_args(argv=None):
         config.output = args.output
         return config
 
-    config.settings = QuadSettings(
-        n_r=args.quad_nr,
-        n_theta=args.quad_ntheta,
-        rel_tol=args.quad_rel_tol,
-        refine=not args.no_refine,
-    )
     config.output = args.output
-    config.seed = args.seed
-
     if args.command == "suite":
+        # refinement gains little on the matrix's AngularPoly cells, so the
+        # suite always runs on the fixed grid
+        config.settings = QuadSettings(n_r=args.quad_nr, n_theta=args.quad_ntheta,
+                                       refine=False)
+        config.seed = args.seed
         if args.r_grid is not None:
             config.r_grid = _parse_grid(args.r_grid, "--r-grid", float,
                                         lambda r: 0.0 < r < 1.0)
         config.threshold = args.threshold
         return config
 
+    config.settings = QuadSettings(
+        n_r=args.quad_nr,
+        n_theta=args.quad_ntheta,
+        rel_tol=args.quad_rel_tol,
+        refine=not args.no_refine,
+    )
     domain = Domain(args.domain)
     weight = _build_weight(args, domain)
     config.spec = _build_spec(args, weight)
@@ -398,9 +400,7 @@ def _dispatch(config, sink):
             return 2
         report = experiments.run_theorem_suite(
             r_grid=config.r_grid, threshold=config.threshold,
-            settings=QuadSettings(n_r=config.settings.n_r,
-                                  n_theta=config.settings.n_theta,
-                                  refine=False),
+            settings=config.settings,
         )
         _emit_report(report, sink)
         if not report.all_converged:

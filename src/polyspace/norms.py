@@ -60,9 +60,6 @@ class QuadSettings:
     refine: bool = True
 
 
-DEFAULT_SETTINGS = QuadSettings()
-
-
 @dataclass(frozen=True)
 class SpaceSpec:
     """A concrete function space: domain, norm kind, exponent, weight, and (on
@@ -95,14 +92,8 @@ class SpaceSpec:
                 raise ValueError(
                     "halfplane with beta = 0 requires an explicit truncation radius"
                 )
-        else:
-            if self.alpha is not None or self.beta is not None:
-                raise ValueError("alpha and beta apply to the half-plane only")
-        # integrability screen: the measure density must be finite on a coarse grid
-        coarse = self._grid(QuadSettings(n_r=16, n_theta=32), level=0)
-        dens = _measure_density(self, coarse.nodes)
-        if not np.all(np.isfinite(dens)):
-            raise ValueError("weight is not integrable against the space's measure")
+        elif self.alpha is not None or self.beta is not None:
+            raise ValueError("alpha and beta apply to the half-plane only")
 
     @property
     def base_point(self):
@@ -118,18 +109,8 @@ class SpaceSpec:
 
     @property
     def truncated(self):
-        return self.domain is Domain.HALFPLANE and (
-            self.quad_R is not None or self.beta == 0
-        )
-
-    def _grid(self, settings, level):
-        if self.domain is Domain.DISK:
-            return quadrature.disk_grid(
-                settings.n_r << level, settings.n_theta << level
-            )
-        return quadrature.halfplane_grid(
-            self.truncation_radius, settings.n_r << level, settings.n_theta << level
-        )
+        # beta = 0 is only accepted together with quad_R
+        return self.domain is Domain.HALFPLANE and self.quad_R is not None
 
     def describe(self):
         s = f"{self.kind}:{self.domain}:p={self.p:g}:{self.weight.describe()}"
@@ -188,43 +169,40 @@ def _measure_density(spec, nodes):
 
 
 def _integrand(parts, spec):
-    p = spec.p
-
     def g(nodes):
         total = np.zeros(nodes.shape, dtype=float)
         for part in parts:
-            total += np.abs(part(nodes)) ** p
+            total += np.abs(part(nodes)) ** spec.p
         return total * _measure_density(spec, nodes)
 
     return g
 
 
+def _integrate(g, spec, settings):
+    """``(value, QuadratureFlags)`` of ``g`` on the grid family of ``spec``."""
+    settings = settings or QuadSettings()
+    family = quadrature.grid_family(spec.domain, settings.n_r, settings.n_theta,
+                                    spec.truncation_radius)
+    if settings.refine:
+        res = quadrature.refine_until(g, family, rel_tol=settings.rel_tol,
+                                      max_level=settings.max_level)
+        return res.value, QuadratureFlags(True, res.converged, res.level,
+                                          res.rel_change, spec.truncated)
+    return (quadrature.integrate(g, family(0)),
+            QuadratureFlags(False, True, 0, math.nan, spec.truncated))
+
+
 def space_norm(f, spec, settings=None):
     """Norm of ``f`` in the space ``spec``; dispatches on ``spec.kind``."""
-    settings = settings or DEFAULT_SETTINGS
     if spec.kind is SpaceKind.BERGMAN:
         parts = [f]
         point_term = 0.0
     else:
         parts = [polyfun.d_z(f), polyfun.d_zbar(f)]
         point_term = abs(f(spec.base_point)) ** spec.p
-    g = _integrand(parts, spec)
-    if settings.refine:
-        res = quadrature.refine_until(
-            g,
-            lambda level: spec._grid(settings, level),
-            rel_tol=settings.rel_tol,
-            max_level=settings.max_level,
-        )
-        integral, converged = res.value, res.converged
-        flags = QuadratureFlags(True, converged, res.level, res.rel_change, spec.truncated)
-    else:
-        integral = quadrature.integrate(g, spec._grid(settings, 0))
-        flags = QuadratureFlags(False, True, 0, math.nan, spec.truncated)
+    integral, flags = _integrate(_integrand(parts, spec), spec, settings)
     integral = max(integral, 0.0)
     seminorm = integral ** (1.0 / spec.p)
-    if spec.kind is SpaceKind.BERGMAN:
-        return NormResult(seminorm, seminorm, 0.0, flags)
     full = (point_term + integral) ** (1.0 / spec.p)
     return NormResult(full, seminorm, point_term, flags)
 
@@ -265,14 +243,4 @@ def weighted_p_integral(g, spec, settings=None):
     This is one half of a Dirichlet/Besov seminorm; the dilatation-limit
     experiments compare these part integrals side by side.
     """
-    settings = settings or DEFAULT_SETTINGS
-    integrand = _integrand([g], spec)
-    if settings.refine:
-        res = quadrature.refine_until(
-            integrand,
-            lambda level: spec._grid(settings, level),
-            rel_tol=settings.rel_tol,
-            max_level=settings.max_level,
-        )
-        return res.value
-    return quadrature.integrate(integrand, spec._grid(settings, 0))
+    return _integrate(_integrand([g], spec), spec, settings)[0]

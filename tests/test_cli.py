@@ -102,6 +102,25 @@ def test_bad_r_grid_names_the_flag(z_file):
         parse_args(base + ["--r-grid", "0.5,1.5"])
 
 
+def test_theta_max_zero_is_not_replaced_by_the_default(z_file):
+    with pytest.raises(UsageError, match="theta_max"):
+        parse_args(["norm", "--space", "bergman", "--domain", "disk", "--p", "2",
+                    "--function", z_file, "--weight", "angularpoly",
+                    "--weight-theta-max", "0"])
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["suite", "--quad-R", "4"], "--quad-R"),
+    (["suite", "--no-refine"], "--no-refine"),
+    (["suite", "--quad-rel-tol", "1e-6"], "--quad-rel-tol"),
+    (["norm", "--space", "bergman", "--domain", "disk", "--p", "2",
+      "--function", "f.txt", "--seed", "1"], "--seed"),
+])
+def test_flags_that_a_command_ignores_are_refused(argv, flag):
+    with pytest.raises(UsageError, match=flag):
+        parse_args(argv)
+
+
 def test_check_weight_needs_k_or_kmax():
     with pytest.raises(UsageError, match="--k"):
         parse_args(["check-weight", "--weight", "uniform"])
@@ -248,6 +267,20 @@ def test_check_weight_witness(capsys):
     fields = rows[1].split(",")
     assert int(fields[0]) == 0
     assert float(fields[1]) == pytest.approx(1.6395871042628898, rel=1e-12)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check-weight", "--weight", "uniform", "--k", "0", "--grid-nr", "0"], "n_r"),
+    (["norm", "--space", "bergman", "--domain", "disk", "--p", "2",
+      "--function", None, "--weight", "angularpoly", "--weight-theta-max", "3"],
+     "outside the support"),
+])
+def test_invalid_input_found_while_running_exits_1(z_file, capsys, argv, message):
+    code = main([z_file if a is None else a for a in argv])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
 
 
 def test_check_weight_min_k_search(capsys):

@@ -24,6 +24,7 @@ from polyspace import (
     scale,
     space_norm,
     sub,
+    weighted_p_integral,
 )
 
 import _oracles
@@ -263,6 +264,24 @@ def test_angular_weight_norm_is_finite():
                          QuadSettings(refine=False))
     assert res.full_norm > 0
     assert math.isfinite(res.full_norm)
+
+
+@pytest.mark.parametrize("settings", [QuadSettings(), QuadSettings(refine=False)],
+                         ids=["refined", "fixed-grid"])
+def test_bergman_seminorm_is_the_weighted_p_integral(settings):
+    f = from_monomials({(0, 1): 1.0, (1, 1): 0.5 - 0.25j}, q=2)
+    spec = disk_spec(SpaceKind.BERGMAN, 2, weight=ExpAbsPow(beta=1.0, n=2))
+    res = space_norm(f, spec, settings)
+    assert res.seminorm == weighted_p_integral(f, spec, settings) ** (1 / spec.p)
+    assert res.full_norm == res.seminorm
+
+
+def test_weight_outside_its_support_fails_at_the_first_integral():
+    # theta_max = pi leaves the lower half of the disk outside the support
+    spec = disk_spec(SpaceKind.BERGMAN, 2,
+                     weight=AngularPoly(alpha=1.0, theta_max=math.pi))
+    with pytest.raises(ValueError, match="outside the support"):
+        space_norm(monomial(0, 1), spec)
 
 
 def test_describe_mentions_the_pieces():

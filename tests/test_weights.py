@@ -233,6 +233,8 @@ def test_condition_input_validation():
         check_condition(Uniform(), k=0, r0=1.0)
     with pytest.raises(ValueError):
         check_condition(Uniform(), k=0, r0=0.0)
+    with pytest.raises(ValueError, match="n_r"):
+        check_condition(Uniform(), k=0, n_r=0)
 
 
 def test_condition_on_halfplane_weights():
