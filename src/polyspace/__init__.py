@@ -12,6 +12,7 @@ from .polyfun import (
     d_zbar,
     dilate,
     evaluate,
+    evaluate_on_grid,
     exp_taylor,
     from_monomials,
     monomial,
@@ -47,7 +48,9 @@ from .quadrature import (
     halfplane_grid,
     halfplane_mc_check,
     integrate,
+    refine_levels,
     refine_until,
+    weighted_sum,
 )
 from .norms import (
     NormResult,

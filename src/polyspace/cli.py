@@ -16,6 +16,7 @@ takes no measure parameters, so the bare spellings work there too.
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import os
 import sys
@@ -47,6 +48,26 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+
+# library argument -> the flag that sets it, for errors the library finds
+_QUAD_FLAGS = {"n_r": "--quad-nr", "n_theta": "--quad-ntheta",
+               "rel_tol": "--quad-rel-tol"}
+_CHECK_WEIGHT_FLAGS = {"k": "--k", "n_r": "--grid-nr", "n_z": "--grid-nz"}
+
+
+def _flag_error(exc, flags):
+    """A :class:`UsageError` for a library ``ValueError`` whose message starts
+    with the name of the argument at fault, prefixed with its flag."""
+    name = str(exc).split(" ", 1)[0]
+    return UsageError(f"{flags[name]}: {exc}" if name in flags else str(exc))
+
+
+def _quad_settings(**fields):
+    try:
+        return QuadSettings(**fields)
+    except ValueError as exc:
+        raise _flag_error(exc, _QUAD_FLAGS)
 
 
 @dataclass
@@ -242,8 +263,8 @@ def parse_args(argv=None):
     if args.command == "suite":
         # refinement gains little on the matrix's AngularPoly cells, so the
         # suite always runs on the fixed grid
-        config.settings = QuadSettings(n_r=args.quad_nr, n_theta=args.quad_ntheta,
-                                       refine=False)
+        config.settings = _quad_settings(n_r=args.quad_nr, n_theta=args.quad_ntheta,
+                                         refine=False)
         config.seed = args.seed
         if args.r_grid is not None:
             config.r_grid = _parse_grid(args.r_grid, "--r-grid", float,
@@ -251,7 +272,7 @@ def parse_args(argv=None):
         config.threshold = args.threshold
         return config
 
-    config.settings = QuadSettings(
+    config.settings = _quad_settings(
         n_r=args.quad_nr,
         n_theta=args.quad_ntheta,
         rel_tol=args.quad_rel_tol,
@@ -352,28 +373,31 @@ def _emit_report(report, sink):
 
 
 def _run(config):
-    sink = sys.stdout
-    close = False
+    """Run the command and write its CSV only once it is complete, so a run
+    that fails on its input leaves no ``--output`` file behind."""
+    sink = io.StringIO()
+    code = _dispatch(config, sink)
     if config.output:
-        sink = open(config.output, "w", encoding="utf-8")
-        close = True
-    try:
-        return _dispatch(config, sink)
-    finally:
-        if close:
-            sink.close()
+        with open(config.output, "w", encoding="utf-8") as fh:
+            fh.write(sink.getvalue())
+    else:
+        sys.stdout.write(sink.getvalue())
+    return code
 
 
 def _dispatch(config, sink):
     if config.command == "check-weight":
-        if config.k_max is not None:
-            witness = find_min_k(config.weight, k_max=config.k_max, r0=config.r0,
-                                 n_r=config.cond_n_r, n_z=config.cond_n_z,
-                                 domain=config.domain)
-        else:
-            witness = check_condition(config.weight, config.k, r0=config.r0,
-                                      n_r=config.cond_n_r, n_z=config.cond_n_z,
-                                      domain=config.domain)
+        try:
+            if config.k_max is not None:
+                witness = find_min_k(config.weight, k_max=config.k_max, r0=config.r0,
+                                     n_r=config.cond_n_r, n_z=config.cond_n_z,
+                                     domain=config.domain)
+            else:
+                witness = check_condition(config.weight, config.k, r0=config.r0,
+                                          n_r=config.cond_n_r, n_z=config.cond_n_z,
+                                          domain=config.domain)
+        except ValueError as exc:
+            raise _flag_error(exc, _CHECK_WEIGHT_FLAGS)
         header = ("k", "C", "r0", "grid_size", "attained_r",
                   "attained_z_re", "attained_z_im")
         if witness is None:
@@ -455,10 +479,7 @@ def main(argv=None):
         return 1
     try:
         return _run(config)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

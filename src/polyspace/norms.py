@@ -12,6 +12,9 @@ gains ``Im(z)^alpha exp(-beta |z|^2)`` (Besov: ``Im(z)^(alpha+p-2)``).  At
 Dirichlet norms coincide; the implementation shares the code path bit for bit.
 
 Derivatives are exact coefficient operations — no finite differences anywhere.
+On the quadrature grids the integrand's parts are evaluated as one radial ×
+harmonic matrix product (:func:`polyfun.evaluate_on_grid`); Horner's scheme is
+used only for the point term at the base point.
 """
 
 from __future__ import annotations
@@ -51,13 +54,25 @@ class SpaceKind(enum.Enum):
 
 @dataclass(frozen=True)
 class QuadSettings:
-    """Grid resolution and refinement policy for norm evaluation."""
+    """Grid resolution and refinement policy for norm evaluation.
+
+    Out-of-range values raise ``ValueError`` with a message that starts with
+    the field's name.
+    """
 
     n_r: int = quadrature.DEFAULT_N_R
     n_theta: int = quadrature.DEFAULT_N_THETA
     rel_tol: float = quadrature.DEFAULT_REL_TOL
     max_level: int = quadrature.DEFAULT_MAX_LEVEL
     refine: bool = True
+
+    def __post_init__(self):
+        for name, ok, rule in (("n_r", self.n_r >= 1, ">= 1"),
+                               ("n_theta", self.n_theta >= 1, ">= 1"),
+                               ("rel_tol", self.rel_tol > 0, "> 0"),
+                               ("max_level", self.max_level >= 0, ">= 0")):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -169,27 +184,34 @@ def _measure_density(spec, nodes):
 
 
 def _integrand(parts, spec):
-    def g(nodes):
-        total = np.zeros(nodes.shape, dtype=float)
+    """``grid -> sum_part |part|^p * density`` at the grid's nodes, with each
+    part evaluated through :func:`polyfun.evaluate_on_grid`."""
+    def values(grid):
+        total = np.zeros(grid.size, dtype=float)
         for part in parts:
-            total += np.abs(part(nodes)) ** spec.p
-        return total * _measure_density(spec, nodes)
+            total += np.abs(polyfun.evaluate_on_grid(part, grid)) ** spec.p
+        return total * _measure_density(spec, grid.nodes)
 
-    return g
+    return values
 
 
-def _integrate(g, spec, settings):
-    """``(value, QuadratureFlags)`` of ``g`` on the grid family of ``spec``."""
+def _integrate(values, spec, settings):
+    """``(value, QuadratureFlags)`` of the weighted sum of ``values(grid)`` on
+    the grid family of ``spec``."""
     settings = settings or QuadSettings()
     family = quadrature.grid_family(spec.domain, settings.n_r, settings.n_theta,
                                     spec.truncation_radius)
+
+    def value_at(level):
+        grid = family(level)
+        return quadrature.weighted_sum(values(grid), grid)
+
     if settings.refine:
-        res = quadrature.refine_until(g, family, rel_tol=settings.rel_tol,
-                                      max_level=settings.max_level)
+        res = quadrature.refine_levels(value_at, rel_tol=settings.rel_tol,
+                                       max_level=settings.max_level)
         return res.value, QuadratureFlags(True, res.converged, res.level,
                                           res.rel_change, spec.truncated)
-    return (quadrature.integrate(g, family(0)),
-            QuadratureFlags(False, True, 0, math.nan, spec.truncated))
+    return value_at(0), QuadratureFlags(False, True, 0, math.nan, spec.truncated)
 
 
 def space_norm(f, spec, settings=None):

@@ -9,6 +9,14 @@ Everything here is coefficient arithmetic: derivatives, dilatations and
 truncations act exactly on the coefficient arrays, so the only floating-point
 error anywhere is the rounding of individual scalar products.  Transcendental
 test functions enter as Taylor truncations (see :func:`exp_taylor`).
+
+Values come two ways.  On a polar tensor grid of radii ``s_i`` and angles
+``theta_l``, ``conj(z)^k z^j = s^(k+j) exp(i (j-k) theta)``, so
+:func:`evaluate_on_grid` forms ``f`` as one matrix product ``A @ E``: the
+radial matrix ``A[i, m] = sum_k c_{k, m+k} s_i^(m+2k)`` times the harmonic
+table ``E[m, l] = exp(i m theta_l)``, ``m = -(q-1) .. degree_z``.  Point values
+(the base-point term of a norm) use Horner's scheme in :func:`evaluate` and
+:meth:`PowerSeries.__call__`.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ __all__ = [
     "PowerSeries",
     "PolyFunction",
     "evaluate",
+    "evaluate_on_grid",
     "d_z",
     "d_zbar",
     "dilate",
@@ -159,6 +168,63 @@ def evaluate(f, z):
     for h in f.components[::-1]:
         out = out * zbar + h(z)
     return out if out.ndim else complex(out)
+
+
+# id(angles) -> (angles, lo, hi, table), least recently used first.  An entry
+# keeps its angle array alive, so no other array can take over its id.
+_HARMONIC_TABLES = {}
+_HARMONIC_TABLES_MAX = 8
+
+
+def _harmonic_table(angles, lo, hi):
+    """Rows ``exp(i m angles)`` for ``m = lo .. hi``, sliced from one table per
+    angle array that grows to the widest range asked for.
+
+    Row ``m`` is the ``|m|``-th power of the rounded unit ``u = exp(i angles)``
+    (of ``conj(u)`` for ``m < 0``) by repeated multiplication: the same factors
+    Horner's scheme multiplies on grid nodes ``s * u``, and the same bits
+    whichever range the table was first built for.
+    """
+    key = id(angles)
+    entry = _HARMONIC_TABLES.pop(key, None)
+    if entry is None or not entry[1] <= lo <= hi <= entry[2]:
+        first, last = lo, hi
+        if entry is not None:
+            first, last = min(lo, entry[1]), max(hi, entry[2])
+        u = np.exp(1j * angles)
+        table = np.empty((last - first + 1, angles.size), dtype=complex)
+        table[-first] = 1.0
+        for m in range(1, last + 1):
+            table[m - first] = table[m - 1 - first] * u
+        for m in range(-1, first - 1, -1):
+            table[m - first] = table[m + 1 - first] * np.conj(u)
+        table.flags.writeable = False
+        entry = (angles, first, last, table)
+    _HARMONIC_TABLES[key] = entry
+    if len(_HARMONIC_TABLES) > _HARMONIC_TABLES_MAX:
+        del _HARMONIC_TABLES[next(iter(_HARMONIC_TABLES))]
+    _, first, _, table = entry
+    return table[lo - first: hi - first + 1]
+
+
+def evaluate_on_grid(f, grid):
+    """Values of ``f`` at ``grid.nodes``, in node order, as ``A @ E``.
+
+    ``grid`` is a polar tensor grid with 1-D ``radii`` and ``angles`` and
+    radius-major ``nodes`` (a :class:`polyspace.quadrature.QuadratureGrid`).
+    ``A`` has one row per radius and one column per harmonic
+    ``m = -(q-1) .. degree_z``; ``E`` comes from a small cache, so a grid's
+    table is built once for all functions and parts evaluated on it.
+    """
+    lo, hi = 1 - f.q, f.degree_z
+    powers = grid.radii[:, None] ** np.arange(hi + f.q)
+    radial = np.zeros((grid.radii.size, hi - lo + 1), dtype=complex)
+    for k, h in enumerate(f.components):
+        n = h.coeffs.size
+        # conj(z)^k z^j lands in harmonic j - k with radial power k + j
+        first = -k - lo
+        radial[:, first: first + n] += powers[:, k: k + n] * h.coeffs
+    return (radial @ _harmonic_table(grid.angles, lo, hi)).ravel()
 
 
 def d_z(f):

@@ -13,6 +13,15 @@ Gaussian factor ``exp(-beta |z|^2)`` in the measure, ``R`` from
 :func:`default_radius` pushes the discarded tail below 1e-16 of the integral.
 Endpoint-singular integrands (fractional powers of ``1 - |z|^2``) converge only
 algebraically, so tight tolerances on those go through :func:`refine_until`.
+
+Every grid keeps the 1-D ``radii`` and ``angles`` its nodes are the tensor
+product of, so a caller that knows the polar structure of its integrand (see
+:func:`polyspace.polyfun.evaluate_on_grid`) can produce the values without
+touching the nodes.  Integration is two pieces: :func:`weighted_sum` checks a
+values array and reduces it against the node weights, and
+:func:`refine_levels` runs the one refinement loop over ``level -> value``.
+:func:`integrate` and :func:`refine_until` are those two pieces applied to a
+callable of the nodes.
 """
 
 from __future__ import annotations
@@ -31,6 +40,8 @@ __all__ = [
     "halfplane_grid",
     "grid_family",
     "integrate",
+    "weighted_sum",
+    "refine_levels",
     "refine_until",
     "halfplane_mc_check",
     "default_radius",
@@ -48,7 +59,12 @@ DEFAULT_MAX_LEVEL = 5
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Nodes strictly inside the domain plus positive area weights."""
+    """Nodes strictly inside the domain plus positive area weights.
+
+    ``nodes`` is the radius-major tensor product
+    ``(radii[:, None] * exp(1j * angles)[None, :]).ravel()``, and
+    ``node_weights`` is laid out the same way.
+    """
 
     domain: Domain
     nodes: np.ndarray
@@ -56,10 +72,12 @@ class QuadratureGrid:
     n_r: int
     n_theta: int
     radius: float
+    radii: np.ndarray
+    angles: np.ndarray
 
     def __post_init__(self):
-        self.nodes.flags.writeable = False
-        self.node_weights.flags.writeable = False
+        for arr in (self.nodes, self.node_weights, self.radii, self.angles):
+            arr.flags.writeable = False
 
     @property
     def size(self):
@@ -73,6 +91,10 @@ def _radial_rule(n_r, radius):
     return s, ws
 
 
+def _tensor_nodes(radii, angles):
+    return (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
+
+
 @functools.lru_cache(maxsize=32)
 def disk_grid(n_r=DEFAULT_N_R, n_theta=DEFAULT_N_THETA):
     """Polar grid on the open unit disk.
@@ -84,9 +106,9 @@ def disk_grid(n_r=DEFAULT_N_R, n_theta=DEFAULT_N_THETA):
     s, ws = _radial_rule(n_r, 1.0)
     dtheta = 2.0 * np.pi / n_theta
     theta = (np.arange(n_theta) + 0.5) * dtheta
-    nodes = (s[:, None] * np.exp(1j * theta[None, :])).ravel()
     weights = np.broadcast_to((ws * s)[:, None] * dtheta, (n_r, n_theta)).ravel().copy()
-    return QuadratureGrid(Domain.DISK, nodes, weights, n_r, n_theta, 1.0)
+    return QuadratureGrid(Domain.DISK, _tensor_nodes(s, theta), weights,
+                          n_r, n_theta, 1.0, s, theta)
 
 
 @functools.lru_cache(maxsize=32)
@@ -99,9 +121,9 @@ def halfplane_grid(R, n_r=DEFAULT_N_R, n_theta=DEFAULT_N_THETA):
     xt, wt = np.polynomial.legendre.leggauss(n_theta)
     theta = (xt + 1.0) / 2.0 * np.pi
     wtheta = wt / 2.0 * np.pi
-    nodes = (s[:, None] * np.exp(1j * theta[None, :])).ravel()
     weights = np.outer(ws * s, wtheta).ravel()
-    return QuadratureGrid(Domain.HALFPLANE, nodes, weights, n_r, n_theta, float(R))
+    return QuadratureGrid(Domain.HALFPLANE, _tensor_nodes(s, theta), weights,
+                          n_r, n_theta, float(R), s, theta)
 
 
 def grid_family(domain, n_r=DEFAULT_N_R, n_theta=DEFAULT_N_THETA, R=None):
@@ -122,11 +144,12 @@ def default_radius(beta):
     return max(8.0, float(np.sqrt(40.0 / beta)))
 
 
-def integrate(g, grid):
-    """Sum ``g(nodes) * node_weights`` with numpy's deterministic pairwise
-    summation.  ``g`` must be real and finite on the nodes; a non-finite value
-    raises ``ValueError`` naming the offending node."""
-    vals = np.asarray(g(grid.nodes))
+def weighted_sum(vals, grid):
+    """Sum ``vals * node_weights`` with numpy's deterministic pairwise
+    summation.  ``vals`` holds one real, finite value per node of ``grid``, in
+    node order; a non-finite value raises ``ValueError`` naming the offending
+    node."""
+    vals = np.asarray(vals)
     if np.iscomplexobj(vals):
         raise TypeError("integrand must be real-valued on the nodes")
     bad = ~np.isfinite(vals)
@@ -136,6 +159,12 @@ def integrate(g, grid):
             f"integrand is {vals.flat[i]} at node {grid.nodes[i]} (index {i})"
         )
     return float(np.sum(vals * grid.node_weights))
+
+
+def integrate(g, grid):
+    """:func:`weighted_sum` of ``g(nodes)``: ``g`` must be real and finite on
+    the nodes."""
+    return weighted_sum(g(grid.nodes), grid)
 
 
 @dataclass(frozen=True)
@@ -150,20 +179,26 @@ class RefineResult:
     level: int
 
 
-def refine_until(g, family, rel_tol=DEFAULT_REL_TOL, max_level=DEFAULT_MAX_LEVEL):
-    """Integrate on ``family(0), family(1), ...`` (each level doubles both grid
-    resolutions) until successive values agree to ``rel_tol`` relative, or
-    ``max_level`` is hit — then the result is flagged as not converged."""
-    prev = integrate(g, family(0))
+def refine_levels(value_at, rel_tol=DEFAULT_REL_TOL, max_level=DEFAULT_MAX_LEVEL):
+    """Compute ``value_at(0), value_at(1), ...`` until successive values agree
+    to ``rel_tol`` relative, or ``max_level`` is hit — then the result is
+    flagged as not converged."""
+    prev = value_at(0)
     change = np.inf
     for level in range(1, max_level + 1):
-        cur = integrate(g, family(level))
+        cur = value_at(level)
         denom = max(abs(cur), abs(prev))
         change = 0.0 if denom == 0.0 else abs(cur - prev) / denom
         if change <= rel_tol:
             return RefineResult(cur, change, True, level)
         prev = cur
     return RefineResult(prev, change, False, max_level)
+
+
+def refine_until(g, family, rel_tol=DEFAULT_REL_TOL, max_level=DEFAULT_MAX_LEVEL):
+    """Integrate ``g`` on ``family(0), family(1), ...`` (each level doubles both
+    grid resolutions) through :func:`refine_levels`."""
+    return refine_levels(lambda level: integrate(g, family(level)), rel_tol, max_level)
 
 
 def halfplane_mc_check(R=8.0, n_samples=10_000_000, seed=0,

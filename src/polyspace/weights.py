@@ -260,8 +260,9 @@ def check_condition(
         raise ValueError("r0 must lie in (0, 1)")
     if k < 0 or int(k) != k:
         raise ValueError("k must be a nonnegative integer")
-    if n_r < 1 or n_z < 1:
-        raise ValueError(f"grid sizes n_r={n_r} and n_z={n_z} must be >= 1")
+    for name, size in (("n_r", n_r), ("n_z", n_z)):
+        if size < 1:
+            raise ValueError(f"{name} must be >= 1, got {size!r}")
     rs = r0 + (1.0 - r0) * np.arange(n_r) / n_r
     best = -np.inf
     best_z = 0j

@@ -291,3 +291,52 @@ def test_check_weight_min_k_search(capsys):
     fields = rows[1].split(",")
     assert int(fields[0]) == 0
     assert float(fields[1]) <= 1.0 + 1e-9
+
+
+_BERGMAN_NORM = ["norm", "--space", "bergman", "--domain", "disk", "--p", "2",
+                 "--function", None]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (_BERGMAN_NORM + ["--quad-ntheta", "0"], "--quad-ntheta"),
+    (_BERGMAN_NORM + ["--quad-nr", "0"], "--quad-nr"),
+    (_BERGMAN_NORM + ["--quad-rel-tol", "-1"], "--quad-rel-tol"),
+    (["suite", "--quad-nr", "0"], "--quad-nr"),
+    (["check-weight", "--weight", "uniform", "--k", "0", "--grid-nr", "0"], "--grid-nr"),
+    (["check-weight", "--weight", "uniform", "--k", "0", "--grid-nz", "0"], "--grid-nz"),
+])
+def test_bad_grid_sizes_and_tolerance_name_the_flag(z_file, capsys, argv, flag):
+    code = main([z_file if a is None else a for a in argv])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}: ")
+    assert "Traceback" not in err
+
+
+def test_input_error_while_running_leaves_no_output_file(z_file, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    code = main([z_file if a is None else a for a in _BERGMAN_NORM]
+                + ["--weight", "angularpoly", "--weight-theta-max", "3",
+                   "--output", str(out)])
+    assert code == 1
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_failed_verdict_still_writes_its_output_file(zbar_z_file, tmp_path):
+    out = tmp_path / "out.csv"
+    code = main(["converge", "--space", "besov", "--domain", "disk", "--p", "2",
+                 "--function", zbar_z_file, "--threshold", "1e-12",
+                 "--output", str(out)])
+    assert code == 2
+    assert out.read_text().splitlines()[0] == "r,err_seminorm,err_fullnorm"
+
+
+def test_unwritable_output_exits_1(z_file, tmp_path, capsys):
+    out = tmp_path / "missing" / "out.csv"
+    code = main([z_file if a is None else a for a in _BERGMAN_NORM]
+                + ["--output", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+    assert "Traceback" not in err

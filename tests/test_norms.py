@@ -287,3 +287,35 @@ def test_weight_outside_its_support_fails_at_the_first_integral():
 def test_describe_mentions_the_pieces():
     text = hp_spec(SpaceKind.BESOV, 3).describe()
     assert "halfplane" in text and "besov" in text and "p=3" in text
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_r", 0), ("n_theta", 0), ("rel_tol", 0.0), ("rel_tol", -1.0),
+    ("rel_tol", math.nan), ("max_level", -1),
+])
+def test_quad_settings_refuse_out_of_range_values(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        QuadSettings(**{field: value})
+
+
+def test_norm_integrals_evaluate_point_values_only(monkeypatch):
+    from polyspace import polyfun
+
+    sizes = []
+    evaluate, call = polyfun.evaluate, polyfun.PowerSeries.__call__
+
+    def traced_evaluate(f, z):
+        sizes.append(np.size(z))
+        return evaluate(f, z)
+
+    def traced_call(h, z):
+        sizes.append(np.size(z))
+        return call(h, z)
+
+    monkeypatch.setattr(polyfun, "evaluate", traced_evaluate)
+    monkeypatch.setattr(polyfun.PowerSeries, "__call__", traced_call)
+    f = from_monomials({(0, 3): 1.0, (1, 1): 0.5j, (2, 0): 0.25}, q=3)
+    for spec in (disk_spec(SpaceKind.DIRICHLET, 3), hp_spec(SpaceKind.BESOV, 2)):
+        space_norm(f, spec, QuadSettings(max_level=1))
+        weighted_p_integral(f, spec, QuadSettings(refine=False))
+    assert sizes and max(sizes) == 1

@@ -11,7 +11,11 @@ from polyspace import (
     d_z,
     d_zbar,
     dilate,
+    disk_grid,
+    evaluate,
+    evaluate_on_grid,
     exp_taylor,
+    halfplane_grid,
     from_monomials,
     monomial,
     scale,
@@ -81,6 +85,66 @@ def test_eval_linearity():
     rhs = a * f(zs) + b * g(zs)
     scale_ref = np.max(np.abs(rhs)) + 1.0
     assert np.max(np.abs(lhs - rhs)) <= 1e-13 * scale_ref
+
+
+# ---------------------------------------------------------------------------
+# grid evaluation (A @ E) against Horner on the nodes
+
+# coefficients are exact zeros or of magnitude 1e-3 .. 1e3, so no product of a
+# coefficient and a radial power reaches the subnormal range
+_real = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=1e-3, max_value=1e3),
+    st.floats(min_value=-1e3, max_value=-1e-3),
+)
+_float_coeff = st.tuples(_real, _real).map(lambda ab: complex(*ab))
+# degree 0..30 per component, then up to three trailing zeros
+_float_series = st.tuples(
+    st.lists(_float_coeff, min_size=1, max_size=31), st.integers(0, 3)
+).map(lambda cz: cz[0] + [0j] * cz[1])
+_float_polys = st.one_of(
+    st.lists(_float_series, min_size=1, max_size=4).map(PolyFunction),
+    st.integers(1, 4).map(zero),
+)
+_small_grids = [disk_grid(1, 1), disk_grid(4, 1), disk_grid(6, 7), disk_grid(16, 16),
+                halfplane_grid(1.0, 5, 1), halfplane_grid(2.0, 8, 9),
+                halfplane_grid(8.0, 6, 16)]
+
+
+def _abs_term_sum(f, grid):
+    """``sum_kj |c_kj| s^(k+j)`` at every node, in node order."""
+    s = grid.radii
+    per_radius = sum(
+        np.abs(c) * s ** (k + j)
+        for k, h in enumerate(f.components) for j, c in enumerate(h.coeffs)
+    )
+    return np.repeat(per_radius, grid.n_theta)
+
+
+@settings(max_examples=200, deadline=None)
+@given(f=_float_polys, grid=st.sampled_from(_small_grids))
+def test_grid_evaluation_matches_horner(f, grid):
+    got = evaluate_on_grid(f, grid)
+    want = evaluate(f, grid.nodes)
+    assert got.shape == want.shape == grid.nodes.shape
+    bound = 64 * np.finfo(float).eps * _abs_term_sum(f, grid)
+    assert np.all(np.abs(got - want) <= bound)
+
+
+def test_grid_evaluation_reuses_and_bounds_harmonic_tables():
+    from polyspace import polyfun
+
+    low = from_monomials({(0, 2): 1.0}, q=1)
+    high = from_monomials({(0, 12): 1.0, (3, 0): 2.0}, q=4)
+    grid = disk_grid(4, 9)
+    values = [evaluate_on_grid(f, grid) for f in (low, high, low)]
+    assert_allclose(values[1], evaluate(high, grid.nodes), rtol=1e-13)
+    # the table grew for `high`; `low` reads the same bits from the wider table
+    assert np.array_equal(values[0], values[2])
+    grids = [disk_grid(2, n) for n in range(1, 2 * polyfun._HARMONIC_TABLES_MAX + 2)]
+    for g in grids:
+        evaluate_on_grid(high, g)
+    assert len(polyfun._HARMONIC_TABLES) <= polyfun._HARMONIC_TABLES_MAX
 
 
 def test_powerseries_equality_strips_trailing_zeros():

@@ -7,13 +7,16 @@ from polyspace import (
     DEFAULT_N_THETA,
     DEFAULT_REL_TOL,
     Domain,
+    RefineResult,
     default_radius,
     disk_grid,
     grid_family,
     halfplane_grid,
     halfplane_mc_check,
     integrate,
+    refine_levels,
     refine_until,
+    weighted_sum,
 )
 
 import _oracles
@@ -201,3 +204,27 @@ def test_grid_arrays_are_frozen():
         grid.nodes[0] = 0.0
     with pytest.raises(ValueError):
         grid.node_weights[0] = 0.0
+
+
+@pytest.mark.parametrize("grid", [disk_grid(8, 8), disk_grid(3, 1),
+                                  halfplane_grid(8.0, 8, 8), halfplane_grid(2.0, 4, 1)])
+def test_radii_and_angles_rebuild_the_nodes(grid):
+    assert grid.radii.shape == (grid.n_r,)
+    assert grid.angles.shape == (grid.n_theta,)
+    rebuilt = (grid.radii[:, None] * np.exp(1j * grid.angles)[None, :]).ravel()
+    assert np.array_equal(rebuilt, grid.nodes)
+    with pytest.raises(ValueError):
+        grid.radii[0] = 0.0
+    with pytest.raises(ValueError):
+        grid.angles[0] = 0.0
+
+
+def test_weighted_sum_and_refine_levels():
+    grid = disk_grid(8, 8)
+    assert weighted_sum(np.ones(grid.size), grid) == pytest.approx(np.pi, rel=1e-13)
+    with pytest.raises(TypeError):
+        weighted_sum(grid.nodes, grid)
+    # a constant sequence converges at the first comparison
+    assert refine_levels(lambda level: 2.0) == RefineResult(2.0, 0.0, True, 1)
+    slow = refine_levels(lambda level: 1.0 + 2.0 ** -level, rel_tol=1e-3, max_level=3)
+    assert slow == RefineResult(1.125, 0.125 / 1.25, False, 3)
