@@ -1,6 +1,8 @@
-"""Planar domains the library works on: the open unit disk and the upper half-plane."""
+"""Planar domains the library works on: the open unit disk and the upper
+half-plane; also the argument checks the constructors and drivers share."""
 
 import enum
+import math
 
 import numpy as np
 
@@ -30,3 +32,19 @@ def require_interior(z, domain, what="point"):
         bad = z.reshape(-1)[np.flatnonzero(~np.atleast_1d(ok).reshape(-1))[0]]
         raise ValueError(f"{what} {bad} is not strictly inside the {domain}")
     return z
+
+
+def check_positive(name, value, allow_zero=False):
+    """Raise ``ValueError``, with a message that starts with ``name``, unless
+    ``value`` is finite and > 0 (>= 0 with ``allow_zero``); NaN fails both."""
+    low_ok = value >= 0 if allow_zero else value > 0
+    if not (low_ok and value < math.inf):
+        rule = ">= 0" if allow_zero else "> 0"
+        raise ValueError(f"{name} must be finite and {rule}, got {value!r}")
+
+
+def check_integer(name, value, low):
+    """Raise ``ValueError``, with a message that starts with ``name``, unless
+    ``value`` is an integer >= ``low``."""
+    if not (low <= value < math.inf and int(value) == value):
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from . import polyfun
-from .domain import Domain
+from .domain import Domain, check_positive
 from .norms import (
     QuadSettings,
     SpaceKind,
@@ -72,7 +72,7 @@ def _checked_r_grid(r_grid):
         raise ValueError("r_grid must not be empty")
     for r in rs:
         if not 0.0 < r < 1.0:
-            raise ValueError(f"dilatation grid values must lie in (0, 1), got {r}")
+            raise ValueError(f"r_grid values must lie in (0, 1), got {r}")
     return tuple(sorted(rs))
 
 
@@ -120,6 +120,7 @@ def dilatation_convergence(
 ):
     """Tabulate ``||f_r - f||`` (seminorm and full norm) over ``r_grid``."""
     rs = _checked_r_grid(r_grid)
+    check_positive("threshold", threshold)
     ref = space_norm(f, spec, settings)
     rows = []
     for r in rs:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import polyfun, quadrature
-from .domain import Domain
+from .domain import Domain, check_integer, check_positive
 from .weights import Weight, eval_weight
 
 __all__ = [
@@ -67,12 +67,10 @@ class QuadSettings:
     refine: bool = True
 
     def __post_init__(self):
-        for name, ok, rule in (("n_r", self.n_r >= 1, ">= 1"),
-                               ("n_theta", self.n_theta >= 1, ">= 1"),
-                               ("rel_tol", self.rel_tol > 0, "> 0"),
-                               ("max_level", self.max_level >= 0, ">= 0")):
-            if not ok:
-                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+        check_integer("n_r", self.n_r, 1)
+        check_integer("n_theta", self.n_theta, 1)
+        check_positive("rel_tol", self.rel_tol)
+        check_integer("max_level", self.max_level, 0)
 
 
 @dataclass(frozen=True)
@@ -82,7 +80,9 @@ class SpaceSpec:
 
     ``beta = 0`` removes the Gaussian confinement, which is only allowed with
     an explicit truncation radius ``quad_R``; such evaluations are marked
-    truncated in every report.
+    truncated in every report.  ``alpha``, ``beta`` and ``quad_R`` belong to
+    the half-plane only.  Invalid fields raise ``ValueError`` with a message
+    that starts with the field's name.
     """
 
     domain: Domain
@@ -94,21 +94,22 @@ class SpaceSpec:
     quad_R: float | None = None
 
     def __post_init__(self):
-        if not self.p > 0:
-            raise ValueError("p must be positive")
+        check_positive("p", self.p)
         if self.kind is SpaceKind.BESOV and self.p < 2:
-            raise ValueError("besov requires p >= 2")
-        if self.domain is Domain.HALFPLANE:
-            if self.alpha is None or self.beta is None:
-                raise ValueError("half-plane spaces need alpha and beta")
-            if self.alpha < 0 or self.beta < 0:
-                raise ValueError("alpha and beta must be nonnegative")
-            if self.beta == 0 and self.quad_R is None:
-                raise ValueError(
-                    "halfplane with beta = 0 requires an explicit truncation radius"
-                )
-        elif self.alpha is not None or self.beta is not None:
-            raise ValueError("alpha and beta apply to the half-plane only")
+            raise ValueError(f"p is {self.p!r}, but besov requires p >= 2")
+        if self.domain is Domain.DISK:
+            for name in ("alpha", "beta", "quad_R"):
+                if getattr(self, name) is not None:
+                    raise ValueError(f"{name} applies to the halfplane domain only")
+            return
+        for name in ("alpha", "beta"):
+            if getattr(self, name) is None:
+                raise ValueError(f"{name} is required on the halfplane domain")
+            check_positive(name, getattr(self, name), allow_zero=True)
+        if self.quad_R is not None:
+            check_positive("quad_R", self.quad_R)
+        elif self.beta == 0:
+            raise ValueError("beta = 0 requires an explicit truncation radius quad_R")
 
     @property
     def base_point(self):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Domain, require_interior
+from .domain import Domain, check_integer, check_positive, require_interior
 
 __all__ = [
     "Weight",
@@ -79,10 +79,8 @@ class ExpAbsPow(Weight):
     n: int
 
     def __post_init__(self):
-        if not self.beta > 0:
-            raise ValueError("ExpAbsPow needs beta > 0")
-        if int(self.n) != self.n or self.n < 1:
-            raise ValueError("ExpAbsPow needs an integer exponent n >= 1")
+        check_positive("beta", self.beta)
+        check_integer("n", self.n, 1)
 
     def _values(self, z, domain):
         return np.exp(-self.beta * np.abs(z) ** self.n)
@@ -99,10 +97,8 @@ class ExpRePow(Weight):
     n: int
 
     def __post_init__(self):
-        if not self.beta > 0:
-            raise ValueError("ExpRePow needs beta > 0")
-        if int(self.n) != self.n or self.n < 1:
-            raise ValueError("ExpRePow needs an integer exponent n >= 1")
+        check_positive("beta", self.beta)
+        check_integer("n", self.n, 1)
 
     def _values(self, z, domain):
         return np.exp(-self.beta * np.abs(np.real(z)) ** self.n)
@@ -137,10 +133,8 @@ class AngularPoly(Weight):
     theta_max: float
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError("AngularPoly needs alpha > 0")
-        if not self.theta_max > 0:
-            raise ValueError("AngularPoly needs theta_max > 0")
+        check_positive("alpha", self.alpha)
+        check_positive("theta_max", self.theta_max)
 
     def _values(self, z, domain):
         theta = _reduced_angle(z, domain)
@@ -164,8 +158,7 @@ class PowerLaw:
     gamma: float
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise ValueError("PowerLaw needs gamma >= 0")
+        check_positive("gamma", self.gamma, allow_zero=True)
 
     def radial_values(self, s, domain):
         if domain is Domain.DISK:
@@ -189,9 +182,9 @@ class Product(Weight):
 
     def __post_init__(self):
         if not isinstance(self.radial, (PowerLaw, ExpAbsPow)):
-            raise ValueError("Product radial profile must be PowerLaw or ExpAbsPow")
+            raise ValueError("radial must be a PowerLaw or an ExpAbsPow")
         if not isinstance(self.angular, (Uniform, AngularPoly)):
-            raise ValueError("Product angular profile must be Uniform or AngularPoly")
+            raise ValueError("angular must be a Uniform or an AngularPoly")
 
     def _values(self, z, domain):
         s = np.abs(z)
@@ -257,12 +250,10 @@ def check_condition(
     anywhere on the grid (the weight fails the condition at this ``k``).
     """
     if not 0.0 < r0 < 1.0:
-        raise ValueError("r0 must lie in (0, 1)")
-    if k < 0 or int(k) != k:
-        raise ValueError("k must be a nonnegative integer")
-    for name, size in (("n_r", n_r), ("n_z", n_z)):
-        if size < 1:
-            raise ValueError(f"{name} must be >= 1, got {size!r}")
+        raise ValueError(f"r0 must lie in (0, 1), got {r0!r}")
+    check_integer("k", k, 0)
+    check_integer("n_r", n_r, 1)
+    check_integer("n_z", n_z, 1)
     rs = r0 + (1.0 - r0) * np.arange(n_r) / n_r
     best = -np.inf
     best_z = 0j
@@ -290,6 +281,7 @@ def check_condition(
 def find_min_k(w, k_max=3, r0=0.5, n_r=64, n_z=4096, domain=Domain.DISK):
     """Smallest ``k <= k_max`` whose grid constant stays under the divergence
     cap, as a :class:`ConditionWitness`; ``None`` if every ``k`` fails."""
+    check_integer("k_max", k_max, 0)
     for k in range(k_max + 1):
         witness = check_condition(w, k, r0=r0, n_r=n_r, n_z=n_z, domain=domain)
         if witness is not None:

@@ -259,3 +259,20 @@ def test_suite_norms_match_direct_calls():
     suite = run_theorem_suite([(spec, label, f)], r_grid=(0.5,))
     direct = space_norm(f, spec, QuadSettings(refine=False)).full_norm
     assert suite.cells[0].report.ref_norm == direct
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, 0.0, -0.02])
+def test_threshold_must_be_finite_and_positive(threshold):
+    spec = disk_spec(SpaceKind.DIRICHLET, 2)
+    with pytest.raises(ValueError, match="^threshold must be"):
+        dilatation_convergence(monomial(0, 1), spec, threshold=threshold)
+    cells = [(spec, "z", monomial(0, 1))]
+    with pytest.raises(ValueError, match="^threshold must be"):
+        run_theorem_suite(cells, threshold=threshold)
+
+
+def test_r_grid_errors_name_the_argument():
+    spec = disk_spec(SpaceKind.DIRICHLET, 2)
+    for grid in ((0.5, 1.5), (), (math.nan,)):
+        with pytest.raises(ValueError, match="^r_grid "):
+            dilatation_convergence(monomial(0, 1), spec, r_grid=grid)

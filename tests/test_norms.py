@@ -319,3 +319,36 @@ def test_norm_integrals_evaluate_point_values_only(monkeypatch):
         space_norm(f, spec, QuadSettings(max_level=1))
         weighted_p_integral(f, spec, QuadSettings(refine=False))
     assert sizes and max(sizes) == 1
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_r", 2.5), ("n_theta", math.inf), ("rel_tol", math.inf), ("max_level", math.nan),
+])
+def test_quad_settings_refuse_non_integer_and_non_finite_values(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        QuadSettings(**{field: value})
+
+
+@pytest.mark.parametrize("domain, fields, name", [
+    (DISK, {"p": math.inf}, "p"),
+    (DISK, {"p": math.nan}, "p"),
+    (DISK, {"quad_R": 4.0}, "quad_R"),
+    (DISK, {"beta": 1.0}, "beta"),
+    (HALF, {"alpha": math.nan}, "alpha"),
+    (HALF, {"alpha": math.inf}, "alpha"),
+    (HALF, {"beta": math.nan}, "beta"),
+    (HALF, {"beta": math.inf}, "beta"),
+    (HALF, {"quad_R": -1.0}, "quad_R"),
+    (HALF, {"quad_R": 0.0}, "quad_R"),
+    (HALF, {"quad_R": math.nan}, "quad_R"),
+    (HALF, {"quad_R": math.inf}, "quad_R"),
+])
+def test_spec_refuses_non_finite_and_misplaced_fields(domain, fields, name):
+    base = {"p": 2.0}
+    if domain is HALF:
+        base.update(alpha=0.0, beta=1.0)
+    base.update(fields)
+    with pytest.raises(ValueError, match=f"^{name} ") as err:
+        SpaceSpec(domain=domain, kind=SpaceKind.BERGMAN, weight=UNI, **base)
+    if domain is DISK and name != "p":
+        assert "halfplane" in str(err.value)

@@ -243,3 +243,34 @@ def test_condition_on_halfplane_weights():
     assert witness is not None
     # purely angular: dilating along rays leaves the weight invariant
     assert witness.C <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: PowerLaw(gamma=np.nan), "gamma"),
+    (lambda: PowerLaw(gamma=np.inf), "gamma"),
+    (lambda: AngularPoly(alpha=1.0, theta_max=np.inf), "theta_max"),
+    (lambda: AngularPoly(alpha=1.0, theta_max=np.nan), "theta_max"),
+    (lambda: AngularPoly(alpha=np.inf, theta_max=np.pi), "alpha"),
+    (lambda: ExpAbsPow(beta=np.inf, n=2), "beta"),
+    (lambda: ExpAbsPow(beta=np.nan, n=2), "beta"),
+    (lambda: ExpAbsPow(beta=1.0, n=np.inf), "n"),
+    (lambda: ExpRePow(beta=np.inf, n=2), "beta"),
+    (lambda: ExpRePow(beta=1.0, n=1.5), "n"),
+])
+def test_weights_refuse_non_finite_parameters(make, name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        make()
+
+
+@pytest.mark.parametrize("k_max", [-1, 1.5, np.nan])
+def test_find_min_k_refuses_a_bad_k_max(k_max):
+    with pytest.raises(ValueError, match="^k_max must be"):
+        find_min_k(Uniform(), k_max=k_max)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"k": np.nan}, "k"), ({"k": 0, "r0": np.nan}, "r0"), ({"k": 0, "n_z": 0}, "n_z"),
+])
+def test_condition_errors_name_the_argument(kwargs, name):
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        check_condition(Uniform(), **kwargs)
