@@ -82,6 +82,21 @@ def _list_of(caster):
     return parse
 
 
+_LIST_FLAGS = ("--r-grid", "--m-grid")
+
+
+def _joined_list_values(argv):
+    """``--m-grid -1,2`` -> ``--m-grid=-1,2``: argparse would read a list value
+    that starts with ``-`` as an option, so it would never reach the library."""
+    out = []
+    for token in argv:
+        if out and out[-1] in _LIST_FLAGS and token[:1] == "-" and token[:2] != "--":
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def _add_weight_args(parser, bare_spellings):
     parser.add_argument(
         "--weight",
@@ -179,7 +194,8 @@ def parse_args(argv=None):
     commands that read a function file.  Bad input raises :class:`UsageError`
     naming the flag; :func:`main` maps that to exit status 1.
     """
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser().parse_args(_joined_list_values(argv))
     if args.command == "suite":
         # refinement gains little on the matrix's AngularPoly cells, so the
         # suite always runs on the fixed grid

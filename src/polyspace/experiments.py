@@ -198,6 +198,7 @@ def limsup_check(f, spec, r_grid=DEFAULT_R_GRID, tol=1e-3, settings=None,
     if spec.kind is SpaceKind.BERGMAN:
         raise ValueError("limsup_check applies to Dirichlet and Besov specs only")
     rs = _checked_r_grid(r_grid)
+    check_positive("tol", tol)
     fz = polyfun.d_z(f)
     fzb = polyfun.d_zbar(f)
     rhs_dz = weighted_p_integral(fz, spec, settings)
@@ -264,6 +265,7 @@ def poly_approx(f, spec, r, m_grid=DEFAULT_M_GRID, slack=0.1, settings=None,
     ms = tuple(sorted(int(m) for m in m_grid))
     if not ms or ms[0] < 0:
         raise ValueError("m_grid must hold nonnegative degrees")
+    check_positive("slack", slack)
     fr = polyfun.dilate(f, r)
     dil_err = norm_of_difference(f, fr, spec, settings).full_norm
     rows = []

@@ -12,14 +12,25 @@ gains ``Im(z)^alpha exp(-beta |z|^2)`` (Besov: ``Im(z)^(alpha+p-2)``).  At
 Dirichlet norms coincide; the implementation shares the code path bit for bit.
 
 Derivatives are exact coefficient operations — no finite differences anywhere.
-On the quadrature grids the integrand's parts are evaluated as one radial ×
-harmonic matrix product (:func:`polyfun.evaluate_on_grid`); Horner's scheme is
-used only for the point term at the base point.
+
+Every integral goes through one integrator, :func:`_integrate`.  Its measure
+is polar-separable: the weight's radial and angular factors times the
+kind/domain factors — Besov ``(1-s^2)^(p-2)`` on the disk; ``s^a sin^a theta``
+for ``Im(z)^a`` and ``exp(-beta s^2)`` on the half-plane — as one vector on the
+grid's radii and one on its angles (:func:`_measure_density`).  Only
+:class:`~polyspace.weights.ExpRePow` adds a factor that does not separate; it
+is evaluated on each block's nodes.  The integrand is formed one block of
+radii at a time (:func:`quadrature.blocked_sum`): each part as one radial ×
+harmonic product (:func:`polyfun.evaluate_on_block`), then ``|.|^p``, the
+density and the node weights, in reused block buffers.  No per-node density
+and no array the size of the grid is ever built.  Horner's scheme is used only
+for the point term at the base point.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,7 +38,7 @@ import numpy as np
 
 from . import polyfun, quadrature
 from .domain import Domain, check_integer, check_positive
-from .weights import Weight, eval_weight
+from .weights import Weight
 
 __all__ = [
     "SpaceKind",
@@ -169,43 +180,97 @@ class NormResult:
     flags: QuadratureFlags
 
 
-def _measure_density(spec, nodes):
-    """Weight times the kind/domain-specific measure factors at the nodes."""
-    dens = eval_weight(spec.weight, nodes, spec.domain)
-    if spec.domain is Domain.DISK:
+@dataclass(frozen=True)
+class _Measure:
+    """Density of a measure on a grid: ``radial[i] * angular[l]`` at node
+    ``(i, l)``, times ``planar(nodes)`` when the weight does not separate.  A
+    factor that is identically one is ``None``."""
+
+    radial: np.ndarray | None
+    angular: np.ndarray | None
+    planar: object
+
+    def apply(self, vals, grid, rows):
+        """Multiply ``vals``, the block at ``grid.radii[rows]``, by the density
+        in place."""
+        dens = None
+        if self.radial is not None and self.angular is not None:
+            dens = np.multiply(self.radial[rows, None], self.angular,
+                               out=quadrature.scratch("density", vals.shape))
+        elif self.radial is not None:
+            dens = self.radial[rows, None]
+        elif self.angular is not None:
+            dens = self.angular
+        if self.planar is not None:
+            planar = self.planar(grid.block_nodes(rows))
+            dens = planar if dens is None else np.multiply(dens, planar, out=planar)
+        if dens is not None:
+            vals *= dens
+
+
+def _times(factor, values):
+    return values if factor is None else factor * values
+
+
+def _measure_density(spec, grid):
+    """The measure of ``spec`` on ``grid``: the weight's factors times the
+    kind/domain factors, as a :class:`_Measure` of 1-D vectors."""
+    w, domain = spec.weight, spec.domain
+    if type(w)._values is not Weight._values:
+        raise TypeError(f"{w.describe()} overrides _values; norms integrate "
+                        "against a weight's radial, angular and planar factors")
+    s = grid.radii
+    radial = None if w.radial_factor is None else w.radial_factor(s, domain)
+    angular = None if w.angular_factor is None else w.angular_factor(grid.angles, domain)
+    if domain is Domain.DISK:
         if spec.kind is SpaceKind.BESOV and spec.p != 2:
-            dens = dens * (1.0 - np.abs(nodes) ** 2) ** (spec.p - 2.0)
+            radial = _times(radial, (1.0 - s**2) ** (spec.p - 2.0))
     else:
         expo = spec.alpha + (spec.p - 2.0 if spec.kind is SpaceKind.BESOV else 0.0)
         if expo != 0.0:
-            dens = dens * np.imag(nodes) ** expo
+            radial = _times(radial, s**expo)
+            angular = _times(angular, np.sin(grid.angles) ** expo)
         if spec.beta != 0.0:
-            dens = dens * np.exp(-spec.beta * np.abs(nodes) ** 2)
-    return dens
+            radial = _times(radial, np.exp(-spec.beta * s**2))
+    planar = None
+    if w.planar_factor is not None:
+        planar = functools.partial(w.planar_factor, domain=domain)
+    return _Measure(radial, angular, planar)
 
 
-def _integrand(parts, spec):
-    """``grid -> sum_part |part|^p * density`` at the grid's nodes, with each
-    part evaluated through :func:`polyfun.evaluate_on_grid`."""
-    def values(grid):
-        total = np.zeros(grid.size, dtype=float)
-        for part in parts:
-            total += np.abs(polyfun.evaluate_on_grid(part, grid)) ** spec.p
-        return total * _measure_density(spec, grid.nodes)
+def _block_integrand(parts, spec, grid):
+    """``rows -> sum_part |part|^p * density`` on ``grid.radii[rows]`` x
+    ``grid.angles``, in reused block buffers."""
+    measure = _measure_density(spec, grid)
+
+    def values(rows):
+        shape = (rows.stop - rows.start, grid.n_theta)
+        part_vals = quadrature.scratch("part", shape, complex)
+        total = quadrature.scratch("integrand", shape)
+        term = quadrature.scratch("term", shape)
+        for i, part in enumerate(parts):
+            polyfun.evaluate_on_block(part, grid, rows, out=part_vals)
+            out = total if i == 0 else term
+            np.abs(part_vals, out=out)
+            out **= spec.p
+            if i:
+                total += term
+        measure.apply(total, grid, rows)
+        return total
 
     return values
 
 
-def _integrate(values, spec, settings):
-    """``(value, QuadratureFlags)`` of the weighted sum of ``values(grid)`` on
-    the grid family of ``spec``."""
+def _integrate(parts, spec, settings):
+    """``(value, QuadratureFlags)`` of ``integral sum_part |part|^p`` against
+    the measure of ``spec``, on the grid family of ``spec``."""
     settings = settings or QuadSettings()
     family = quadrature.grid_family(spec.domain, settings.n_r, settings.n_theta,
                                     spec.truncation_radius)
 
     def value_at(level):
         grid = family(level)
-        return quadrature.weighted_sum(values(grid), grid)
+        return quadrature.blocked_sum(_block_integrand(parts, spec, grid), grid)
 
     if settings.refine:
         res = quadrature.refine_levels(value_at, rel_tol=settings.rel_tol,
@@ -223,7 +288,7 @@ def space_norm(f, spec, settings=None):
     else:
         parts = [polyfun.d_z(f), polyfun.d_zbar(f)]
         point_term = abs(f(spec.base_point)) ** spec.p
-    integral, flags = _integrate(_integrand(parts, spec), spec, settings)
+    integral, flags = _integrate(parts, spec, settings)
     integral = max(integral, 0.0)
     seminorm = integral ** (1.0 / spec.p)
     full = (point_term + integral) ** (1.0 / spec.p)
@@ -266,4 +331,4 @@ def weighted_p_integral(g, spec, settings=None):
     This is one half of a Dirichlet/Besov seminorm; the dilatation-limit
     experiments compare these part integrals side by side.
     """
-    return _integrate(_integrand([g], spec), spec, settings)[0]
+    return _integrate([g], spec, settings)[0]

@@ -12,9 +12,11 @@ test functions enter as Taylor truncations (see :func:`exp_taylor`).
 
 Values come two ways.  On a polar tensor grid of radii ``s_i`` and angles
 ``theta_l``, ``conj(z)^k z^j = s^(k+j) exp(i (j-k) theta)``, so
-:func:`evaluate_on_grid` forms ``f`` as one matrix product ``A @ E``: the
-radial matrix ``A[i, m] = sum_k c_{k, m+k} s_i^(m+2k)`` times the harmonic
-table ``E[m, l] = exp(i m theta_l)``, ``m = -(q-1) .. degree_z``.  Point values
+:func:`evaluate_on_block` forms ``f`` on a block of radii as one matrix
+product ``A @ E``: the radial matrix ``A[i, m] = sum_k c_{k, m+k} s_i^(m+2k)``
+of the block times the harmonic table ``E[m, l] = exp(i m theta_l)``,
+``m = -(q-1) .. degree_z``.  Norm integrals go through it block by block;
+:func:`evaluate_on_grid` is the same product over every radius.  Point values
 (the base-point term of a norm) use Horner's scheme in :func:`evaluate` and
 :meth:`PowerSeries.__call__`.
 """
@@ -31,6 +33,7 @@ __all__ = [
     "PolyFunction",
     "evaluate",
     "evaluate_on_grid",
+    "evaluate_on_block",
     "d_z",
     "d_zbar",
     "dilate",
@@ -207,24 +210,38 @@ def _harmonic_table(angles, lo, hi):
     return table[lo - first: hi - first + 1]
 
 
-def evaluate_on_grid(f, grid):
-    """Values of ``f`` at ``grid.nodes``, in node order, as ``A @ E``.
-
-    ``grid`` is a polar tensor grid with 1-D ``radii`` and ``angles`` and
-    radius-major ``nodes`` (a :class:`polyspace.quadrature.QuadratureGrid`).
-    ``A`` has one row per radius and one column per harmonic
-    ``m = -(q-1) .. degree_z``; ``E`` comes from a small cache, so a grid's
-    table is built once for all functions and parts evaluated on it.
-    """
+def _radial_matrix(f, radii):
+    """``A[i, m] = sum_k c_{k, m+k} radii[i]^(m+2k)``, ``m = -(q-1) .. degree_z``."""
     lo, hi = 1 - f.q, f.degree_z
-    powers = grid.radii[:, None] ** np.arange(hi + f.q)
-    radial = np.zeros((grid.radii.size, hi - lo + 1), dtype=complex)
+    powers = radii[:, None] ** np.arange(hi + f.q)
+    radial = np.zeros((radii.size, hi - lo + 1), dtype=complex)
     for k, h in enumerate(f.components):
         n = h.coeffs.size
         # conj(z)^k z^j lands in harmonic j - k with radial power k + j
         first = -k - lo
         radial[:, first: first + n] += powers[:, k: k + n] * h.coeffs
-    return (radial @ _harmonic_table(grid.angles, lo, hi)).ravel()
+    return radial
+
+
+def evaluate_on_block(f, grid, rows, out=None):
+    """Values of ``f`` at ``grid.radii[rows]`` x ``grid.angles`` as a
+    ``(len, n_theta)`` array ``A[rows] @ E``, written into ``out`` if given.
+
+    ``grid`` is a polar tensor grid with 1-D ``radii`` and ``angles`` (a
+    :class:`polyspace.quadrature.QuadratureGrid`).  ``A`` has one row per
+    radius and one column per harmonic ``m = -(q-1) .. degree_z``; ``E`` comes
+    from a small cache, so a grid's table is built once for all functions,
+    parts and blocks evaluated on it.  A row's radial matrix does not depend
+    on the block it is evaluated in.
+    """
+    table = _harmonic_table(grid.angles, 1 - f.q, f.degree_z)
+    return np.matmul(_radial_matrix(f, grid.radii[rows]), table, out=out)
+
+
+def evaluate_on_grid(f, grid):
+    """Values of ``f`` at ``grid.nodes``, in node order: :func:`evaluate_on_block`
+    over every radius."""
+    return evaluate_on_block(f, grid, slice(None)).ravel()
 
 
 def d_z(f):

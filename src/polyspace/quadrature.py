@@ -14,19 +14,32 @@ Gaussian factor ``exp(-beta |z|^2)`` in the measure, ``R`` from
 Endpoint-singular integrands (fractional powers of ``1 - |z|^2``) converge only
 algebraically, so tight tolerances on those go through :func:`refine_until`.
 
-Every grid keeps the 1-D ``radii`` and ``angles`` its nodes are the tensor
-product of, so a caller that knows the polar structure of its integrand (see
-:func:`polyspace.polyfun.evaluate_on_grid`) can produce the values without
-touching the nodes.  Integration is two pieces: :func:`weighted_sum` checks a
-values array and reduces it against the node weights, and
-:func:`refine_levels` runs the one refinement loop over ``level -> value``.
-:func:`integrate` and :func:`refine_until` are those two pieces applied to a
-callable of the nodes.
+A grid stores only its 1-D rules: ``radii`` with ``radial_weights`` (the
+Gauss-Legendre weights times the Jacobian ``s``) and ``angles`` with
+``angle_weights``.  The node ``(i, l)`` is ``radii[i] * exp(1j * angles[l])``
+with weight ``radial_weights[i] * angle_weights[l]``; the flat ``nodes`` and
+``node_weights`` are built from these on first access, for callers that want
+them.  A caller that knows the polar structure of its integrand (see
+:func:`polyspace.polyfun.evaluate_on_block`) produces values without touching
+the nodes.
+
+Integration is two pieces.  :func:`blocked_sum` is the one reduction: it asks
+for the integrand one block of radii at a time (a power-of-two number of
+radii, at most :data:`BLOCK_VALUES` nodes), multiplies by the node weights,
+refuses a non-finite value by naming its node, and combines the block sums
+pairwise — for power-of-two grids that is bit for bit numpy's pairwise sum of
+the whole array.  :func:`refine_levels` runs the one refinement loop over
+``level -> value``.  :func:`weighted_sum`, :func:`integrate` and
+:func:`refine_until` are these pieces applied to an array or a callable of the
+nodes.  Block arrays live in per-thread buffers from :func:`scratch`, reused
+from call to call, so no call allocates memory in proportion to the grid.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +54,9 @@ __all__ = [
     "grid_family",
     "integrate",
     "weighted_sum",
+    "blocked_sum",
+    "block_rows",
+    "scratch",
     "refine_levels",
     "refine_until",
     "halfplane_mc_check",
@@ -49,50 +65,75 @@ __all__ = [
     "DEFAULT_N_THETA",
     "DEFAULT_REL_TOL",
     "DEFAULT_MAX_LEVEL",
+    "BLOCK_VALUES",
 ]
 
 DEFAULT_N_R = 128
 DEFAULT_N_THETA = 256
 DEFAULT_REL_TOL = 1e-9
 DEFAULT_MAX_LEVEL = 5
+# nodes per radial block: 256 KB of complex values
+BLOCK_VALUES = 16384
 
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Nodes strictly inside the domain plus positive area weights.
+    """Tensor-product polar grid strictly inside the domain, stored as its
+    1-D rules: ``radii`` with ``radial_weights`` and ``angles`` with
+    ``angle_weights``, all positive and read-only.
 
     ``nodes`` is the radius-major tensor product
-    ``(radii[:, None] * exp(1j * angles)[None, :]).ravel()``, and
-    ``node_weights`` is laid out the same way.
+    ``(radii[:, None] * exp(1j * angles)[None, :]).ravel()`` and
+    ``node_weights`` is ``outer(radial_weights, angle_weights).ravel()``; both
+    are built on first access and are read-only.
     """
 
     domain: Domain
-    nodes: np.ndarray
-    node_weights: np.ndarray
     n_r: int
     n_theta: int
     radius: float
     radii: np.ndarray
     angles: np.ndarray
+    radial_weights: np.ndarray
+    angle_weights: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.nodes, self.node_weights, self.radii, self.angles):
+        for arr in (self.radii, self.angles, self.radial_weights, self.angle_weights):
             arr.flags.writeable = False
 
     @property
     def size(self):
-        return self.nodes.size
+        return self.n_r * self.n_theta
+
+    def block_nodes(self, rows):
+        """Nodes at ``radii[rows]`` x ``angles``, shape ``(len, n_theta)``."""
+        return self.radii[rows, None] * np.exp(1j * self.angles)[None, :]
+
+    def block_weights(self, rows, out=None):
+        """Node weights at ``radii[rows]`` x ``angles``, shape ``(len, n_theta)``."""
+        return np.multiply(self.radial_weights[rows, None], self.angle_weights, out=out)
+
+    @functools.cached_property
+    def nodes(self):
+        return _frozen(self.block_nodes(slice(None)).ravel())
+
+    @functools.cached_property
+    def node_weights(self):
+        return _frozen(self.block_weights(slice(None)).ravel())
+
+
+def _frozen(arr):
+    arr.flags.writeable = False
+    return arr
 
 
 def _radial_rule(n_r, radius):
+    """Gauss-Legendre radii on ``(0, radius)`` and their weights times the
+    area Jacobian ``s``."""
     x, w = np.polynomial.legendre.leggauss(n_r)
     s = (x + 1.0) / 2.0 * radius
     ws = w / 2.0 * radius
-    return s, ws
-
-
-def _tensor_nodes(radii, angles):
-    return (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
+    return s, ws * s
 
 
 @functools.lru_cache(maxsize=32)
@@ -106,9 +147,8 @@ def disk_grid(n_r=DEFAULT_N_R, n_theta=DEFAULT_N_THETA):
     s, ws = _radial_rule(n_r, 1.0)
     dtheta = 2.0 * np.pi / n_theta
     theta = (np.arange(n_theta) + 0.5) * dtheta
-    weights = np.broadcast_to((ws * s)[:, None] * dtheta, (n_r, n_theta)).ravel().copy()
-    return QuadratureGrid(Domain.DISK, _tensor_nodes(s, theta), weights,
-                          n_r, n_theta, 1.0, s, theta)
+    return QuadratureGrid(Domain.DISK, n_r, n_theta, 1.0, s, theta, ws,
+                          np.full(n_theta, dtheta))
 
 
 @functools.lru_cache(maxsize=32)
@@ -121,9 +161,8 @@ def halfplane_grid(R, n_r=DEFAULT_N_R, n_theta=DEFAULT_N_THETA):
     xt, wt = np.polynomial.legendre.leggauss(n_theta)
     theta = (xt + 1.0) / 2.0 * np.pi
     wtheta = wt / 2.0 * np.pi
-    weights = np.outer(ws * s, wtheta).ravel()
-    return QuadratureGrid(Domain.HALFPLANE, _tensor_nodes(s, theta), weights,
-                          n_r, n_theta, float(R), s, theta)
+    return QuadratureGrid(Domain.HALFPLANE, n_r, n_theta, float(R), s, theta, ws,
+                          wtheta)
 
 
 def grid_family(domain, n_r=DEFAULT_N_R, n_theta=DEFAULT_N_THETA, R=None):
@@ -144,21 +183,83 @@ def default_radius(beta):
     return max(8.0, float(np.sqrt(40.0 / beta)))
 
 
+_SCRATCH = threading.local()
+
+
+def scratch(slot, shape, dtype=float):
+    """A reusable C-contiguous array of ``shape`` for ``slot``: a view of a
+    per-thread buffer of at least :data:`BLOCK_VALUES` values that grows
+    when a larger block asks for it.  Its contents are undefined, and it stays
+    valid until the next request for the same slot and dtype."""
+    pool = _SCRATCH.__dict__
+    key = (slot, np.dtype(dtype))
+    n = math.prod(shape)
+    buf = pool.get(key)
+    if buf is None or buf.size < n:
+        buf = pool[key] = np.empty(max(n, BLOCK_VALUES), dtype)
+    return buf[:n].reshape(shape)
+
+
+def block_rows(n_theta):
+    """Radii per block: the largest power of two whose block holds at most
+    :data:`BLOCK_VALUES` nodes, and at least one."""
+    rows = 1
+    while 2 * rows * n_theta <= BLOCK_VALUES:
+        rows *= 2
+    return rows
+
+
+def _pairwise(sums):
+    while len(sums) > 1:
+        sums = [a + b for a, b in zip(sums[::2], sums[1::2])] + sums[len(sums) & ~1:]
+    return sums[0]
+
+
+def blocked_sum(block_values, grid):
+    """``sum(values * node_weights)`` over ``grid``, one block of radii at a
+    time.
+
+    ``block_values(rows)`` returns the real integrand on ``grid.radii[rows]``
+    x ``grid.angles`` as a ``(len, n_theta)`` array; ``rows`` are consecutive
+    slices of :func:`block_rows` radii.  Each block is summed with numpy's
+    pairwise summation and the block sums are combined pairwise.  A
+    non-finite value raises ``ValueError`` naming the offending node.
+    """
+    step = block_rows(grid.n_theta)
+    sums = []
+    for start in range(0, grid.n_r, step):
+        rows = slice(start, min(start + step, grid.n_r))
+        vals = block_values(rows)
+        terms = grid.block_weights(rows, out=scratch("weights", vals.shape))
+        terms *= vals
+        total = float(np.sum(terms.reshape(-1)))
+        # a non-finite value makes the block sum non-finite
+        if not math.isfinite(total):
+            _refuse_non_finite(vals, grid, start)
+        sums.append(total)
+    return _pairwise(sums)
+
+
+def _refuse_non_finite(vals, grid, start):
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        i, l = divmod(int(bad[0]), grid.n_theta)
+        raise ValueError(
+            f"integrand is {vals.flat[bad[0]]} at node "
+            f"s_{start + i} e^(i theta_{l}) = {grid.radii[start + i]} * "
+            f"exp({grid.angles[l]}j)"
+        )
+
+
 def weighted_sum(vals, grid):
-    """Sum ``vals * node_weights`` with numpy's deterministic pairwise
-    summation.  ``vals`` holds one real, finite value per node of ``grid``, in
-    node order; a non-finite value raises ``ValueError`` naming the offending
-    node."""
+    """:func:`blocked_sum` of an array: ``vals`` holds one real, finite value
+    per node of ``grid``, in node order; a non-finite value raises
+    ``ValueError`` naming the offending node."""
     vals = np.asarray(vals)
     if np.iscomplexobj(vals):
         raise TypeError("integrand must be real-valued on the nodes")
-    bad = ~np.isfinite(vals)
-    if np.any(bad):
-        i = int(np.flatnonzero(bad)[0])
-        raise ValueError(
-            f"integrand is {vals.flat[i]} at node {grid.nodes[i]} (index {i})"
-        )
-    return float(np.sum(vals * grid.node_weights))
+    vals = vals.reshape(grid.n_r, grid.n_theta)
+    return blocked_sum(lambda rows: vals[rows], grid)
 
 
 def integrate(g, grid):

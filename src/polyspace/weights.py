@@ -8,6 +8,13 @@ and constant ``C``,
 :func:`check_condition` certifies this on a finite tensor grid and reports the
 attained constant together with where the supremum occurred;
 :func:`find_min_k` searches for the smallest admissible ``k``.
+
+Each weight states its formula once, as polar factors (see :class:`Weight`):
+a radial factor of ``s = |z|``, an angular factor of the reduced angle, and —
+for :class:`ExpRePow` only, which does not separate — a planar factor of
+``z``.  Norms integrate against the factors on a grid's 1-D radii and angles;
+pointwise values (:func:`eval_weight`, :func:`check_condition`) are their
+product.
 """
 
 from __future__ import annotations
@@ -48,10 +55,35 @@ def _reduced_angle(z, domain):
 
 
 class Weight:
-    """Base class; subclasses implement :meth:`_values` on validated points."""
+    """Base class.  A weight states its formula once, as factors of the polar
+    coordinates ``z = s exp(i theta)``:
+
+    * ``radial_factor(s, domain)`` — values at the radii ``s``;
+    * ``angular_factor(theta, domain)`` — values at reduced angles ``theta``
+      (in ``[0, 2 pi)`` on the disk, ``(0, pi)`` on the half-plane);
+    * ``planar_factor(z, domain)`` — values at the points ``z``, for a weight
+      that does not separate in polar coordinates (:class:`ExpRePow`).
+
+    A factor that is identically one is ``None``.  Norms integrate against
+    the factors on the 1-D radii and angles of a grid; :meth:`_values`, the
+    pointwise value behind :func:`eval_weight` and :func:`check_condition`, is
+    their product.
+    """
+
+    radial_factor = None
+    angular_factor = None
+    planar_factor = None
 
     def _values(self, z, domain):
-        raise NotImplementedError
+        z = np.asarray(z)
+        vals = np.ones(z.shape)
+        if self.radial_factor is not None:
+            vals = vals * self.radial_factor(np.abs(z), domain)
+        if self.angular_factor is not None:
+            vals = vals * self.angular_factor(_reduced_angle(z, domain), domain)
+        if self.planar_factor is not None:
+            vals = vals * self.planar_factor(z, domain)
+        return vals
 
     def tag(self):
         return type(self).__name__.lower()
@@ -63,9 +95,6 @@ class Weight:
 @dataclass(frozen=True)
 class Uniform(Weight):
     """w(z) = 1."""
-
-    def _values(self, z, domain):
-        return np.ones(np.shape(z), dtype=float)
 
     def describe(self):
         return "uniform"
@@ -82,8 +111,8 @@ class ExpAbsPow(Weight):
         check_positive("beta", self.beta)
         check_integer("n", self.n, 1)
 
-    def _values(self, z, domain):
-        return np.exp(-self.beta * np.abs(z) ** self.n)
+    def radial_factor(self, s, domain):
+        return np.exp(-self.beta * s**self.n)
 
     def describe(self):
         return f"expabspow(beta={self.beta:g},n={self.n})"
@@ -100,7 +129,7 @@ class ExpRePow(Weight):
         check_positive("beta", self.beta)
         check_integer("n", self.n, 1)
 
-    def _values(self, z, domain):
+    def planar_factor(self, z, domain):
         return np.exp(-self.beta * np.abs(np.real(z)) ** self.n)
 
     def describe(self):
@@ -113,8 +142,8 @@ class ExpAbs(Weight):
     condition to reach constants arbitrarily close to 1, although k = 0 already
     gives a finite constant on bounded grids (see the tests)."""
 
-    def _values(self, z, domain):
-        return np.exp(np.abs(z))
+    def radial_factor(self, s, domain):
+        return np.exp(s)
 
     def describe(self):
         return "expabs"
@@ -126,7 +155,7 @@ class AngularPoly(Weight):
     on reduced angles ``theta in [0, theta_max)``.
 
     The canonical choices are ``theta_max = 2*pi`` on the disk and ``pi`` on the
-    half-plane; a point whose reduced angle reaches ``theta_max`` is rejected.
+    half-plane; an angle that reaches ``theta_max`` is rejected.
     """
 
     alpha: float
@@ -136,8 +165,7 @@ class AngularPoly(Weight):
         check_positive("alpha", self.alpha)
         check_positive("theta_max", self.theta_max)
 
-    def _values(self, z, domain):
-        theta = _reduced_angle(z, domain)
+    def angular_factor(self, theta, domain):
         if np.any(theta >= self.theta_max):
             flat = np.atleast_1d(theta)
             bad = flat[flat >= self.theta_max].flat[0]
@@ -160,7 +188,7 @@ class PowerLaw:
     def __post_init__(self):
         check_positive("gamma", self.gamma, allow_zero=True)
 
-    def radial_values(self, s, domain):
+    def radial_factor(self, s, domain):
         if domain is Domain.DISK:
             return (1.0 - s) ** self.gamma
         return s**self.gamma
@@ -174,7 +202,8 @@ class Product(Weight):
     """Separable weight ``w(s e^{i theta}) = radial(s) * angular(theta)``.
 
     ``radial`` is a :class:`PowerLaw` or an :class:`ExpAbsPow` restricted to the
-    radius; ``angular`` is :class:`Uniform` or :class:`AngularPoly`.
+    radius; ``angular`` is :class:`Uniform` or :class:`AngularPoly`.  Its
+    factors are theirs.
     """
 
     radial: object
@@ -186,13 +215,13 @@ class Product(Weight):
         if not isinstance(self.angular, (Uniform, AngularPoly)):
             raise ValueError("angular must be a Uniform or an AngularPoly")
 
-    def _values(self, z, domain):
-        s = np.abs(z)
-        if isinstance(self.radial, PowerLaw):
-            rad = self.radial.radial_values(s, domain)
-        else:
-            rad = np.exp(-self.radial.beta * s**self.radial.n)
-        return rad * self.angular._values(z, domain)
+    @property
+    def radial_factor(self):
+        return self.radial.radial_factor
+
+    @property
+    def angular_factor(self):
+        return self.angular.angular_factor
 
     def describe(self):
         return f"product({self.radial.describe()},{self.angular.describe()})"

@@ -1,14 +1,22 @@
 """Independent oracles used to freeze expected values before trusting the
 library's own pathways.
 
-Nothing here shares code with the package: quadrature is plain midpoint in
-polar coordinates (no Gauss nodes), derivatives are central finite differences
-of plain point evaluations (no coefficient calculus).  Accuracy is a few parts
-in 1e6 to 1e9 — enough to confirm the hand-computed closed forms that the
-tight assertions then use.
+The midpoint and finite-difference oracles share no code with the package:
+quadrature is plain midpoint in polar coordinates (no Gauss nodes),
+derivatives are central finite differences of plain point evaluations (no
+coefficient calculus).  Accuracy is a few parts in 1e6 to 1e9 — enough to
+confirm the hand-computed closed forms that the tight assertions then use.
+
+:func:`per_node_integral` checks the factored measure and the blocked
+reduction of the norms instead: on the library's own grid it builds the whole
+integrand node by node, from Horner point values and ``eval_weight`` on the
+flat nodes times the kind/domain factors in complex form, and sums it against
+``node_weights`` in one call.
 """
 
 import numpy as np
+
+from polyspace import Domain, SpaceKind, eval_weight, evaluate
 
 
 def midpoint_disk(g, n_s=2000, n_t=2000):
@@ -56,3 +64,19 @@ def dirichlet_norm_fd(f, weight_fn, p=2.0, n_s=1500, n_t=1500):
     vals = integrand(z) * s[:, None]
     integral = float(np.sum(vals)) * ((1.0 - 1e-5) / n_s) * (2.0 * np.pi / n_t)
     return (abs(f(0j)) ** p + integral) ** (1.0 / p)
+
+
+def per_node_integral(parts, spec, grid):
+    """``integral sum_part |part|^p`` against the measure of ``spec`` on
+    ``grid``, from a per-node density and per-node values."""
+    nodes = grid.nodes
+    dens = eval_weight(spec.weight, nodes, spec.domain)
+    besov = spec.kind is SpaceKind.BESOV
+    if spec.domain is Domain.DISK:
+        if besov and spec.p != 2:
+            dens = dens * (1.0 - np.abs(nodes) ** 2) ** (spec.p - 2.0)
+    else:
+        dens = dens * np.imag(nodes) ** (spec.alpha + (spec.p - 2.0 if besov else 0.0))
+        dens = dens * np.exp(-spec.beta * np.abs(nodes) ** 2)
+    vals = sum(np.abs(evaluate(part, nodes)) ** spec.p for part in parts)
+    return float(np.sum(vals * dens * grid.node_weights))

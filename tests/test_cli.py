@@ -345,6 +345,8 @@ _NORM_HALF = ["norm", "--space", "bergman", "--domain", "halfplane", "--p", "2",
 _CONVERGE = ["converge", "--space", "dirichlet", "--domain", "disk", "--p", "2",
              "--function", None]
 _CHECK_WEIGHT = ["check-weight", "--weight", "uniform"]
+_APPROX = ["approx", "--space", "dirichlet", "--domain", "disk", "--p", "2",
+           "--function", None, "--r", "0.9"]
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -364,6 +366,9 @@ _CHECK_WEIGHT = ["check-weight", "--weight", "uniform"]
     (_CONVERGE + ["--threshold", "nan"], "--threshold"),
     (_CONVERGE + ["--r-grid", "0.5,1.5"], "--r-grid"),
     (["suite", "--threshold", "nan"], "--threshold"),
+    (_APPROX + ["--m-grid", "-1,2"], "--m-grid"),
+    (_CONVERGE + ["--r-grid", "-0.5,0.9"], "--r-grid"),
+    (["suite", "--r-grid", "-0.5,0.9"], "--r-grid"),
 ])
 def test_bad_input_exits_1_naming_the_flag(z_file, capsys, argv, flag):
     code = main([z_file if a is None else a for a in argv])
@@ -372,6 +377,21 @@ def test_bad_input_exits_1_naming_the_flag(z_file, capsys, argv, flag):
     assert out == ""
     assert "Traceback" not in err
     assert err.startswith(f"error: {flag}: ")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_APPROX + ["--m-grid", "-1,2"], "--m-grid: m_grid must hold nonnegative degrees"),
+    (_CONVERGE + ["--r-grid", "-0.5,0.9"],
+     "--r-grid: r_grid values must lie in (0, 1), got -0.5"),
+])
+def test_list_values_starting_with_minus_reach_the_library(z_file, capsys, argv, message):
+    assert main([z_file if a is None else a for a in argv]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_list_flag_without_a_value_is_a_usage_error():
+    with pytest.raises(UsageError, match="^--r-grid: expected one argument"):
+        parse_args(["suite", "--r-grid", "--threshold", "0.1"])
 
 
 def test_suite_has_no_seed_flag():

@@ -276,3 +276,12 @@ def test_r_grid_errors_name_the_argument():
     for grid in ((0.5, 1.5), (), (math.nan,)):
         with pytest.raises(ValueError, match="^r_grid "):
             dilatation_convergence(monomial(0, 1), spec, r_grid=grid)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -0.1])
+def test_limsup_tol_and_approx_slack_must_be_finite_and_positive(value):
+    spec = disk_spec(SpaceKind.DIRICHLET, 2)
+    with pytest.raises(ValueError, match="^tol must be"):
+        limsup_check(monomial(0, 1), spec, r_grid=(0.5,), tol=value)
+    with pytest.raises(ValueError, match="^slack must be"):
+        poly_approx(monomial(0, 1), spec, 0.9, slack=value)

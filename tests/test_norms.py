@@ -6,19 +6,27 @@ import pytest
 from polyspace import (
     AngularPoly,
     Domain,
+    ExpAbs,
     ExpAbsPow,
+    ExpRePow,
     PolyFunction,
+    PowerLaw,
     PowerSeries,
+    Product,
     QuadSettings,
     SpaceKind,
     SpaceSpec,
     Uniform,
     bergman_norm,
     besov_norm,
+    d_z,
+    d_zbar,
     dilate,
     dirichlet_norm,
+    disk_grid,
     eval_weight,
     from_monomials,
+    grid_family,
     monomial,
     norm_of_difference,
     scale,
@@ -352,3 +360,86 @@ def test_spec_refuses_non_finite_and_misplaced_fields(domain, fields, name):
         SpaceSpec(domain=domain, kind=SpaceKind.BERGMAN, weight=UNI, **base)
     if domain is DISK and name != "p":
         assert "halfplane" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# the factored measure and the blocked reduction against a per-node oracle
+
+
+def _oracle_weights(domain):
+    theta_max = 2 * math.pi if domain is DISK else math.pi
+    angular = AngularPoly(alpha=1.0, theta_max=theta_max)
+    return [
+        UNI, ExpAbsPow(beta=1.0, n=2), ExpAbsPow(beta=0.5, n=3), ExpRePow(beta=1.0, n=1),
+        ExpRePow(beta=2.0, n=2), ExpAbs(), angular,
+        AngularPoly(alpha=0.5, theta_max=theta_max),
+        Product(radial=PowerLaw(gamma=0.5), angular=angular),
+        Product(radial=ExpAbsPow(beta=1.0, n=2), angular=UNI),
+        Product(radial=ExpAbsPow(beta=1.0, n=2), angular=angular),
+    ]
+
+
+_ORACLE_F = from_monomials({(0, 0): 0.5, (0, 3): 1.0 - 0.5j, (1, 2): 0.75j,
+                            (2, 1): -0.25, (1, 0): 0.3}, q=3)
+# power-of-two grids, a non-power-of-two grid in one block, and one in three
+# blocks of radii with a short last block
+_ORACLE_GRIDS = [(16, 32), (64, 512), (24, 40), (300, 100)]
+
+
+@pytest.mark.parametrize("domain", [DISK, HALF], ids=str)
+@pytest.mark.parametrize("w", range(len(_oracle_weights(DISK))))
+def test_norms_match_the_per_node_oracle(domain, w):
+    weight = _oracle_weights(domain)[w]
+    f = _ORACLE_F
+    for n_r, n_theta in _ORACLE_GRIDS:
+        settings = QuadSettings(n_r=n_r, n_theta=n_theta, refine=False)
+        for kind in SpaceKind:
+            for p in (2.0, 2.5, 3.0):
+                spec = (disk_spec(kind, p, weight) if domain is DISK
+                        else hp_spec(kind, p, weight, alpha=0.5))
+                grid = grid_family(domain, n_r, n_theta, spec.truncation_radius)(0)
+                parts = [f] if kind is SpaceKind.BERGMAN else [d_z(f), d_zbar(f)]
+                want = _oracles.per_node_integral(parts, spec, grid)
+                res = space_norm(f, spec, settings)
+                assert res.seminorm**p == pytest.approx(want, rel=1e-13), (n_r, kind, p)
+                got = weighted_p_integral(f, spec, settings)
+                assert got == pytest.approx(_oracles.per_node_integral([f], spec, grid),
+                                            rel=1e-13), (n_r, kind, p)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_non_finite_integrand_names_the_node():
+    # |1e200|^2 overflows at every node, so the first node of the grid is named
+    grid = disk_grid(16, 32)
+    spec = disk_spec(SpaceKind.BERGMAN, 2)
+    with pytest.raises(ValueError, match="^integrand is inf at node") as err:
+        space_norm(from_monomials({(0, 0): 1e200}, q=1), spec,
+                   QuadSettings(n_r=16, n_theta=32, refine=False))
+    assert f"s_0 e^(i theta_0) = {grid.radii[0]} * exp({grid.angles[0]}j)" in str(err.value)
+
+
+def test_norms_never_build_the_flat_nodes():
+    grid = disk_grid(8, 16)
+    spec = disk_spec(SpaceKind.BESOV, 3, ExpRePow(beta=1.0, n=2))
+    space_norm(monomial(1, 2), spec, QuadSettings(n_r=8, n_theta=16, refine=False))
+    assert "nodes" not in vars(grid) and "node_weights" not in vars(grid)
+
+
+def test_one_norm_on_a_large_grid_allocates_little():
+    import tracemalloc
+
+    rng = np.random.default_rng(8)
+    f = PolyFunction([rng.standard_normal(31) + 1j * rng.standard_normal(31)
+                      for _ in range(4)])
+    spec = disk_spec(SpaceKind.BESOV, 3, Product(
+        radial=PowerLaw(gamma=0.5), angular=AngularPoly(alpha=1.0, theta_max=2 * math.pi)))
+    settings = QuadSettings(n_r=1024, n_theta=2048, refine=False)
+    disk_grid(1024, 2048)
+    tracemalloc.start()
+    try:
+        space_norm(f, spec, settings)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the grid has 2**21 nodes: one complex array of them is 32 MB
+    assert peak < 4 * 2**20

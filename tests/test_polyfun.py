@@ -147,6 +147,21 @@ def test_grid_evaluation_reuses_and_bounds_harmonic_tables():
     assert len(polyfun._HARMONIC_TABLES) <= polyfun._HARMONIC_TABLES_MAX
 
 
+def test_block_rows_are_the_grid_rows_bit_for_bit():
+    from polyspace import polyfun
+
+    rng = np.random.default_rng(3)
+    f = PolyFunction([rng.standard_normal(20) + 1j * rng.standard_normal(20)
+                      for _ in range(3)])
+    grid = halfplane_grid(8.0, 48, 64)
+    full = evaluate_on_grid(f, grid).reshape(48, 64)
+    out = np.empty((16, 64), dtype=complex)
+    for start in (0, 16, 32):
+        rows = slice(start, start + 16)
+        assert polyfun.evaluate_on_block(f, grid, rows, out=out) is out
+        assert np.array_equal(out, full[rows])
+
+
 def test_powerseries_equality_strips_trailing_zeros():
     assert PowerSeries([1.0, 2.0, 0.0, 0.0]) == PowerSeries([1.0, 2.0])
     assert PowerSeries([0.0]) == PowerSeries([0.0, 0.0, 0.0])

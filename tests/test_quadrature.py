@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from polyspace import quadrature
 from polyspace import (
     DEFAULT_MAX_LEVEL,
     DEFAULT_N_R,
@@ -228,3 +229,53 @@ def test_weighted_sum_and_refine_levels():
     assert refine_levels(lambda level: 2.0) == RefineResult(2.0, 0.0, True, 1)
     slow = refine_levels(lambda level: 1.0 + 2.0 ** -level, rel_tol=1e-3, max_level=3)
     assert slow == RefineResult(1.125, 0.125 / 1.25, False, 3)
+
+
+@pytest.mark.parametrize("grid", [disk_grid(8, 8), halfplane_grid(8.0, 8, 8)])
+def test_grids_store_only_their_1d_rules(grid):
+    fresh = type(grid)(grid.domain, grid.n_r, grid.n_theta, grid.radius, grid.radii,
+                       grid.angles, grid.radial_weights, grid.angle_weights)
+    arrays = [v for v in vars(fresh).values() if isinstance(v, np.ndarray)]
+    assert all(a.ndim == 1 for a in arrays)
+    # the flat arrays are derived on first access, bit for bit the products
+    assert np.array_equal(fresh.node_weights,
+                          np.outer(grid.radial_weights, grid.angle_weights).ravel())
+    assert np.array_equal(fresh.nodes, grid.nodes)
+    assert fresh.size == fresh.nodes.size == fresh.node_weights.size
+
+
+@pytest.mark.parametrize("n_r, n_theta", [(128, 256), (256, 512), (512, 64), (4, 8)])
+def test_blocked_sum_is_numpys_pairwise_sum_on_power_of_two_grids(n_r, n_theta):
+    grid = disk_grid(n_r, n_theta)
+    vals = np.random.default_rng(n_r).random(grid.size)
+    assert weighted_sum(vals, grid) == float(np.sum(vals * grid.node_weights))
+
+
+def test_blocks_are_bounded_powers_of_two():
+    for n_theta in (1, 40, 256, 512, 2048, 16384, 40000):
+        rows = quadrature.block_rows(n_theta)
+        assert rows & (rows - 1) == 0
+        assert rows * n_theta <= max(quadrature.BLOCK_VALUES, n_theta)
+        assert 2 * rows * n_theta > quadrature.BLOCK_VALUES
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_blocked_sum_names_a_bad_node_in_a_later_block():
+    grid = disk_grid(300, 100)   # three blocks of radii, the last one short
+    vals = np.ones((300, 100))
+    vals[290, 7] = -np.inf
+    with pytest.raises(ValueError) as err:
+        weighted_sum(vals.ravel(), grid)
+    assert str(err.value) == (f"integrand is -inf at node s_290 e^(i theta_7) = "
+                              f"{grid.radii[290]} * exp({grid.angles[7]}j)")
+    # an overflowing sum of finite values is returned, as numpy's sum would be
+    assert weighted_sum(np.full(grid.size, 1e308), grid) == np.inf
+
+
+def test_scratch_buffers_are_reused():
+    a = quadrature.scratch("test", (4, 8))
+    b = quadrature.scratch("test", (2, 16), complex)
+    assert a.shape == (4, 8) and b.dtype == complex
+    assert np.shares_memory(a, quadrature.scratch("test", (8, 2)))
+    big = quadrature.scratch("test", (2, quadrature.BLOCK_VALUES))
+    assert big.flags.c_contiguous and not np.shares_memory(a, big)

@@ -274,3 +274,40 @@ def test_find_min_k_refuses_a_bad_k_max(k_max):
 def test_condition_errors_name_the_argument(kwargs, name):
     with pytest.raises(ValueError, match=f"^{name} must"):
         check_condition(Uniform(), **kwargs)
+
+
+@pytest.mark.parametrize("domain", [DISK, HALF], ids=str)
+def test_values_are_the_product_of_the_factors(domain):
+    rng = np.random.default_rng(11)
+    s = 0.95 * rng.random(200) + 0.01
+    span = 2 * np.pi if domain is DISK else np.pi
+    theta = span * (rng.random(200) * 0.98 + 0.01)
+    z = s * np.exp(1j * theta)
+    for w in _catalog(domain):
+        want = np.ones(z.shape)
+        if w.radial_factor is not None:
+            want = want * w.radial_factor(np.abs(z), domain)
+        if w.angular_factor is not None:
+            want = want * w.angular_factor(np.mod(np.angle(z), 2 * np.pi), domain)
+        if w.planar_factor is not None:
+            want = want * w.planar_factor(z, domain)
+        assert np.array_equal(eval_weight(w, z, domain), want), w.describe()
+    # only ExpRePow does not separate in polar coordinates
+    assert [w.describe() for w in _catalog(domain) if w.planar_factor is not None] == [
+        "exprepow(beta=1,n=1)", "exprepow(beta=2,n=2)"]
+
+
+def test_product_factors_are_its_components():
+    radial, angular = PowerLaw(gamma=0.5), AngularPoly(alpha=1.0, theta_max=np.pi)
+    w = Product(radial=radial, angular=angular)
+    assert w.radial_factor == radial.radial_factor
+    assert w.angular_factor == angular.angular_factor
+    assert Product(radial=radial, angular=Uniform()).angular_factor is None
+
+
+def test_angular_support_is_checked_on_the_angles():
+    w = AngularPoly(alpha=1.0, theta_max=np.pi)
+    angles = np.array([0.5, 3.0, 4.0, 5.0])
+    with pytest.raises(ValueError,
+                       match=r"^angle 4.0 is outside the support \[0, 3.14159\d*\) of the weight$"):
+        w.angular_factor(angles, DISK)
