@@ -197,8 +197,8 @@ def parse_args(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     args = _build_parser().parse_args(_joined_list_values(argv))
     if args.command == "suite":
-        # refinement gains little on the matrix's AngularPoly cells, so the
-        # suite always runs on the fixed grid
+        # the suite runs every cell on one fixed grid, so a run is a fixed
+        # amount of work whatever the cells' convergence
         with _naming(_RUN_FLAGS):
             args.settings = QuadSettings(n_r=args.quad_nr, n_theta=args.quad_ntheta,
                                          refine=False)

@@ -14,6 +14,12 @@ class Domain(enum.Enum):
     def __str__(self):
         return self.value
 
+    @property
+    def angle_span(self):
+        """Length of the interval of polar angles, ``[0, 2 pi)`` on the disk
+        and ``(0, pi)`` on the half-plane."""
+        return 2.0 * math.pi if self is Domain.DISK else math.pi
+
 
 def interior_mask(z, domain):
     """Boolean mask of the points of ``z`` lying strictly inside ``domain``."""

@@ -19,12 +19,22 @@ kind/domain factors — Besov ``(1-s^2)^(p-2)`` on the disk; ``s^a sin^a theta``
 for ``Im(z)^a`` and ``exp(-beta s^2)`` on the half-plane — as one vector on the
 grid's radii and one on its angles (:func:`_measure_density`).  Only
 :class:`~polyspace.weights.ExpRePow` adds a factor that does not separate; it
-is evaluated on each block's nodes.  The integrand is formed one block of
-radii at a time (:func:`quadrature.blocked_sum`): each part as one radial ×
-harmonic product (:func:`polyfun.evaluate_on_block`), then ``|.|^p``, the
-density and the node weights, in reused block buffers.  No per-node density
-and no array the size of the grid is ever built.  Horner's scheme is used only
-for the point term at the base point.
+is evaluated on each block's nodes.
+
+The measure's endpoint powers — the weight's declared exponents plus Besov
+``(1-s)^(p-2)``, ``s^a`` and ``sin^a theta ~ [theta (pi - theta)]^a`` — pick
+the grids (:meth:`SpaceSpec.grid_family`): the fractional part of each is
+folded into a Gauss-Jacobi rule, and the density keeps only the smooth rest.
+A spec whose exponents are all integers integrates on Gauss-Legendre radii
+(and, on the disk, periodic midpoint angles when the angular factor is smooth
+and periodic).
+
+The integrand is formed one block of radii at a time
+(:func:`quadrature.blocked_sum`): each part as one radial × harmonic product
+(:func:`polyfun.evaluate_on_block`), then ``|.|^p``, the density and the node
+weights, in reused block buffers.  No per-node density and no array the size
+of the grid is ever built.  Horner's scheme is used only for the point term at
+the base point.
 """
 
 from __future__ import annotations
@@ -139,6 +149,15 @@ class SpaceSpec:
         # beta = 0 is only accepted together with quad_R
         return self.domain is Domain.HALFPLANE and self.quad_R is not None
 
+    def grid_family(self, n_r=quadrature.DEFAULT_N_R, n_theta=quadrature.DEFAULT_N_THETA):
+        """``level -> grid``: the grids that norms in this space integrate on,
+        with the fractional parts of the measure's endpoint exponents folded
+        into their rules."""
+        radial, angular = _endpoint_exponents(self)
+        return quadrature.grid_family(self.domain, n_r, n_theta, self.truncation_radius,
+                                      radial=_fractional(radial),
+                                      angular=_fractional(angular))
+
     def describe(self):
         s = f"{self.kind}:{self.domain}:p={self.p:g}:{self.weight.describe()}"
         if self.domain is Domain.HALFPLANE:
@@ -212,9 +231,43 @@ def _times(factor, values):
     return values if factor is None else factor * values
 
 
+def _halfplane_power(spec):
+    """``a`` in the half-plane measure's ``Im(z)^a``."""
+    return spec.alpha + (spec.p - 2.0 if spec.kind is SpaceKind.BESOV else 0.0)
+
+
+def _endpoint_exponents(spec):
+    """Endpoint exponents of the measure of ``spec``: radial ``(e0, e1)`` at
+    ``s = 0`` and at ``s = 1`` (disk), angular ``(e0, e1)`` at the ends of
+    the span, or ``None`` when the angular factor is smooth and periodic."""
+    w, domain = spec.weight, spec.domain
+    r0, r1 = w.radial_exponents(domain)
+    angular = w.angular_exponents(domain)
+    if domain is Domain.DISK:
+        if spec.kind is SpaceKind.BESOV:
+            r1 += spec.p - 2.0
+    else:
+        a = _halfplane_power(spec)
+        r0 += a
+        a0, a1 = angular or (0.0, 0.0)
+        angular = (a0 + a, a1 + a)
+    return (r0, r1), angular
+
+
+def _fractional(exponents):
+    return None if exponents is None else tuple(e - math.floor(e) for e in exponents)
+
+
+def _divided(factor, power):
+    if power is None:
+        return factor
+    return 1.0 / power if factor is None else factor / power
+
+
 def _measure_density(spec, grid):
     """The measure of ``spec`` on ``grid``: the weight's factors times the
-    kind/domain factors, as a :class:`_Measure` of 1-D vectors."""
+    kind/domain factors, divided by the powers the grid's rules folded in, as
+    a :class:`_Measure` of 1-D vectors."""
     w, domain = spec.weight, spec.domain
     if type(w)._values is not Weight._values:
         raise TypeError(f"{w.describe()} overrides _values; norms integrate "
@@ -226,12 +279,14 @@ def _measure_density(spec, grid):
         if spec.kind is SpaceKind.BESOV and spec.p != 2:
             radial = _times(radial, (1.0 - s**2) ** (spec.p - 2.0))
     else:
-        expo = spec.alpha + (spec.p - 2.0 if spec.kind is SpaceKind.BESOV else 0.0)
+        expo = _halfplane_power(spec)
         if expo != 0.0:
             radial = _times(radial, s**expo)
             angular = _times(angular, np.sin(grid.angles) ** expo)
         if spec.beta != 0.0:
             radial = _times(radial, np.exp(-spec.beta * s**2))
+    radial = _divided(radial, grid.radial_power())
+    angular = _divided(angular, grid.angular_power())
     planar = None
     if w.planar_factor is not None:
         planar = functools.partial(w.planar_factor, domain=domain)
@@ -248,14 +303,16 @@ def _block_integrand(parts, spec, grid):
         part_vals = quadrature.scratch("part", shape, complex)
         total = quadrature.scratch("integrand", shape)
         term = quadrature.scratch("term", shape)
-        for i, part in enumerate(parts):
-            polyfun.evaluate_on_block(part, grid, rows, out=part_vals)
-            out = total if i == 0 else term
-            np.abs(part_vals, out=out)
-            out **= spec.p
-            if i:
-                total += term
-        measure.apply(total, grid, rows)
+        # an overflow leaves inf or nan, which blocked_sum refuses by node
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, part in enumerate(parts):
+                polyfun.evaluate_on_block(part, grid, rows, out=part_vals)
+                out = total if i == 0 else term
+                np.abs(part_vals, out=out)
+                out **= spec.p
+                if i:
+                    total += term
+            measure.apply(total, grid, rows)
         return total
 
     return values
@@ -265,8 +322,7 @@ def _integrate(parts, spec, settings):
     """``(value, QuadratureFlags)`` of ``integral sum_part |part|^p`` against
     the measure of ``spec``, on the grid family of ``spec``."""
     settings = settings or QuadSettings()
-    family = quadrature.grid_family(spec.domain, settings.n_r, settings.n_theta,
-                                    spec.truncation_radius)
+    family = spec.grid_family(settings.n_r, settings.n_theta)
 
     def value_at(level):
         grid = family(level)

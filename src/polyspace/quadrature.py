@@ -1,21 +1,35 @@
 """Polar quadrature grids for the unit disk and the (truncated) upper half-plane.
 
-Both grids are Gauss-Legendre in the radius, with the area Jacobian folded into
-the node weights.  The angular rule differs by domain:
+A grid is the tensor product of a radial and an angular rule, with the area
+Jacobian ``s`` folded into the radial weights.  A rule may take fractional
+endpoint powers of the measure into its weight function, so that what is
+left of the integrand is smooth and the rule converges spectrally:
 
-* disk — uniform midpoints on the full period ``[0, 2*pi)``, which integrates
-  every harmonic ``exp(i m theta)`` with ``0 < |m| < n_theta`` to roundoff;
-* half-plane — Gauss-Legendre on ``(0, pi)``, since integrands there are not
-  periodic and a uniform rule would stall at ``O(n^-2)``.
+* radius — Gauss-Jacobi on ``(0, R)`` for ``s^e0 (R - s)^e1`` (``R = 1`` on
+  the disk); exponents ``(0, 0)`` give Gauss-Legendre;
+* angle on the disk — uniform midpoints on the full period ``[0, 2*pi)``
+  when the angular factor is smooth and periodic (``angular=None``); the
+  midpoint rule integrates every harmonic ``exp(i m theta)`` with
+  ``0 < |m| < n_theta`` to roundoff.  Otherwise Gauss-Jacobi on ``(0, 2*pi)``
+  for ``theta^e0 (2*pi - theta)^e1``;
+* angle on the half-plane — Gauss-Jacobi on ``(0, pi)`` for
+  ``theta^e0 (pi - theta)^e1``, since integrands there are not periodic and
+  a uniform rule would stall at ``O(n^-2)``.
+
+The exponents lie in ``[0, 1)``: :mod:`polyspace.norms` folds only the
+fractional part of each endpoint power and keeps the rest in its smooth
+factors.  Every Gauss rule comes from :func:`gauss_jacobi` (Newton's method
+on the three-term recurrence, O(n) memory).  Rules are cached apart from the
+grids, so grids with the same angular rule hold the same ``angles`` array.
 
 The half-plane is truncated to the half-disk ``{|z| <= R, Im z > 0}``; with the
 Gaussian factor ``exp(-beta |z|^2)`` in the measure, ``R`` from
 :func:`default_radius` pushes the discarded tail below 1e-16 of the integral.
-Endpoint-singular integrands (fractional powers of ``1 - |z|^2``) converge only
-algebraically, so tight tolerances on those go through :func:`refine_until`.
+Tight tolerances on integrands that are not smooth go through
+:func:`refine_until`.
 
 A grid stores only its 1-D rules: ``radii`` with ``radial_weights`` (the
-Gauss-Legendre weights times the Jacobian ``s``) and ``angles`` with
+rule's weights times the Jacobian ``s``) and ``angles`` with
 ``angle_weights``.  The node ``(i, l)`` is ``radii[i] * exp(1j * angles[l])``
 with weight ``radial_weights[i] * angle_weights[l]``; the flat ``nodes`` and
 ``node_weights`` are built from these on first access, for callers that want
@@ -44,11 +58,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Domain
+from .domain import Domain, check_integer
 
 __all__ = [
     "QuadratureGrid",
     "RefineResult",
+    "gauss_jacobi",
     "disk_grid",
     "halfplane_grid",
     "grid_family",
@@ -86,6 +101,14 @@ class QuadratureGrid:
     ``(radii[:, None] * exp(1j * angles)[None, :]).ravel()`` and
     ``node_weights`` is ``outer(radial_weights, angle_weights).ravel()``; both
     are built on first access and are read-only.
+
+    The rules integrate against the powers named by ``radial_exponents``
+    ``(e0, e1)`` — ``s^e0 (radius - s)^e1`` — and ``angular_exponents`` —
+    ``theta^e0 (span - theta)^e1`` with ``span`` the domain's
+    :attr:`~polyspace.domain.Domain.angle_span`, or ``None`` for the periodic
+    midpoint rule.  So ``sum(g(nodes) * node_weights)`` approximates the
+    integral of ``g`` times :meth:`radial_power` times :meth:`angular_power`
+    over the domain.
     """
 
     domain: Domain
@@ -96,6 +119,8 @@ class QuadratureGrid:
     angles: np.ndarray
     radial_weights: np.ndarray
     angle_weights: np.ndarray
+    radial_exponents: tuple = (0.0, 0.0)
+    angular_exponents: tuple | None = None
 
     def __post_init__(self):
         for arr in (self.radii, self.angles, self.radial_weights, self.angle_weights):
@@ -104,6 +129,15 @@ class QuadratureGrid:
     @property
     def size(self):
         return self.n_r * self.n_theta
+
+    def radial_power(self):
+        """``radii^e0 (radius - radii)^e1``, or ``None`` when both are 0."""
+        return _power(self.radii, self.radius, self.radial_exponents)
+
+    def angular_power(self):
+        """``angles^e0 (span - angles)^e1``, or ``None`` when nothing is
+        folded."""
+        return _power(self.angles, self.domain.angle_span, self.angular_exponents)
 
     def block_nodes(self, rows):
         """Nodes at ``radii[rows]`` x ``angles``, shape ``(len, n_theta)``."""
@@ -127,52 +161,179 @@ def _frozen(arr):
     return arr
 
 
-def _radial_rule(n_r, radius):
-    """Gauss-Legendre radii on ``(0, radius)`` and their weights times the
-    area Jacobian ``s``."""
-    x, w = np.polynomial.legendre.leggauss(n_r)
-    s = (x + 1.0) / 2.0 * radius
-    ws = w / 2.0 * radius
+def _power(x, end, exponents):
+    if exponents is None or exponents == (0.0, 0.0):
+        return None
+    e0, e1 = exponents
+    return x**e0 * (end - x) ** e1
+
+
+def gauss_jacobi(n, a=0.0, b=0.0):
+    """Gauss-Jacobi rule of ``n`` points for the weight ``(1 - x)^a (1 + x)^b``
+    on ``(-1, 1)``, ``a, b >= 0``: nodes in increasing order and their weights.
+
+    The nodes are the zeros of the orthonormal Jacobi polynomial ``p_n``,
+    found by Newton's method from the asymptotic guesses
+    ``cos((k + a/2 - 1/4) pi / (n + (a + b + 1)/2))``; ``p_n`` comes from the
+    three-term recurrence and ``p_n'`` from the identity
+    ``(2n+a+b)(1-x^2) P_n' = n(a-b-(2n+a+b)x) P_n + 2(n+a)(n+b) P_(n-1)``.
+    The weights are the Christoffel numbers ``1 / sum_(j<n) p_j(x_k)^2``,
+    which keep their relative accuracy at the endpoints.  Memory is O(n) and
+    time O(n^2); a symmetric rule (``a == b``) solves for half the nodes.
+    ``a = b = 0`` is Gauss-Legendre.
+    """
+    check_integer("n", n, 1)
+    a, b = float(a), float(b)
+    ab = a + b
+    j = np.arange(n, dtype=float)
+    # x p_j = beta_j p_(j+1) + alpha_j p_j + beta_(j-1) p_(j-1), orthonormal
+    two_j = 2.0 * j + ab
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alpha = (b * b - a * a) / (two_j * (two_j + 2.0))
+    alpha[0] = (b - a) / (ab + 2.0)
+    k = j + 1.0
+    t = 2.0 * k + ab
+    beta = np.sqrt(4.0 * k * (k + a) * (k + b) * (k + ab) / (t * t * (t + 1.0) * (t - 1.0)))
+    beta[0] = math.sqrt(4.0 * (1.0 + a) * (1.0 + b) / ((2.0 + ab) ** 2 * (3.0 + ab)))
+    p0 = math.exp(-0.5 * _log_jacobi_mass(a, b))
+    steps = list(zip(alpha.tolist(), (1.0 / beta).tolist(),
+                     [0.0] + (beta[:-1] / beta[1:]).tolist()))
+
+    def recurrence(x, christoffel=False):
+        # (p_n, p_(n-1)) at x, or sum_(j<n) p_j(x)^2
+        p_prev, p, nxt = np.zeros_like(x), np.full_like(x, p0), np.empty_like(x)
+        total = p * p if christoffel else None
+        for i, (alpha_i, inv_beta, beta_ratio) in enumerate(steps):
+            if christoffel and i:
+                total += p * p
+            np.subtract(x, alpha_i, out=nxt)
+            nxt *= p
+            nxt *= inv_beta
+            p_prev *= beta_ratio
+            nxt -= p_prev
+            p_prev, p, nxt = p, nxt, p_prev
+        return total if christoffel else (p, p_prev)
+
+    # P_(n-1) / P_n = norm_ratio * p_(n-1) / p_n
+    norm_ratio = math.sqrt((2 * n + ab + 1.0) / (2 * n + ab - 1.0) * n * (n + ab)
+                      / ((n + a) * (n + b)))
+    symmetric = a == b
+    count = (n + 1) // 2 if symmetric else n
+    x = np.cos((np.arange(1, count + 1) + a / 2.0 - 0.25) * math.pi
+               / (n + (ab + 1.0) / 2.0))
+    for _ in range(_NEWTON_STEPS):
+        pn, pn1 = recurrence(x)
+        dx = (2 * n + ab) * (1.0 - x) * (1.0 + x) * pn / (
+            n * (a - b - (2 * n + ab) * x) * pn + 2.0 * (n + a) * (n + b) * norm_ratio * pn1)
+        x -= dx
+        if np.max(np.abs(dx)) <= _NEWTON_TOL:
+            break
+    else:
+        raise ArithmeticError(f"Gauss-Jacobi nodes for n={n}, a={a}, b={b} did not converge")
+    if symmetric and n % 2:
+        x[-1] = 0.0
+    w = 1.0 / recurrence(x, christoffel=True)
+    if symmetric:
+        half = n // 2
+        return np.concatenate([-x, x[:half][::-1]]), np.concatenate([w, w[:half][::-1]])
+    return x[::-1].copy(), w[::-1].copy()
+
+
+# Newton converges quadratically from the asymptotic guesses: a step below
+# _NEWTON_TOL leaves an error far below roundoff for n up to ~1e5.
+_NEWTON_STEPS = 12
+_NEWTON_TOL = 1e-14
+
+
+def _log_jacobi_mass(a, b):
+    """``log of integral (1 - x)^a (1 + x)^b dx`` over ``(-1, 1)``."""
+    return ((a + b + 1.0) * math.log(2.0) + math.lgamma(a + 1.0) + math.lgamma(b + 1.0)
+            - math.lgamma(a + b + 2.0))
+
+
+@functools.lru_cache(maxsize=64)
+def _rule(n, end, exponents):
+    """Gauss-Jacobi on ``(0, end)`` for ``x^e0 (end - x)^e1``: read-only
+    nodes and weights."""
+    e0, e1 = exponents
+    x, w = gauss_jacobi(n, e1, e0)
+    nodes = (x + 1.0) / 2.0 * end
+    weights = w * (end / 2.0) ** (1.0 + e0 + e1)
+    return _frozen(nodes), _frozen(weights)
+
+
+def _radial_rule(n_r, radius, exponents):
+    """Radii on ``(0, radius)`` and their weights times the area Jacobian
+    ``s``."""
+    s, ws = _rule(n_r, radius, exponents)
     return s, ws * s
 
 
-@functools.lru_cache(maxsize=32)
-def disk_grid(n_r=DEFAULT_N_R, n_theta=DEFAULT_N_THETA):
-    """Polar grid on the open unit disk.
+@functools.lru_cache(maxsize=64)
+def _angular_rule(n_theta, span, exponents):
+    """Angles on ``(0, span)`` and their weights: uniform midpoints for
+    ``exponents=None``, else Gauss-Jacobi."""
+    if exponents is not None:
+        return _rule(n_theta, span, exponents)
+    dtheta = span / n_theta
+    return (_frozen((np.arange(n_theta) + 0.5) * dtheta),
+            _frozen(np.full(n_theta, dtheta)))
 
-    Radial Gauss-Legendre exactness (with the Jacobian ``s``) makes the grid
-    integrate ``|z|^(2m)`` exactly for ``m <= n_r - 1``; the node weights sum
-    to the disk area pi up to roundoff.
+
+def _exponents(pair):
+    if pair is None:
+        return None
+    e0, e1 = (float(e) for e in pair)
+    if not (0.0 <= e0 < 1.0 and 0.0 <= e1 < 1.0):
+        raise ValueError(f"folded exponents must lie in [0, 1), got {pair!r}")
+    return (e0, e1)
+
+
+@functools.lru_cache(maxsize=32)
+def disk_grid(n_r=DEFAULT_N_R, n_theta=DEFAULT_N_THETA, radial=(0.0, 0.0), angular=None):
+    """Polar grid on the open unit disk; ``radial`` and ``angular`` are the
+    exponents folded into the rules (``angular=None``: periodic midpoints).
+
+    With nothing folded, radial Gauss-Legendre exactness (with the Jacobian
+    ``s``) makes the grid integrate ``|z|^(2m)`` exactly for
+    ``m <= n_r - 1``, and the node weights sum to the disk area pi up to
+    roundoff.
     """
-    s, ws = _radial_rule(n_r, 1.0)
-    dtheta = 2.0 * np.pi / n_theta
-    theta = (np.arange(n_theta) + 0.5) * dtheta
-    return QuadratureGrid(Domain.DISK, n_r, n_theta, 1.0, s, theta, ws,
-                          np.full(n_theta, dtheta))
+    radial, angular = _exponents(radial), _exponents(angular)
+    s, ws = _radial_rule(n_r, 1.0, radial)
+    theta, wtheta = _angular_rule(n_theta, Domain.DISK.angle_span, angular)
+    return QuadratureGrid(Domain.DISK, n_r, n_theta, 1.0, s, theta, ws, wtheta,
+                          radial, angular)
 
 
 @functools.lru_cache(maxsize=32)
-def halfplane_grid(R, n_r=DEFAULT_N_R, n_theta=DEFAULT_N_THETA):
+def halfplane_grid(R, n_r=DEFAULT_N_R, n_theta=DEFAULT_N_THETA, radial=(0.0, 0.0),
+                   angular=(0.0, 0.0)):
     """Polar grid on the half-disk ``{|z| <= R, Im z > 0}`` (truncated upper
-    half-plane).  Node weights sum to the half-disk area ``pi R^2 / 2``."""
+    half-plane); ``radial`` and ``angular`` are the exponents folded into the
+    rules.  With nothing folded, node weights sum to the half-disk area
+    ``pi R^2 / 2``."""
     if not R > 0:
         raise ValueError("truncation radius R must be positive")
-    s, ws = _radial_rule(n_r, float(R))
-    xt, wt = np.polynomial.legendre.leggauss(n_theta)
-    theta = (xt + 1.0) / 2.0 * np.pi
-    wtheta = wt / 2.0 * np.pi
+    radial, angular = _exponents(radial), _exponents(angular)
+    if angular is None:
+        raise ValueError("half-plane grids have no periodic angular rule")
+    s, ws = _radial_rule(n_r, float(R), radial)
+    theta, wtheta = _angular_rule(n_theta, Domain.HALFPLANE.angle_span, angular)
     return QuadratureGrid(Domain.HALFPLANE, n_r, n_theta, float(R), s, theta, ws,
-                          wtheta)
+                          wtheta, radial, angular)
 
 
-def grid_family(domain, n_r=DEFAULT_N_R, n_theta=DEFAULT_N_THETA, R=None):
-    """Return ``level -> grid`` with both resolutions doubled per level."""
+def grid_family(domain, n_r=DEFAULT_N_R, n_theta=DEFAULT_N_THETA, R=None, **rules):
+    """Return ``level -> grid`` with both resolutions doubled per level;
+    ``rules`` (``radial``, ``angular``) go to :func:`disk_grid` or
+    :func:`halfplane_grid`."""
     if domain is Domain.DISK:
-        return lambda level: disk_grid(n_r << level, n_theta << level)
+        return lambda level: disk_grid(n_r << level, n_theta << level, **rules)
     if R is None:
         raise ValueError("half-plane grids need a truncation radius R")
 
-    return lambda level: halfplane_grid(R, n_r << level, n_theta << level)
+    return lambda level: halfplane_grid(R, n_r << level, n_theta << level, **rules)
 
 
 def default_radius(beta):

@@ -15,6 +15,11 @@ for :class:`ExpRePow` only, which does not separate — a planar factor of
 ``z``.  Norms integrate against the factors on a grid's 1-D radii and angles;
 pointwise values (:func:`eval_weight`, :func:`check_condition`) are their
 product.
+
+Each factor also declares its endpoint exponents: the powers with which it
+vanishes at the ends of the radial interval and of the angular span, and
+whether the angular factor is smooth and periodic.  Norms fold their
+fractional parts into Gauss-Jacobi rules (see :mod:`polyspace.quadrature`).
 """
 
 from __future__ import annotations
@@ -68,11 +73,27 @@ class Weight:
     the factors on the 1-D radii and angles of a grid; :meth:`_values`, the
     pointwise value behind :func:`eval_weight` and :func:`check_condition`, is
     their product.
+
+    :meth:`radial_exponents` and :meth:`angular_exponents` state how the
+    factors behave at the ends of their intervals.
     """
 
     radial_factor = None
     angular_factor = None
     planar_factor = None
+
+    def radial_exponents(self, domain):
+        """``(e0, e1)``: the radial factor is ``s^e0 (1 - s)^e1`` (disk) or
+        ``s^e0`` (half-plane, ``e1 = 0``) times a factor smooth on the closed
+        interval."""
+        return (0.0, 0.0)
+
+    def angular_exponents(self, domain):
+        """``(e0, e1)``: the angular factor is ``theta^e0 (span - theta)^e1``
+        times a factor smooth on ``[0, span]`` (``span`` is the domain's
+        ``angle_span``); ``None`` when it is smooth and periodic, which lets
+        the disk use the periodic midpoint rule."""
+        return None if self.angular_factor is None else (0.0, 0.0)
 
     def _values(self, z, domain):
         z = np.asarray(z)
@@ -174,6 +195,11 @@ class AngularPoly(Weight):
             )
         return (self.theta_max**2 - theta**2) ** self.alpha
 
+    def angular_exponents(self, domain):
+        # (theta_max - theta)^alpha vanishes at the end of the span only when
+        # theta_max is that end; on the disk the factor is never periodic
+        return (0.0, self.alpha if self.theta_max == domain.angle_span else 0.0)
+
     def describe(self):
         return f"angularpoly(alpha={self.alpha:g},theta_max={self.theta_max:g})"
 
@@ -192,6 +218,9 @@ class PowerLaw:
         if domain is Domain.DISK:
             return (1.0 - s) ** self.gamma
         return s**self.gamma
+
+    def radial_exponents(self, domain):
+        return (0.0, self.gamma) if domain is Domain.DISK else (self.gamma, 0.0)
 
     def describe(self):
         return f"powerlaw(gamma={self.gamma:g})"
@@ -222,6 +251,12 @@ class Product(Weight):
     @property
     def angular_factor(self):
         return self.angular.angular_factor
+
+    def radial_exponents(self, domain):
+        return self.radial.radial_exponents(domain)
+
+    def angular_exponents(self, domain):
+        return self.angular.angular_exponents(domain)
 
     def describe(self):
         return f"product({self.radial.describe()},{self.angular.describe()})"
@@ -257,8 +292,7 @@ def _stratified_points(r, n_z, domain):
     n_s = max(1, int(round(math.sqrt(n_z / 2.0))))
     n_a = max(1, int(round(n_z / n_s)))
     s = (np.arange(n_s) + 0.5) / n_s * r
-    span = 2.0 * np.pi if domain is Domain.DISK else np.pi
-    theta = (np.arange(n_a) + 0.5) / n_a * span
+    theta = (np.arange(n_a) + 0.5) / n_a * domain.angle_span
     return (s[:, None] * np.exp(1j * theta[None, :])).ravel()
 
 

@@ -10,13 +10,21 @@ confirm the hand-computed closed forms that the tight assertions then use.
 :func:`per_node_integral` checks the factored measure and the blocked
 reduction of the norms instead: on the library's own grid it builds the whole
 integrand node by node, from Horner point values and ``eval_weight`` on the
-flat nodes times the kind/domain factors in complex form, and sums it against
+flat nodes times the kind/domain factors in complex form, divides out the
+endpoint powers that the grid's rules fold in, and sums it against
 ``node_weights`` in one call.
+
+:func:`monomial_norm` is exact: ``|c conj(z)^k z^j|`` is radial, so every norm
+of a monomial against the Beta- and Gamma-type measures below has a closed
+form.
 """
+
+import math
 
 import numpy as np
 
-from polyspace import Domain, SpaceKind, eval_weight, evaluate
+from polyspace import (AngularPoly, Domain, PowerLaw, Product, SpaceKind, Uniform,
+                       eval_weight, evaluate)
 
 
 def midpoint_disk(g, n_s=2000, n_t=2000):
@@ -78,5 +86,56 @@ def per_node_integral(parts, spec, grid):
     else:
         dens = dens * np.imag(nodes) ** (spec.alpha + (spec.p - 2.0 if besov else 0.0))
         dens = dens * np.exp(-spec.beta * np.abs(nodes) ** 2)
+    # the rules integrate against s^e0 (R - s)^e1 theta^a0 (span - theta)^a1
+    s = np.repeat(grid.radii, grid.n_theta)
+    e0, e1 = grid.radial_exponents
+    dens = dens / (s**e0 * (grid.radius - s) ** e1)
+    if grid.angular_exponents is not None:
+        theta = np.tile(grid.angles, grid.n_r)
+        span = 2.0 * np.pi if spec.domain is Domain.DISK else np.pi
+        a0, a1 = grid.angular_exponents
+        dens = dens / (theta**a0 * (span - theta) ** a1)
     vals = sum(np.abs(evaluate(part, nodes)) ** spec.p for part in parts)
     return float(np.sum(vals * dens * grid.node_weights))
+
+
+def _beta(a, b):
+    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+
+
+def _moment(spec, t):
+    """``integral s^t`` against the measure of ``spec``, for the uniform,
+    ``Product(PowerLaw, Uniform)`` and ``AngularPoly(alpha, 2 pi)`` weights on
+    the disk (Besov or not) and the uniform weight on the half-plane."""
+    w, besov = spec.weight, spec.kind is SpaceKind.BESOV
+    if spec.domain is Domain.HALFPLANE:
+        assert isinstance(w, Uniform)
+        a = spec.alpha + (spec.p - 2.0 if besov else 0.0)
+        # integral_0^pi sin^a, times integral_0^inf s^(t+a+1) exp(-beta s^2) ds
+        angular = math.sqrt(math.pi) * math.exp(math.lgamma((a + 1.0) / 2.0)
+                                                - math.lgamma(a / 2.0 + 1.0))
+        e = (t + a + 2.0) / 2.0
+        return angular * math.gamma(e) / (2.0 * spec.beta**e)
+    b = spec.p - 2.0 if besov else 0.0
+    if isinstance(w, Uniform):
+        # (1 - s^2)^b s ds = (1/2) (1 - u)^b u^(t/2) du
+        return math.pi * _beta(t / 2.0 + 1.0, b + 1.0)
+    if isinstance(w, Product) and isinstance(w.radial, PowerLaw) and b == 0.0:
+        return 2.0 * math.pi * _beta(t + 2.0, w.radial.gamma + 1.0)
+    if isinstance(w, AngularPoly) and w.theta_max == 2.0 * math.pi and b == 0.0:
+        # integral_0^(2 pi) ((2 pi)^2 - theta^2)^alpha dtheta, u = theta / (2 pi)
+        angular = (2.0 * math.pi) ** (2.0 * w.alpha + 1.0) * _beta(0.5, w.alpha + 1.0) / 2.0
+        return angular / (t + 2.0)
+    raise ValueError(f"no closed form for {spec.describe()}")
+
+
+def monomial_norm(spec, k, j, c):
+    """Exact full norm of ``c conj(z)^k z^j`` in the Dirichlet or Besov space
+    ``spec``: both Wirtinger derivatives are monomials of degree ``k + j - 1``,
+    and the point term is ``|f(0)|^p`` on the disk, ``|f(i)|^p = |c|^p`` on the
+    half-plane."""
+    p, m = spec.p, k + j - 1
+    total = sum(abs(c * factor) ** p for factor in (j, k) if factor) * _moment(spec, m * p)
+    if spec.domain is Domain.HALFPLANE or k == j == 0:
+        total += abs(c) ** p
+    return total ** (1.0 / p)

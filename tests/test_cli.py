@@ -2,10 +2,11 @@ import math
 import pathlib
 import re
 import shlex
+import warnings
 
 import pytest
 
-from polyspace import Domain, SpaceKind, from_monomials
+from polyspace import Domain, SpaceKind, from_monomials, space_norm
 from polyspace.cli import (
     UsageError,
     _fmt,
@@ -279,6 +280,30 @@ def test_invalid_input_found_while_running_exits_1(z_file, capsys, argv, message
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
+
+
+def test_overflowing_integrand_exits_1_naming_the_node(tmp_path, capsys):
+    big = _function_file(tmp_path, "q 1\n0 0 1e200 0\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["norm", "--space", "bergman", "--domain", "disk", "--p", "2",
+                     "--function", big])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: integrand is inf at node")
+    assert not caught
+
+
+def test_default_angular_weight_norm_converges(tmp_path, capsys):
+    # the disk AngularPoly factor is not periodic, so its angles are
+    # Gauss-Legendre on (0, 2 pi), which resolve the jump at theta = 0
+    path = _function_file(tmp_path, "q 2\n0 0 0.5 0\n0 3 1 -0.5\n1 2 0 0.75\n")
+    argv = ["norm", "--space", "dirichlet", "--domain", "disk", "--p", "3",
+            "--weight", "angularpoly", "--function", path]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    config = parse_args(argv)
+    flags = space_norm(load_function(path), config.spec, config.settings).flags
+    assert flags.converged and flags.level <= 1
 
 
 def test_check_weight_min_k_search(capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from polyspace import (
     disk_grid,
     eval_weight,
     from_monomials,
-    grid_family,
     monomial,
     norm_of_difference,
     scale,
@@ -255,17 +255,18 @@ def test_fixed_grid_flags():
 
 
 def test_non_convergence_is_flagged_not_hidden():
-    # fractional p drags a |.|^{p} kink through the grid; one level cannot
-    # settle it to 1e-12
+    # d_z(z^2 - z) = 2z - 1 vanishes at z = 1/2, so |.|^2.5 has a kink inside
+    # the disk that no rule folds away; one level cannot settle it to 1e-12
     settings = QuadSettings(rel_tol=1e-12, max_level=1)
-    res = space_norm(monomial(1, 1), disk_spec(SpaceKind.BESOV, 2.5), settings)
+    f = from_monomials({(0, 2): 1.0, (0, 1): -1.0}, q=1)
+    res = space_norm(f, disk_spec(SpaceKind.BESOV, 2.5), settings)
     assert not res.flags.converged
     assert res.full_norm > 0
 
 
 def test_angular_weight_norm_is_finite():
-    # the weight jumps across the positive real axis, so refinement would
-    # only converge at O(n^-2); a fixed grid is the supported way to use it
+    # the weight jumps across the positive real axis; the angular rule is
+    # Gauss-Legendre on (0, 2 pi), so a fixed grid already resolves it
     w = AngularPoly(alpha=1.0, theta_max=2 * math.pi)
     res = dirichlet_norm(monomial(1, 1),
                          disk_spec(SpaceKind.DIRICHLET, 2, weight=w),
@@ -397,7 +398,7 @@ def test_norms_match_the_per_node_oracle(domain, w):
             for p in (2.0, 2.5, 3.0):
                 spec = (disk_spec(kind, p, weight) if domain is DISK
                         else hp_spec(kind, p, weight, alpha=0.5))
-                grid = grid_family(domain, n_r, n_theta, spec.truncation_radius)(0)
+                grid = spec.grid_family(n_r, n_theta)(0)
                 parts = [f] if kind is SpaceKind.BERGMAN else [d_z(f), d_zbar(f)]
                 want = _oracles.per_node_integral(parts, spec, grid)
                 res = space_norm(f, spec, settings)
@@ -407,14 +408,73 @@ def test_norms_match_the_per_node_oracle(domain, w):
                                             rel=1e-13), (n_r, kind, p)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+# monomials against the Beta and Gamma closed forms of their measures
+
+_CLOSED_FORM_CASES = [
+    (disk_spec(SpaceKind.BESOV, 2.5), (1, 2, 1.5)),
+    (disk_spec(SpaceKind.BESOV, 2.25), (0, 3, 1.0 - 0.5j)),
+    (disk_spec(SpaceKind.DIRICHLET, 2.0, Product(radial=PowerLaw(gamma=0.5), angular=UNI)),
+     (2, 1, 1.0)),
+    (disk_spec(SpaceKind.DIRICHLET, 3.0, Product(radial=PowerLaw(gamma=0.25), angular=UNI)),
+     (1, 1, 0.5j)),
+    (hp_spec(SpaceKind.DIRICHLET, 2.0, alpha=0.5, beta=1.0), (1, 1, 1.0)),
+    (hp_spec(SpaceKind.DIRICHLET, 2.0, alpha=0.25, beta=0.5), (0, 2, 1.0)),
+    (hp_spec(SpaceKind.BESOV, 2.5, alpha=0.25, beta=1.0), (1, 2, 0.75)),
+    (disk_spec(SpaceKind.DIRICHLET, 3.0, AngularPoly(alpha=1.0, theta_max=2 * math.pi)),
+     (1, 2, 1.0)),
+    (disk_spec(SpaceKind.DIRICHLET, 2.0, AngularPoly(alpha=0.5, theta_max=2 * math.pi)),
+     (0, 2, 1.0)),
+]
+
+
+@pytest.mark.parametrize("spec, monomial_kjc", _CLOSED_FORM_CASES,
+                         ids=[spec.describe() for spec, _ in _CLOSED_FORM_CASES])
+def test_fractional_endpoint_powers_converge_to_the_closed_form(spec, monomial_kjc):
+    # the fractional powers are folded into Gauss-Jacobi rules, so the
+    # default settings converge at level 1 to roundoff
+    k, j, c = monomial_kjc
+    res = space_norm(from_monomials({(k, j): c}, q=k + 1), spec)
+    assert res.flags.converged and res.flags.level <= 1
+    assert res.full_norm == pytest.approx(_oracles.monomial_norm(spec, k, j, c), rel=1e-13)
+
+
+def test_grids_fold_only_fractional_exponents():
+    # integer exponents keep Gauss-Legendre radii and midpoint angles
+    plain, legendre = disk_spec(SpaceKind.BESOV, 3.0).grid_family()(0), disk_grid()
+    assert plain.radii is legendre.radii and plain.angles is legendre.angles
+    grid = disk_spec(SpaceKind.BESOV, 3.5, Product(
+        radial=PowerLaw(gamma=0.75), angular=UNI)).grid_family()(0)
+    assert grid.radial_exponents == (0.0, 0.25) and grid.angular_exponents is None
+    angular = AngularPoly(alpha=1.5, theta_max=math.pi)
+    grid = hp_spec(SpaceKind.DIRICHLET, 2, angular, alpha=0.25).grid_family(8, 16)(0)
+    assert grid.radial_exponents == (0.25, 0.0)
+    assert grid.angular_exponents == (0.25, 0.75)
+
+
+def test_grids_with_one_angular_rule_share_their_angles():
+    # the harmonic table cache is keyed by the angle array, so grids that
+    # fold different radial powers must not each bring their own
+    besov = [disk_spec(SpaceKind.BESOV, p).grid_family(32, 64)(0) for p in (2.5, 2.25)]
+    power = disk_spec(SpaceKind.DIRICHLET, 2, Product(
+        radial=PowerLaw(gamma=0.5), angular=UNI)).grid_family(32, 64)(0)
+    assert besov[0].angles is power.angles
+    assert besov[1] is not power and besov[1].angles is power.angles
+    half = [hp_spec(SpaceKind.DIRICHLET, 2, alpha=0.5, **kw).grid_family(32, 64)(0)
+            for kw in ({}, {"weight": Product(radial=PowerLaw(gamma=0.25), angular=UNI)})]
+    assert half[0] is not half[1] and half[0].angles is half[1].angles
+
+
 def test_non_finite_integrand_names_the_node():
-    # |1e200|^2 overflows at every node, so the first node of the grid is named
+    # |1e200|^2 overflows at every node, so the first node of the grid is
+    # named, and the overflow itself raises no warning
     grid = disk_grid(16, 32)
     spec = disk_spec(SpaceKind.BERGMAN, 2)
-    with pytest.raises(ValueError, match="^integrand is inf at node") as err:
-        space_norm(from_monomials({(0, 0): 1e200}, q=1), spec,
-                   QuadSettings(n_r=16, n_theta=32, refine=False))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="^integrand is inf at node") as err:
+            space_norm(from_monomials({(0, 0): 1e200}, q=1), spec,
+                       QuadSettings(n_r=16, n_theta=32, refine=False))
+    assert not caught
     assert f"s_0 e^(i theta_0) = {grid.radii[0]} * exp({grid.angles[0]}j)" in str(err.value)
 
 
@@ -434,7 +494,7 @@ def test_one_norm_on_a_large_grid_allocates_little():
     spec = disk_spec(SpaceKind.BESOV, 3, Product(
         radial=PowerLaw(gamma=0.5), angular=AngularPoly(alpha=1.0, theta_max=2 * math.pi)))
     settings = QuadSettings(n_r=1024, n_theta=2048, refine=False)
-    disk_grid(1024, 2048)
+    spec.grid_family(1024, 2048)(0)
     tracemalloc.start()
     try:
         space_norm(f, spec, settings)

@@ -1,3 +1,8 @@
+import math
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -279,3 +284,52 @@ def test_scratch_buffers_are_reused():
     assert np.shares_memory(a, quadrature.scratch("test", (8, 2)))
     big = quadrature.scratch("test", (2, quadrature.BLOCK_VALUES))
     assert big.flags.c_contiguous and not np.shares_memory(a, big)
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Jacobi rules with folded endpoint powers
+
+
+def _beta(a, b):
+    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+
+
+@pytest.mark.parametrize("e0, e1", [(0.0, 0.5), (0.25, 0.0), (0.75, 0.25)])
+def test_radial_rule_integrates_the_folded_power_exactly(e0, e1):
+    # s^(2m) s^e0 (1 - s)^e1 s ds = B(2m + e0 + 2, e1 + 1), exact for m < n_r
+    grid = disk_grid(16, 32, radial=(e0, e1))
+    assert grid.radial_exponents == (e0, e1) and grid.angles is disk_grid(16, 32).angles
+    for m in range(16):
+        val = integrate(lambda z: np.abs(z) ** (2 * m), grid)
+        assert val == pytest.approx(2 * np.pi * _beta(2 * m + e0 + 2, e1 + 1), rel=1e-13)
+
+
+def test_angular_rules_integrate_the_folded_power():
+    # theta^a0 (span - theta)^a1 over (0, span) = span^(1+a0+a1) B(a0+1, a1+1)
+    disk = disk_grid(8, 16, angular=(0.0, 0.5))
+    assert disk.angular_exponents == (0.0, 0.5)
+    want = (2 * np.pi) ** 1.5 * _beta(1.0, 1.5) / 2.0
+    assert integrate(lambda z: np.ones(z.shape), disk) == pytest.approx(want, rel=1e-13)
+    half = halfplane_grid(2.0, 8, 16, radial=(0.5, 0.0), angular=(0.25, 0.25))
+    # s^0.5 s ds over (0, 2) = 2^2.5 / 2.5
+    want = 2.0**2.5 / 2.5 * np.pi**1.5 * _beta(1.25, 1.25)
+    assert integrate(lambda z: np.ones(z.shape), half) == pytest.approx(want, rel=1e-13)
+
+
+def test_folded_exponents_are_checked():
+    with pytest.raises(ValueError, match="folded exponents"):
+        disk_grid(8, 8, radial=(0.0, 1.0))
+    with pytest.raises(ValueError, match="folded exponents"):
+        disk_grid(8, 8, angular=(-0.5, 0.0))
+    with pytest.raises(ValueError, match="periodic"):
+        halfplane_grid(2.0, 8, 8, angular=None)
+
+
+def test_import_builds_no_rule_and_needs_only_numpy():
+    code = ("import sys, polyspace.cli; from polyspace import quadrature; "
+            "print(quadrature._rule.cache_info().currsize, "
+            "sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'mpmath'}))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.split() == ["0", "[]"]
