@@ -3,7 +3,7 @@
 Subcommands: ``norm``, ``converge``, ``limsup-check``, ``approx``,
 ``check-weight``, ``suite``.  All output is CSV (header plus rows, floats with
 17 significant digits); exit status is 0 on success, 1 on invalid input, 2 when
-a verdict or certificate fails.
+a verdict or certificate fails or rests on an unresolved integral.
 
 The CLI parses syntax, builds the library's objects (:class:`QuadSettings`,
 the weight, :class:`SpaceSpec`) and runs the command.  Range and finiteness
@@ -356,6 +356,8 @@ def _dispatch(args, sink):
                                          **common)
         ok = report.converged
     emit_csv(report.csv_header(), report.csv_rows(), sink)
+    if report.unresolved:
+        print("no verdict: an integral behind it did not converge", file=sys.stderr)
     return 0 if ok else 2
 
 

@@ -26,9 +26,9 @@ from .norms import (
     QuadSettings,
     SpaceKind,
     SpaceSpec,
+    _integrate,
     norm_of_difference,
     space_norm,
-    weighted_p_integral,
 )
 from .weights import (
     AngularPoly,
@@ -64,6 +64,24 @@ DEFAULT_M_GRID = (2, 5, 10, 20)
 
 VERDICT_CONVERGED = "converged"
 VERDICT_NOT_CONVERGED = "not_converged"
+VERDICT_UNRESOLVED = "unresolved"
+
+
+def _verdict(ok, results):
+    """A report's verdict; none rests on a norm whose quadrature did not converge."""
+    if not all(res.flags.converged for res in results):
+        return VERDICT_UNRESOLVED
+    return VERDICT_CONVERGED if ok else VERDICT_NOT_CONVERGED
+
+
+class _Verdict:
+    @property
+    def converged(self):
+        return self.verdict == VERDICT_CONVERGED
+
+    @property
+    def unresolved(self):
+        return self.verdict == VERDICT_UNRESOLVED
 
 
 def _checked_r_grid(r_grid):
@@ -84,12 +102,13 @@ class ConvergenceRow:
 
 
 @dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(_Verdict):
     """Dilatation errors along an r-grid plus the convergence verdict.
 
     The verdict is ``converged`` when the final full-norm error is below
     ``threshold * ||f||`` and the errors did not grow from the first grid
-    point to the last.
+    point to the last, and ``unresolved`` when any norm behind it did not
+    converge.
     """
 
     spec: SpaceSpec
@@ -98,10 +117,6 @@ class ConvergenceReport:
     ref_norm: float
     threshold: float
     verdict: str
-
-    @property
-    def converged(self):
-        return self.verdict == VERDICT_CONVERGED
 
     def csv_header(self):
         return ("r", "err_seminorm", "err_fullnorm")
@@ -122,10 +137,8 @@ def dilatation_convergence(
     rs = _checked_r_grid(r_grid)
     check_positive("threshold", threshold)
     ref = space_norm(f, spec, settings)
-    rows = []
-    for r in rs:
-        err = norm_of_difference(polyfun.dilate(f, r), f, spec, settings)
-        rows.append(ConvergenceRow(r, err.seminorm, err.full_norm))
+    errs = [norm_of_difference(polyfun.dilate(f, r), f, spec, settings) for r in rs]
+    rows = [ConvergenceRow(r, err.seminorm, err.full_norm) for r, err in zip(rs, errs)]
     ok = (
         rows[-1].err_fullnorm <= threshold * ref.full_norm
         and rows[-1].err_fullnorm <= rows[0].err_fullnorm
@@ -136,7 +149,7 @@ def dilatation_convergence(
         rows=tuple(rows),
         ref_norm=ref.full_norm,
         threshold=threshold,
-        verdict=VERDICT_CONVERGED if ok else VERDICT_NOT_CONVERGED,
+        verdict=_verdict(ok, [ref] + errs),
     )
 
 
@@ -153,7 +166,8 @@ class LimsupReport:
 
     ``margin_dz = max_r LHS_dz(r) - RHS_dz`` (same for the ``d_zbar`` part); a
     nonpositive margin — up to the certificate tolerance — realizes the
-    limsup inequality on the grid.
+    limsup inequality on the grid.  Nothing is certified when ``unresolved``:
+    the quadrature of some integral did not converge.
     """
 
     spec: SpaceSpec
@@ -162,6 +176,7 @@ class LimsupReport:
     rhs_dz: float
     rhs_dzbar: float
     tol: float
+    unresolved: bool = False
 
     @property
     def margin_dz(self):
@@ -174,7 +189,8 @@ class LimsupReport:
     @property
     def certified(self):
         return (
-            self.margin_dz <= self.tol * self.rhs_dz
+            not self.unresolved
+            and self.margin_dz <= self.tol * self.rhs_dz
             and self.margin_dzbar <= self.tol * self.rhs_dzbar
         )
 
@@ -199,20 +215,19 @@ def limsup_check(f, spec, r_grid=DEFAULT_R_GRID, tol=1e-3, settings=None,
         raise ValueError("limsup_check applies to Dirichlet and Besov specs only")
     rs = _checked_r_grid(r_grid)
     check_positive("tol", tol)
-    fz = polyfun.d_z(f)
-    fzb = polyfun.d_zbar(f)
-    rhs_dz = weighted_p_integral(fz, spec, settings)
-    rhs_dzbar = weighted_p_integral(fzb, spec, settings)
+    converged = []
+
+    def integral(g):
+        value, flags = _integrate([g], spec, settings)
+        converged.append(flags.converged)
+        return value
+
+    rhs_dz = integral(polyfun.d_z(f))
+    rhs_dzbar = integral(polyfun.d_zbar(f))
     rows = []
     for r in rs:
         fr = polyfun.dilate(f, r)
-        rows.append(
-            LimsupRow(
-                r,
-                weighted_p_integral(polyfun.d_z(fr), spec, settings),
-                weighted_p_integral(polyfun.d_zbar(fr), spec, settings),
-            )
-        )
+        rows.append(LimsupRow(r, integral(polyfun.d_z(fr)), integral(polyfun.d_zbar(fr))))
     return LimsupReport(
         spec=spec,
         function_label=function_label,
@@ -220,6 +235,7 @@ def limsup_check(f, spec, r_grid=DEFAULT_R_GRID, tol=1e-3, settings=None,
         rhs_dz=rhs_dz,
         rhs_dzbar=rhs_dzbar,
         tol=tol,
+        unresolved=not all(converged),
     )
 
 
@@ -231,11 +247,12 @@ class ApproxRow:
 
 
 @dataclass(frozen=True)
-class ApproxReport:
+class ApproxReport(_Verdict):
     """Errors of polynomial truncations of ``f_r`` against ``f``.
 
     Verdict ``converged`` when the error at the largest truncation degree is
-    within ``slack`` (default 10%) of the pure dilatation error ``||f - f_r||``.
+    within ``slack`` (default 10%) of the pure dilatation error ``||f - f_r||``,
+    and ``unresolved`` when any norm behind it did not converge.
     """
 
     spec: SpaceSpec
@@ -245,10 +262,6 @@ class ApproxReport:
     dilation_error: float
     slack: float
     verdict: str
-
-    @property
-    def converged(self):
-        return self.verdict == VERDICT_CONVERGED
 
     def csv_header(self):
         return ("r", "m", "error")
@@ -267,20 +280,18 @@ def poly_approx(f, spec, r, m_grid=DEFAULT_M_GRID, slack=0.1, settings=None,
         raise ValueError("m_grid must hold nonnegative degrees")
     check_positive("slack", slack)
     fr = polyfun.dilate(f, r)
-    dil_err = norm_of_difference(f, fr, spec, settings).full_norm
-    rows = []
-    for m in ms:
-        err = norm_of_difference(f, polyfun.truncate(fr, m), spec, settings)
-        rows.append(ApproxRow(r, m, err.full_norm))
-    ok = rows[-1].error <= (1.0 + slack) * dil_err
+    dil = norm_of_difference(f, fr, spec, settings)
+    errs = [norm_of_difference(f, polyfun.truncate(fr, m), spec, settings) for m in ms]
+    rows = [ApproxRow(r, m, err.full_norm) for m, err in zip(ms, errs)]
+    ok = rows[-1].error <= (1.0 + slack) * dil.full_norm
     return ApproxReport(
         spec=spec,
         function_label=function_label,
         r=r,
         rows=tuple(rows),
-        dilation_error=dil_err,
+        dilation_error=dil.full_norm,
         slack=slack,
-        verdict=VERDICT_CONVERGED if ok else VERDICT_NOT_CONVERGED,
+        verdict=_verdict(ok, [dil] + errs),
     )
 
 

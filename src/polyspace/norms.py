@@ -17,30 +17,28 @@ Every integral goes through one integrator, :func:`_integrate`.  Its measure
 is polar-separable: the weight's radial and angular factors times the
 kind/domain factors — Besov ``(1-s^2)^(p-2)`` on the disk; ``s^a sin^a theta``
 for ``Im(z)^a`` and ``exp(-beta s^2)`` on the half-plane — as one vector on the
-grid's radii and one on its angles (:func:`_measure_density`).  Only
-:class:`~polyspace.weights.ExpRePow` adds a factor that does not separate; it
-is evaluated on each block's nodes.
+grid's radii and one on its angles, which multiply the grid's 1-D weights
+(:func:`_measure_density`).  Only :class:`~polyspace.weights.ExpRePow` adds a
+factor that does not separate; it is evaluated on each block's nodes.
 
 The measure's endpoint powers — the weight's declared exponents plus Besov
 ``(1-s)^(p-2)``, ``s^a`` and ``sin^a theta ~ [theta (pi - theta)]^a`` — pick
-the grids (:meth:`SpaceSpec.grid_family`): the fractional part of each is
-folded into a Gauss-Jacobi rule, and the density keeps only the smooth rest.
-A spec whose exponents are all integers integrates on Gauss-Legendre radii
-(and, on the disk, periodic midpoint angles when the angular factor is smooth
-and periodic).
+the grids (:meth:`SpaceSpec.grid_family`): the fractional part of each
+places the nodes of a Gauss-Jacobi rule.  A spec whose exponents are all
+integers integrates on Gauss-Legendre radii (and, on the disk, periodic
+midpoint angles when the angular factor is smooth and periodic).
 
 The integrand is formed one block of radii at a time
 (:func:`quadrature.blocked_sum`): each part as one radial × harmonic product
-(:func:`polyfun.evaluate_on_block`), then ``|.|^p``, the density and the node
-weights, in reused block buffers.  No per-node density and no array the size
-of the grid is ever built.  Horner's scheme is used only for the point term at
-the base point.
+(:func:`polyfun.evaluate_on_block`), then ``|.|^p`` and the node weights, in
+reused block buffers.  No array the size of the grid is ever built.  Horner's
+scheme is used only for the point term at the base point.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
-import functools
 import math
 from dataclasses import dataclass
 
@@ -151,8 +149,8 @@ class SpaceSpec:
 
     def grid_family(self, n_r=quadrature.DEFAULT_N_R, n_theta=quadrature.DEFAULT_N_THETA):
         """``level -> grid``: the grids that norms in this space integrate on,
-        with the fractional parts of the measure's endpoint exponents folded
-        into their rules."""
+        whose nodes the fractional parts of the measure's endpoint exponents
+        place."""
         radial, angular = _endpoint_exponents(self)
         return quadrature.grid_family(self.domain, n_r, n_theta, self.truncation_radius,
                                       radial=_fractional(radial),
@@ -199,39 +197,7 @@ class NormResult:
     flags: QuadratureFlags
 
 
-@dataclass(frozen=True)
-class _Measure:
-    """Density of a measure on a grid: ``radial[i] * angular[l]`` at node
-    ``(i, l)``, times ``planar(nodes)`` when the weight does not separate.  A
-    factor that is identically one is ``None``."""
-
-    radial: np.ndarray | None
-    angular: np.ndarray | None
-    planar: object
-
-    def apply(self, vals, grid, rows):
-        """Multiply ``vals``, the block at ``grid.radii[rows]``, by the density
-        in place."""
-        dens = None
-        if self.radial is not None and self.angular is not None:
-            dens = np.multiply(self.radial[rows, None], self.angular,
-                               out=quadrature.scratch("density", vals.shape))
-        elif self.radial is not None:
-            dens = self.radial[rows, None]
-        elif self.angular is not None:
-            dens = self.angular
-        if self.planar is not None:
-            planar = self.planar(grid.block_nodes(rows))
-            dens = planar if dens is None else np.multiply(dens, planar, out=planar)
-        if dens is not None:
-            vals *= dens
-
-
-def _times(factor, values):
-    return values if factor is None else factor * values
-
-
-def _halfplane_power(spec):
+def _halfplane_exponent(spec):
     """``a`` in the half-plane measure's ``Im(z)^a``."""
     return spec.alpha + (spec.p - 2.0 if spec.kind is SpaceKind.BESOV else 0.0)
 
@@ -247,7 +213,7 @@ def _endpoint_exponents(spec):
         if spec.kind is SpaceKind.BESOV:
             r1 += spec.p - 2.0
     else:
-        a = _halfplane_power(spec)
+        a = _halfplane_exponent(spec)
         r0 += a
         a0, a1 = angular or (0.0, 0.0)
         angular = (a0 + a, a1 + a)
@@ -258,45 +224,35 @@ def _fractional(exponents):
     return None if exponents is None else tuple(e - math.floor(e) for e in exponents)
 
 
-def _divided(factor, power):
-    if power is None:
-        return factor
-    return 1.0 / power if factor is None else factor / power
-
-
 def _measure_density(spec, grid):
-    """The measure of ``spec`` on ``grid``: the weight's factors times the
-    kind/domain factors, divided by the powers the grid's rules folded in, as
-    a :class:`_Measure` of 1-D vectors."""
+    """``grid`` with its 1-D weights times the measure of ``spec``: the
+    weight's radial and angular factors and the kind/domain factors."""
     w, domain = spec.weight, spec.domain
     if type(w)._values is not Weight._values:
         raise TypeError(f"{w.describe()} overrides _values; norms integrate "
                         "against a weight's radial, angular and planar factors")
-    s = grid.radii
-    radial = None if w.radial_factor is None else w.radial_factor(s, domain)
-    angular = None if w.angular_factor is None else w.angular_factor(grid.angles, domain)
+    s, radial, angular = grid.radii, grid.radial_weights, grid.angle_weights
+    if w.radial_factor is not None:
+        radial = radial * w.radial_factor(s, domain)
+    if w.angular_factor is not None:
+        angular = angular * w.angular_factor(grid.angles, domain)
     if domain is Domain.DISK:
         if spec.kind is SpaceKind.BESOV and spec.p != 2:
-            radial = _times(radial, (1.0 - s**2) ** (spec.p - 2.0))
+            radial = radial * (1.0 - s**2) ** (spec.p - 2.0)
     else:
-        expo = _halfplane_power(spec)
+        expo = _halfplane_exponent(spec)
         if expo != 0.0:
-            radial = _times(radial, s**expo)
-            angular = _times(angular, np.sin(grid.angles) ** expo)
+            radial = radial * s**expo
+            angular = angular * np.sin(grid.angles) ** expo
         if spec.beta != 0.0:
-            radial = _times(radial, np.exp(-spec.beta * s**2))
-    radial = _divided(radial, grid.radial_power())
-    angular = _divided(angular, grid.angular_power())
-    planar = None
-    if w.planar_factor is not None:
-        planar = functools.partial(w.planar_factor, domain=domain)
-    return _Measure(radial, angular, planar)
+            radial = radial * np.exp(-spec.beta * s**2)
+    return dataclasses.replace(grid, radial_weights=radial, angle_weights=angular)
 
 
 def _block_integrand(parts, spec, grid):
-    """``rows -> sum_part |part|^p * density`` on ``grid.radii[rows]`` x
-    ``grid.angles``, in reused block buffers."""
-    measure = _measure_density(spec, grid)
+    """``rows -> sum_part |part|^p`` (times a planar weight factor) on
+    ``grid.radii[rows]`` x ``grid.angles``, in reused block buffers."""
+    planar = spec.weight.planar_factor
 
     def values(rows):
         shape = (rows.stop - rows.start, grid.n_theta)
@@ -312,7 +268,8 @@ def _block_integrand(parts, spec, grid):
                 out **= spec.p
                 if i:
                     total += term
-            measure.apply(total, grid, rows)
+            if planar is not None:
+                total *= planar(grid.block_nodes(rows), spec.domain)
         return total
 
     return values
@@ -325,7 +282,7 @@ def _integrate(parts, spec, settings):
     family = spec.grid_family(settings.n_r, settings.n_theta)
 
     def value_at(level):
-        grid = family(level)
+        grid = _measure_density(spec, family(level))
         return quadrature.blocked_sum(_block_integrand(parts, spec, grid), grid)
 
     if settings.refine:
@@ -343,7 +300,11 @@ def space_norm(f, spec, settings=None):
         point_term = 0.0
     else:
         parts = [polyfun.d_z(f), polyfun.d_zbar(f)]
-        point_term = abs(f(spec.base_point)) ** spec.p
+        with np.errstate(over="ignore"):
+            point_term = float(np.float64(abs(f(spec.base_point))) ** spec.p)
+        if not math.isfinite(point_term):
+            raise ValueError(f"point term |f(z0)|^p at the base point "
+                             f"z0 = {spec.base_point} is {point_term}")
     integral, flags = _integrate(parts, spec, settings)
     integral = max(integral, 0.0)
     seminorm = integral ** (1.0 / spec.p)

@@ -1,9 +1,9 @@
 """Polar quadrature grids for the unit disk and the (truncated) upper half-plane.
 
 A grid is the tensor product of a radial and an angular rule, with the area
-Jacobian ``s`` folded into the radial weights.  A rule may take fractional
-endpoint powers of the measure into its weight function, so that what is
-left of the integrand is smooth and the rule converges spectrally:
+Jacobian ``s`` folded into the radial weights; every grid integrates plain
+``dA``.  A rule may place its nodes for fractional endpoint powers of the
+measure, so that it converges spectrally on integrands that carry them:
 
 * radius — Gauss-Jacobi on ``(0, R)`` for ``s^e0 (R - s)^e1`` (``R = 1`` on
   the disk); exponents ``(0, 0)`` give Gauss-Legendre;
@@ -16,11 +16,12 @@ left of the integrand is smooth and the rule converges spectrally:
   ``theta^e0 (pi - theta)^e1``, since integrands there are not periodic and
   a uniform rule would stall at ``O(n^-2)``.
 
-The exponents lie in ``[0, 1)``: :mod:`polyspace.norms` folds only the
-fractional part of each endpoint power and keeps the rest in its smooth
-factors.  Every Gauss rule comes from :func:`gauss_jacobi` (Newton's method
-on the three-term recurrence, O(n) memory).  Rules are cached apart from the
-grids, so grids with the same angular rule hold the same ``angles`` array.
+A Gauss-Jacobi rule's weights are divided by its power at its nodes, so it
+integrates ``g`` exactly when ``g`` is the power times a polynomial of degree
+below ``2n``.  The exponents lie in ``[0, 1)``.  Every Gauss rule comes from
+:func:`gauss_jacobi` (Newton's method on the three-term recurrence, O(n)
+memory).  Rules are cached apart from the grids, so grids with the same
+angular rule hold the same ``angles`` array.
 
 The half-plane is truncated to the half-disk ``{|z| <= R, Im z > 0}``; with the
 Gaussian factor ``exp(-beta |z|^2)`` in the measure, ``R`` from
@@ -102,13 +103,10 @@ class QuadratureGrid:
     ``node_weights`` is ``outer(radial_weights, angle_weights).ravel()``; both
     are built on first access and are read-only.
 
-    The rules integrate against the powers named by ``radial_exponents``
-    ``(e0, e1)`` — ``s^e0 (radius - s)^e1`` — and ``angular_exponents`` —
-    ``theta^e0 (span - theta)^e1`` with ``span`` the domain's
-    :attr:`~polyspace.domain.Domain.angle_span`, or ``None`` for the periodic
-    midpoint rule.  So ``sum(g(nodes) * node_weights)`` approximates the
-    integral of ``g`` times :meth:`radial_power` times :meth:`angular_power`
-    over the domain.
+    ``sum(g(nodes) * node_weights)`` approximates the integral of ``g`` dA.
+    The rules' nodes are those of ``s^e0 (radius - s)^e1`` for
+    ``radial_exponents`` ``(e0, e1)`` and of ``theta^e0 (span - theta)^e1``
+    for ``angular_exponents``, or ``None`` for periodic midpoints.
     """
 
     domain: Domain
@@ -130,15 +128,6 @@ class QuadratureGrid:
     def size(self):
         return self.n_r * self.n_theta
 
-    def radial_power(self):
-        """``radii^e0 (radius - radii)^e1``, or ``None`` when both are 0."""
-        return _power(self.radii, self.radius, self.radial_exponents)
-
-    def angular_power(self):
-        """``angles^e0 (span - angles)^e1``, or ``None`` when nothing is
-        folded."""
-        return _power(self.angles, self.domain.angle_span, self.angular_exponents)
-
     def block_nodes(self, rows):
         """Nodes at ``radii[rows]`` x ``angles``, shape ``(len, n_theta)``."""
         return self.radii[rows, None] * np.exp(1j * self.angles)[None, :]
@@ -159,13 +148,6 @@ class QuadratureGrid:
 def _frozen(arr):
     arr.flags.writeable = False
     return arr
-
-
-def _power(x, end, exponents):
-    if exponents is None or exponents == (0.0, 0.0):
-        return None
-    e0, e1 = exponents
-    return x**e0 * (end - x) ** e1
 
 
 def gauss_jacobi(n, a=0.0, b=0.0):
@@ -253,12 +235,14 @@ def _log_jacobi_mass(a, b):
 
 @functools.lru_cache(maxsize=64)
 def _rule(n, end, exponents):
-    """Gauss-Jacobi on ``(0, end)`` for ``x^e0 (end - x)^e1``: read-only
-    nodes and weights."""
+    """Gauss-Jacobi on ``(0, end)`` for ``x^e0 (end - x)^e1``, its weights
+    divided by that power so that it integrates ``dx``: read-only arrays."""
     e0, e1 = exponents
     x, w = gauss_jacobi(n, e1, e0)
     nodes = (x + 1.0) / 2.0 * end
     weights = w * (end / 2.0) ** (1.0 + e0 + e1)
+    if exponents != (0.0, 0.0):
+        weights /= nodes**e0 * (end - nodes) ** e1
     return _frozen(nodes), _frozen(weights)
 
 
@@ -292,10 +276,10 @@ def _exponents(pair):
 @functools.lru_cache(maxsize=32)
 def disk_grid(n_r=DEFAULT_N_R, n_theta=DEFAULT_N_THETA, radial=(0.0, 0.0), angular=None):
     """Polar grid on the open unit disk; ``radial`` and ``angular`` are the
-    exponents folded into the rules (``angular=None``: periodic midpoints).
+    exponents that place the nodes (``angular=None``: periodic midpoints).
 
-    With nothing folded, radial Gauss-Legendre exactness (with the Jacobian
-    ``s``) makes the grid integrate ``|z|^(2m)`` exactly for
+    With exponents ``(0, 0)``, radial Gauss-Legendre exactness (with the
+    Jacobian ``s``) makes the grid integrate ``|z|^(2m)`` exactly for
     ``m <= n_r - 1``, and the node weights sum to the disk area pi up to
     roundoff.
     """
@@ -310,8 +294,8 @@ def disk_grid(n_r=DEFAULT_N_R, n_theta=DEFAULT_N_THETA, radial=(0.0, 0.0), angul
 def halfplane_grid(R, n_r=DEFAULT_N_R, n_theta=DEFAULT_N_THETA, radial=(0.0, 0.0),
                    angular=(0.0, 0.0)):
     """Polar grid on the half-disk ``{|z| <= R, Im z > 0}`` (truncated upper
-    half-plane); ``radial`` and ``angular`` are the exponents folded into the
-    rules.  With nothing folded, node weights sum to the half-disk area
+    half-plane); ``radial`` and ``angular`` are the exponents that place the
+    nodes.  With exponents ``(0, 0)``, node weights sum to the half-disk area
     ``pi R^2 / 2``."""
     if not R > 0:
         raise ValueError("truncation radius R must be positive")

@@ -18,8 +18,8 @@ product.
 
 Each factor also declares its endpoint exponents: the powers with which it
 vanishes at the ends of the radial interval and of the angular span, and
-whether the angular factor is smooth and periodic.  Norms fold their
-fractional parts into Gauss-Jacobi rules (see :mod:`polyspace.quadrature`).
+whether the angular factor is smooth and periodic.  Norms place the nodes of
+Gauss-Jacobi rules by their fractional parts (see :mod:`polyspace.quadrature`).
 """
 
 from __future__ import annotations

@@ -10,9 +10,8 @@ confirm the hand-computed closed forms that the tight assertions then use.
 :func:`per_node_integral` checks the factored measure and the blocked
 reduction of the norms instead: on the library's own grid it builds the whole
 integrand node by node, from Horner point values and ``eval_weight`` on the
-flat nodes times the kind/domain factors in complex form, divides out the
-endpoint powers that the grid's rules fold in, and sums it against
-``node_weights`` in one call.
+flat nodes times the kind/domain factors in complex form, and sums it against
+``node_weights``, which integrate plain area, in one call.
 
 :func:`monomial_norm` is exact: ``|c conj(z)^k z^j|`` is radial, so every norm
 of a monomial against the Beta- and Gamma-type measures below has a closed
@@ -86,15 +85,6 @@ def per_node_integral(parts, spec, grid):
     else:
         dens = dens * np.imag(nodes) ** (spec.alpha + (spec.p - 2.0 if besov else 0.0))
         dens = dens * np.exp(-spec.beta * np.abs(nodes) ** 2)
-    # the rules integrate against s^e0 (R - s)^e1 theta^a0 (span - theta)^a1
-    s = np.repeat(grid.radii, grid.n_theta)
-    e0, e1 = grid.radial_exponents
-    dens = dens / (s**e0 * (grid.radius - s) ** e1)
-    if grid.angular_exponents is not None:
-        theta = np.tile(grid.angles, grid.n_r)
-        span = 2.0 * np.pi if spec.domain is Domain.DISK else np.pi
-        a0, a1 = grid.angular_exponents
-        dens = dens / (theta**a0 * (span - theta) ** a1)
     vals = sum(np.abs(evaluate(part, nodes)) ** spec.p for part in parts)
     return float(np.sum(vals * dens * grid.node_weights))
 

@@ -293,6 +293,29 @@ def test_overflowing_integrand_exits_1_naming_the_node(tmp_path, capsys):
     assert not caught
 
 
+def test_overflowing_point_term_exits_1_naming_the_base_point(tmp_path, capsys):
+    big = _function_file(tmp_path, "q 1\n0 0 1e200 0\n")
+    code = main(["norm", "--space", "dirichlet", "--domain", "disk", "--p", "2",
+                 "--function", big])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: point term") and "base point z0 = 0j" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["limsup-check", "converge"])
+def test_verdict_on_an_unresolved_integral_exits_2(tmp_path, capsys, command):
+    # |2z - 1|^2.5 has a kink at z = 1/2, so rel_tol 1e-13 is out of reach
+    path = _function_file(tmp_path, "q 1\n0 2 1 0\n0 1 -1 0\n")
+    code = main([command, "--space", "besov", "--domain", "disk", "--p", "2.5",
+                 "--function", path, "--quad-nr", "8", "--quad-ntheta", "16",
+                 "--quad-rel-tol", "1e-13", "--r-grid", "0.9"])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert len(out.strip().splitlines()) == 2
+    assert err == "no verdict: an integral behind it did not converge\n"
+
+
 def test_default_angular_weight_norm_converges(tmp_path, capsys):
     # the disk AngularPoly factor is not periodic, so its angles are
     # Gauss-Legendre on (0, 2 pi), which resolve the jump at theta = 0

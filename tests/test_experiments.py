@@ -159,6 +159,22 @@ def test_limsup_rejects_bergman():
         limsup_check(monomial(0, 1), disk_spec(SpaceKind.BERGMAN, 2))
 
 
+def test_no_verdict_rests_on_an_unresolved_integral():
+    # at rel_tol 1e-12 and one refinement the d_z integrals of z^2 - z stop
+    # NOT-CONVERGED, although their margins and errors would pass
+    f = from_monomials({(0, 2): 1.0, (0, 1): -1.0}, q=1)
+    spec = disk_spec(SpaceKind.BESOV, 2.5)
+    settings = QuadSettings(rel_tol=1e-12, max_level=1)
+    report = limsup_check(f, spec, r_grid=(0.9,), settings=settings)
+    assert report.unresolved and not report.certified
+    assert report.margin_dz <= 0 and report.margin_dzbar <= 0
+    for rep in (dilatation_convergence(f, spec, settings=settings),
+                poly_approx(f, spec, 0.9, settings=settings)):
+        assert rep.unresolved and not rep.converged and rep.verdict == "unresolved"
+    resolved = limsup_check(f, spec, r_grid=(0.9,), settings=QuadSettings(max_level=1))
+    assert resolved.certified and not resolved.unresolved
+
+
 # ---------------------------------------------------------------------------
 # polynomial approximation
 

@@ -35,6 +35,8 @@ from polyspace import (
     weighted_p_integral,
 )
 
+from polyspace import norms
+
 import _oracles
 
 DISK, HALF = Domain.DISK, Domain.HALFPLANE
@@ -462,6 +464,9 @@ def test_grids_with_one_angular_rule_share_their_angles():
     half = [hp_spec(SpaceKind.DIRICHLET, 2, alpha=0.5, **kw).grid_family(32, 64)(0)
             for kw in ({}, {"weight": Product(radial=PowerLaw(gamma=0.25), angular=UNI)})]
     assert half[0] is not half[1] and half[0].angles is half[1].angles
+    # the measure multiplies the 1-D weights only, so it shares the tables too
+    measure = norms._measure_density(hp_spec(SpaceKind.DIRICHLET, 2, alpha=0.5), half[0])
+    assert measure.radii is half[0].radii and measure.angles is half[0].angles
 
 
 def test_non_finite_integrand_names_the_node():

@@ -300,7 +300,7 @@ def test_radial_rule_integrates_the_folded_power_exactly(e0, e1):
     grid = disk_grid(16, 32, radial=(e0, e1))
     assert grid.radial_exponents == (e0, e1) and grid.angles is disk_grid(16, 32).angles
     for m in range(16):
-        val = integrate(lambda z: np.abs(z) ** (2 * m), grid)
+        val = integrate(lambda z: np.abs(z) ** (2 * m + e0) * (1 - np.abs(z)) ** e1, grid)
         assert val == pytest.approx(2 * np.pi * _beta(2 * m + e0 + 2, e1 + 1), rel=1e-13)
 
 
@@ -309,11 +309,15 @@ def test_angular_rules_integrate_the_folded_power():
     disk = disk_grid(8, 16, angular=(0.0, 0.5))
     assert disk.angular_exponents == (0.0, 0.5)
     want = (2 * np.pi) ** 1.5 * _beta(1.0, 1.5) / 2.0
-    assert integrate(lambda z: np.ones(z.shape), disk) == pytest.approx(want, rel=1e-13)
+    theta = lambda z: np.angle(z) % (2 * np.pi)
+    got = integrate(lambda z: (2 * np.pi - theta(z)) ** 0.5, disk)
+    assert got == pytest.approx(want, rel=1e-13)
     half = halfplane_grid(2.0, 8, 16, radial=(0.5, 0.0), angular=(0.25, 0.25))
     # s^0.5 s ds over (0, 2) = 2^2.5 / 2.5
     want = 2.0**2.5 / 2.5 * np.pi**1.5 * _beta(1.25, 1.25)
-    assert integrate(lambda z: np.ones(z.shape), half) == pytest.approx(want, rel=1e-13)
+    got = integrate(lambda z: np.abs(z) ** 0.5 * (np.angle(z) * (np.pi - np.angle(z))) ** 0.25,
+                    half)
+    assert got == pytest.approx(want, rel=1e-13)
 
 
 def test_folded_exponents_are_checked():
