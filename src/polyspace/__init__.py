@@ -8,11 +8,11 @@ from .polyfun import (
     PolyFunction,
     PowerSeries,
     add,
+    block_evaluators,
     d_z,
     d_zbar,
     dilate,
     evaluate,
-    evaluate_on_grid,
     exp_taylor,
     from_monomials,
     monomial,
@@ -50,7 +50,6 @@ from .quadrature import (
     integrate,
     refine_levels,
     refine_until,
-    weighted_sum,
 )
 from .norms import (
     NormResult,

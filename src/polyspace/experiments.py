@@ -26,9 +26,9 @@ from .norms import (
     QuadSettings,
     SpaceKind,
     SpaceSpec,
-    _integrate,
     norm_of_difference,
     space_norm,
+    weighted_p_integral,
 )
 from .weights import (
     AngularPoly,
@@ -218,7 +218,7 @@ def limsup_check(f, spec, r_grid=DEFAULT_R_GRID, tol=1e-3, settings=None,
     converged = []
 
     def integral(g):
-        value, flags = _integrate([g], spec, settings)
+        value, flags = weighted_p_integral(g, spec, settings)
         converged.append(flags.converged)
         return value
 

@@ -30,9 +30,9 @@ midpoint angles when the angular factor is smooth and periodic).
 
 The integrand is formed one block of radii at a time
 (:func:`quadrature.blocked_sum`): each part as one radial × harmonic product
-(:func:`polyfun.evaluate_on_block`), then ``|.|^p`` and the node weights, in
-reused block buffers.  No array the size of the grid is ever built.  Horner's
-scheme is used only for the point term at the base point.
+(:func:`polyfun.block_evaluators`, one harmonic table for all parts), then
+``|.|^p`` and the node weights, in reused block buffers.  No array the size
+of the grid is ever built.  Horner's scheme is used only for the point term.
 """
 
 from __future__ import annotations
@@ -253,6 +253,7 @@ def _block_integrand(parts, spec, grid):
     """``rows -> sum_part |part|^p`` (times a planar weight factor) on
     ``grid.radii[rows]`` x ``grid.angles``, in reused block buffers."""
     planar = spec.weight.planar_factor
+    evaluators = polyfun.block_evaluators(parts, grid)
 
     def values(rows):
         shape = (rows.stop - rows.start, grid.n_theta)
@@ -261,8 +262,8 @@ def _block_integrand(parts, spec, grid):
         term = quadrature.scratch("term", shape)
         # an overflow leaves inf or nan, which blocked_sum refuses by node
         with np.errstate(over="ignore", invalid="ignore"):
-            for i, part in enumerate(parts):
-                polyfun.evaluate_on_block(part, grid, rows, out=part_vals)
+            for i, evaluate in enumerate(evaluators):
+                evaluate(rows, out=part_vals)
                 out = total if i == 0 else term
                 np.abs(part_vals, out=out)
                 out **= spec.p
@@ -342,10 +343,10 @@ def norm_of_difference(f, g, spec, settings=None):
 
 
 def weighted_p_integral(g, spec, settings=None):
-    """``integral |g|^p`` against the full measure of ``spec`` (weight times
-    boundary/confinement factors), for a single function ``g``.
+    """``(value, QuadratureFlags)`` of ``integral |g|^p`` against the full
+    measure of ``spec`` (weight times boundary/confinement factors).
 
     This is one half of a Dirichlet/Besov seminorm; the dilatation-limit
     experiments compare these part integrals side by side.
     """
-    return _integrate([g], spec, settings)[0]
+    return _integrate([g], spec, settings)

@@ -12,13 +12,12 @@ test functions enter as Taylor truncations (see :func:`exp_taylor`).
 
 Values come two ways.  On a polar tensor grid of radii ``s_i`` and angles
 ``theta_l``, ``conj(z)^k z^j = s^(k+j) exp(i (j-k) theta)``, so
-:func:`evaluate_on_block` forms ``f`` on a block of radii as one matrix
+:func:`block_evaluators` forms ``f`` on a block of radii as one matrix
 product ``A @ E``: the radial matrix ``A[i, m] = sum_k c_{k, m+k} s_i^(m+2k)``
 of the block times the harmonic table ``E[m, l] = exp(i m theta_l)``,
-``m = -(q-1) .. degree_z``.  Norm integrals go through it block by block;
-:func:`evaluate_on_grid` is the same product over every radius.  Point values
-(the base-point term of a norm) use Horner's scheme in :func:`evaluate` and
-:meth:`PowerSeries.__call__`.
+``m = -(q-1) .. degree_z``, one table per call for all the functions passed.
+Nothing is cached between calls.  Point values (the base-point term of a
+norm) use Horner's scheme in :func:`evaluate` and :meth:`PowerSeries.__call__`.
 """
 
 from __future__ import annotations
@@ -32,8 +31,7 @@ __all__ = [
     "PowerSeries",
     "PolyFunction",
     "evaluate",
-    "evaluate_on_grid",
-    "evaluate_on_block",
+    "block_evaluators",
     "d_z",
     "d_zbar",
     "dilate",
@@ -94,7 +92,9 @@ class PowerSeries:
     def derivative(self):
         if self.coeffs.size == 1:
             return PowerSeries([0.0])
-        return PowerSeries(self.coeffs[1:] * np.arange(1, self.coeffs.size))
+        # an overflow leaves inf, which PowerSeries refuses as not finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            return PowerSeries(self.coeffs[1:] * np.arange(1, self.coeffs.size))
 
     def truncated(self, m):
         return PowerSeries(self.coeffs[: m + 1])
@@ -173,41 +173,23 @@ def evaluate(f, z):
     return out if out.ndim else complex(out)
 
 
-# id(angles) -> (angles, lo, hi, table), least recently used first.  An entry
-# keeps its angle array alive, so no other array can take over its id.
-_HARMONIC_TABLES = {}
-_HARMONIC_TABLES_MAX = 8
-
-
 def _harmonic_table(angles, lo, hi):
-    """Rows ``exp(i m angles)`` for ``m = lo .. hi``, sliced from one table per
-    angle array that grows to the widest range asked for.
+    """Rows ``exp(i m angles)`` for ``m = lo .. hi``, ``lo <= 0 <= hi``.
 
     Row ``m`` is the ``|m|``-th power of the rounded unit ``u = exp(i angles)``
     (of ``conj(u)`` for ``m < 0``) by repeated multiplication: the same factors
     Horner's scheme multiplies on grid nodes ``s * u``, and the same bits
-    whichever range the table was first built for.
+    whatever range the table spans.
     """
-    key = id(angles)
-    entry = _HARMONIC_TABLES.pop(key, None)
-    if entry is None or not entry[1] <= lo <= hi <= entry[2]:
-        first, last = lo, hi
-        if entry is not None:
-            first, last = min(lo, entry[1]), max(hi, entry[2])
-        u = np.exp(1j * angles)
-        table = np.empty((last - first + 1, angles.size), dtype=complex)
-        table[-first] = 1.0
-        for m in range(1, last + 1):
-            table[m - first] = table[m - 1 - first] * u
-        for m in range(-1, first - 1, -1):
-            table[m - first] = table[m + 1 - first] * np.conj(u)
-        table.flags.writeable = False
-        entry = (angles, first, last, table)
-    _HARMONIC_TABLES[key] = entry
-    if len(_HARMONIC_TABLES) > _HARMONIC_TABLES_MAX:
-        del _HARMONIC_TABLES[next(iter(_HARMONIC_TABLES))]
-    _, first, _, table = entry
-    return table[lo - first: hi - first + 1]
+    u = np.exp(1j * angles)
+    table = np.empty((hi - lo + 1, angles.size), dtype=complex)
+    table[-lo] = 1.0
+    for m in range(1, hi + 1):
+        np.multiply(table[m - 1 - lo], u, out=table[m - lo])
+    np.conj(u, out=u)
+    for m in range(-1, lo - 1, -1):
+        np.multiply(table[m + 1 - lo], u, out=table[m - lo])
+    return table
 
 
 def _radial_matrix(f, radii):
@@ -223,25 +205,27 @@ def _radial_matrix(f, radii):
     return radial
 
 
-def evaluate_on_block(f, grid, rows, out=None):
-    """Values of ``f`` at ``grid.radii[rows]`` x ``grid.angles`` as a
-    ``(len, n_theta)`` array ``A[rows] @ E``, written into ``out`` if given.
+def block_evaluators(fs, grid):
+    """One ``(rows, out=None) -> values`` per function ``f`` of ``fs``: ``f``
+    at ``grid.radii[rows]`` x ``grid.angles`` as a ``(len, n_theta)`` array
+    ``A[rows] @ E``, written into ``out`` if given (``rows=slice(None)``,
+    raveled, is node order).
 
     ``grid`` is a polar tensor grid with 1-D ``radii`` and ``angles`` (a
-    :class:`polyspace.quadrature.QuadratureGrid`).  ``A`` has one row per
-    radius and one column per harmonic ``m = -(q-1) .. degree_z``; ``E`` comes
-    from a small cache, so a grid's table is built once for all functions,
-    parts and blocks evaluated on it.  A row's radial matrix does not depend
-    on the block it is evaluated in.
+    :class:`polyspace.quadrature.QuadratureGrid`).  ``A`` has one column per
+    harmonic ``m = -(q-1) .. degree_z`` of ``f``, and ``E`` is their slice of
+    one table built for every function of ``fs``.  A value does not depend on
+    the other functions or on the block its row is in.
     """
-    table = _harmonic_table(grid.angles, 1 - f.q, f.degree_z)
-    return np.matmul(_radial_matrix(f, grid.radii[rows]), table, out=out)
+    lo = min(1 - f.q for f in fs)
+    table = _harmonic_table(grid.angles, lo, max(f.degree_z for f in fs))
 
+    def evaluator(f):
+        harmonics = table[1 - f.q - lo: f.degree_z - lo + 1]
+        return lambda rows, out=None: np.matmul(_radial_matrix(f, grid.radii[rows]),
+                                                harmonics, out=out)
 
-def evaluate_on_grid(f, grid):
-    """Values of ``f`` at ``grid.nodes``, in node order: :func:`evaluate_on_block`
-    over every radius."""
-    return evaluate_on_block(f, grid, slice(None)).ravel()
+    return [evaluator(f) for f in fs]
 
 
 def d_z(f):
@@ -257,9 +241,9 @@ def d_zbar(f):
     """
     if f.q == 1:
         return zero(1)
-    comps = [
-        PowerSeries(f.components[k + 1].coeffs * (k + 1)) for k in range(f.q - 1)
-    ]
+    # an overflow leaves inf, which PowerSeries refuses as not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        comps = [f.components[k + 1].coeffs * (k + 1) for k in range(f.q - 1)]
     return PolyFunction(comps)
 
 

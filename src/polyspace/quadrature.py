@@ -20,8 +20,7 @@ A Gauss-Jacobi rule's weights are divided by its power at its nodes, so it
 integrates ``g`` exactly when ``g`` is the power times a polynomial of degree
 below ``2n``.  The exponents lie in ``[0, 1)``.  Every Gauss rule comes from
 :func:`gauss_jacobi` (Newton's method on the three-term recurrence, O(n)
-memory).  Rules are cached apart from the grids, so grids with the same
-angular rule hold the same ``angles`` array.
+memory) and is cached, so grids that share a rule do not build it again.
 
 The half-plane is truncated to the half-disk ``{|z| <= R, Im z > 0}``; with the
 Gaussian factor ``exp(-beta |z|^2)`` in the measure, ``R`` from
@@ -35,7 +34,7 @@ rule's weights times the Jacobian ``s``) and ``angles`` with
 with weight ``radial_weights[i] * angle_weights[l]``; the flat ``nodes`` and
 ``node_weights`` are built from these on first access, for callers that want
 them.  A caller that knows the polar structure of its integrand (see
-:func:`polyspace.polyfun.evaluate_on_block`) produces values without touching
+:func:`polyspace.polyfun.block_evaluators`) produces values without touching
 the nodes.
 
 Integration is two pieces.  :func:`blocked_sum` is the one reduction: it asks
@@ -44,10 +43,10 @@ radii, at most :data:`BLOCK_VALUES` nodes), multiplies by the node weights,
 refuses a non-finite value by naming its node, and combines the block sums
 pairwise — for power-of-two grids that is bit for bit numpy's pairwise sum of
 the whole array.  :func:`refine_levels` runs the one refinement loop over
-``level -> value``.  :func:`weighted_sum`, :func:`integrate` and
-:func:`refine_until` are these pieces applied to an array or a callable of the
-nodes.  Block arrays live in per-thread buffers from :func:`scratch`, reused
-from call to call, so no call allocates memory in proportion to the grid.
+``level -> value``.  :func:`integrate` and :func:`refine_until` are these
+pieces applied to a callable of the nodes.  Block arrays live in per-thread
+buffers from :func:`scratch`, reused from call to call, so no call allocates
+memory in proportion to the grid.
 """
 
 from __future__ import annotations
@@ -69,7 +68,6 @@ __all__ = [
     "halfplane_grid",
     "grid_family",
     "integrate",
-    "weighted_sum",
     "blocked_sum",
     "block_rows",
     "scratch",
@@ -253,7 +251,6 @@ def _radial_rule(n_r, radius, exponents):
     return s, ws * s
 
 
-@functools.lru_cache(maxsize=64)
 def _angular_rule(n_theta, span, exponents):
     """Angles on ``(0, span)`` and their weights: uniform midpoints for
     ``exponents=None``, else Gauss-Jacobi."""
@@ -396,21 +393,15 @@ def _refuse_non_finite(vals, grid, start):
         )
 
 
-def weighted_sum(vals, grid):
-    """:func:`blocked_sum` of an array: ``vals`` holds one real, finite value
-    per node of ``grid``, in node order; a non-finite value raises
-    ``ValueError`` naming the offending node."""
-    vals = np.asarray(vals)
+def integrate(g, grid):
+    """:func:`blocked_sum` of ``g(nodes)``: ``g`` returns one real value per
+    node of ``grid``, in node order.  A complex array raises ``TypeError``; a
+    non-finite value raises ``ValueError`` naming the offending node."""
+    vals = np.asarray(g(grid.nodes))
     if np.iscomplexobj(vals):
         raise TypeError("integrand must be real-valued on the nodes")
     vals = vals.reshape(grid.n_r, grid.n_theta)
     return blocked_sum(lambda rows: vals[rows], grid)
-
-
-def integrate(g, grid):
-    """:func:`weighted_sum` of ``g(nodes)``: ``g`` must be real and finite on
-    the nodes."""
-    return weighted_sum(g(grid.nodes), grid)
 
 
 @dataclass(frozen=True)

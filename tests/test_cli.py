@@ -303,6 +303,23 @@ def test_overflowing_point_term_exits_1_naming_the_base_point(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("domain, text", [
+    # d_z multiplies z^2 by 2, d_zbar multiplies conj(z)^2 by 2
+    ("halfplane", "q 1\n0 0 1.7e308 0\n0 2 -1.7e308 0\n"),
+    ("disk", "q 3\n2 0 1.7e308 0\n"),
+], ids=["d_z", "d_zbar"])
+def test_overflowing_derivative_exits_1_without_a_warning(tmp_path, capsys, domain, text):
+    big = _function_file(tmp_path, text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["norm", "--space", "dirichlet", "--domain", domain, "--p", "2",
+                     "--function", big])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: coefficients must be finite")
+    assert "RuntimeWarning" not in err and not caught
+
+
 @pytest.mark.parametrize("command", ["limsup-check", "converge"])
 def test_verdict_on_an_unresolved_integral_exits_2(tmp_path, capsys, command):
     # |2z - 1|^2.5 has a kink at z = 1/2, so rel_tol 1e-13 is out of reach

@@ -8,12 +8,12 @@ from polyspace import (
     PolyFunction,
     PowerSeries,
     add,
+    block_evaluators,
     d_z,
     d_zbar,
     dilate,
     disk_grid,
     evaluate,
-    evaluate_on_grid,
     exp_taylor,
     halfplane_grid,
     from_monomials,
@@ -124,41 +124,42 @@ def _abs_term_sum(f, grid):
 @settings(max_examples=200, deadline=None)
 @given(f=_float_polys, grid=st.sampled_from(_small_grids))
 def test_grid_evaluation_matches_horner(f, grid):
-    got = evaluate_on_grid(f, grid)
+    got = block_evaluators([f], grid)[0](slice(None)).ravel()
     want = evaluate(f, grid.nodes)
     assert got.shape == want.shape == grid.nodes.shape
     bound = 64 * np.finfo(float).eps * _abs_term_sum(f, grid)
     assert np.all(np.abs(got - want) <= bound)
 
 
-def test_grid_evaluation_reuses_and_bounds_harmonic_tables():
+def test_grid_values_do_not_depend_on_the_companion_functions():
     from polyspace import polyfun
 
-    low = from_monomials({(0, 2): 1.0}, q=1)
+    low = from_monomials({(0, 2): 1.0, (1, 0): 0.5j}, q=2)
     high = from_monomials({(0, 12): 1.0, (3, 0): 2.0}, q=4)
-    grid = disk_grid(4, 9)
-    values = [evaluate_on_grid(f, grid) for f in (low, high, low)]
-    assert_allclose(values[1], evaluate(high, grid.nodes), rtol=1e-13)
-    # the table grew for `high`; `low` reads the same bits from the wider table
-    assert np.array_equal(values[0], values[2])
-    grids = [disk_grid(2, n) for n in range(1, 2 * polyfun._HARMONIC_TABLES_MAX + 2)]
-    for g in grids:
-        evaluate_on_grid(high, g)
-    assert len(polyfun._HARMONIC_TABLES) <= polyfun._HARMONIC_TABLES_MAX
+    for grid in (disk_grid(4, 9), halfplane_grid(2.0, 8, 9)):
+        alone = block_evaluators([low], grid)[0](slice(None))
+        paired = block_evaluators([high, low], grid)
+        # `low` reads its harmonics from the wider table built for `high`
+        assert np.array_equal(paired[1](slice(None)), alone)
+        assert_allclose(paired[0](slice(None)).ravel(), evaluate(high, grid.nodes),
+                        rtol=1e-13)
+    # the table lives in the evaluators only: polyfun holds no array or table
+    state = [name for name, value in vars(polyfun).items()
+             if not name.startswith("__") and isinstance(value, (dict, list, np.ndarray))]
+    assert state == []
 
 
 def test_block_rows_are_the_grid_rows_bit_for_bit():
-    from polyspace import polyfun
-
     rng = np.random.default_rng(3)
     f = PolyFunction([rng.standard_normal(20) + 1j * rng.standard_normal(20)
                       for _ in range(3)])
     grid = halfplane_grid(8.0, 48, 64)
-    full = evaluate_on_grid(f, grid).reshape(48, 64)
+    evaluate_block, = block_evaluators([f], grid)
+    full = evaluate_block(slice(None))
     out = np.empty((16, 64), dtype=complex)
     for start in (0, 16, 32):
         rows = slice(start, start + 16)
-        assert polyfun.evaluate_on_block(f, grid, rows, out=out) is out
+        assert evaluate_block(rows, out=out) is out
         assert np.array_equal(out, full[rows])
 
 

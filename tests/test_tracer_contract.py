@@ -28,9 +28,9 @@ f = ps.from_monomials({(1, 2): 1.0, (0, 1): 0.5j}, q=2)
 spec = ps.SpaceSpec(domain=ps.Domain.DISK, kind=ps.SpaceKind.BESOV, p=2.5,
                     weight=ps.Uniform())
 ps.space_norm(f, spec, settings)
+print(json.dumps(tracer.layers()))
+tracer.spans.clear()
 ps.limsup_check(f, spec, r_grid=(0.9,), settings=settings)
-# limsup_check integrates through norms._integrate, which keeps the flags
-ps.weighted_p_integral(f, spec, settings)
 print(json.dumps(tracer.layers()))
 """
 
@@ -40,10 +40,13 @@ def test_bench_tracer_records_every_norm_layer():
     proc = subprocess.run([sys.executable, "-c", _SCRIPT, str(BENCH)],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    layers = json.loads(proc.stdout)
-    for layer in ("norms.density", "quadrature.grid", "norms.space_norm",
-                  "norms.weighted_p_integral", "experiments"):
+    layers, limsup = (json.loads(line) for line in proc.stdout.splitlines())
+    for layer in ("norms.density", "quadrature.grid", "norms.space_norm"):
         assert layers.get(layer, {}).get("calls", 0) >= 1, (layer, sorted(layers))
+    # each of the limsup check's part integrals is a weighted_p_integral:
+    # two right-hand sides and two dilated parts at r = 0.9
+    assert limsup["experiments"]["calls"] == 1
+    assert limsup.get("norms.weighted_p_integral", {}).get("calls") == 4, sorted(limsup)
     # a refined norm builds its two levels' grids and evaluates their density
     assert layers["quadrature.grid"]["builds"] >= 2
     assert layers["norms.density"]["nodes"] > 0
