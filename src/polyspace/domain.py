@@ -21,23 +21,14 @@ class Domain(enum.Enum):
         return 2.0 * math.pi if self is Domain.DISK else math.pi
 
 
-def interior_mask(z, domain):
-    """Boolean mask of the points of ``z`` lying strictly inside ``domain``."""
-    z = np.asarray(z)
-    if domain is Domain.DISK:
-        return np.abs(z) < 1.0
-    return np.imag(z) > 0.0
-
-
-def require_interior(z, domain, what="point"):
+def require_interior(z, domain):
     """Raise ``ValueError`` naming the first offending point if any of ``z`` is
     on or outside the boundary of ``domain``."""
     z = np.asarray(z)
-    ok = interior_mask(z, domain)
+    ok = np.abs(z) < 1.0 if domain is Domain.DISK else np.imag(z) > 0.0
     if not np.all(ok):
         bad = z.reshape(-1)[np.flatnonzero(~np.atleast_1d(ok).reshape(-1))[0]]
-        raise ValueError(f"{what} {bad} is not strictly inside the {domain}")
-    return z
+        raise ValueError(f"point {bad} is not strictly inside the {domain}")
 
 
 def check_positive(name, value, allow_zero=False):

@@ -329,12 +329,13 @@ _MATRIX_KINDS = (
 )
 
 
-def default_matrix(alpha=1.0, beta=1.0):
+def default_matrix():
     """All (spec, function) cells of the theorem matrix, in deterministic
-    order: domain, then kind/p, then weight, then function."""
+    order: domain, then kind/p, then weight, then function; the half-plane
+    measure has ``alpha = beta = 1``."""
     cells = []
     for domain in (Domain.DISK, Domain.HALFPLANE):
-        ab = {"alpha": alpha, "beta": beta} if domain is Domain.HALFPLANE else {}
+        ab = {"alpha": 1.0, "beta": 1.0} if domain is Domain.HALFPLANE else {}
         for kind, ps in _MATRIX_KINDS:
             for p in ps:
                 for w in _matrix_weights(domain):

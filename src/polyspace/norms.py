@@ -308,8 +308,12 @@ def space_norm(f, spec, settings=None):
                              f"z0 = {spec.base_point} is {point_term}")
     integral, flags = _integrate(parts, spec, settings)
     integral = max(integral, 0.0)
-    seminorm = integral ** (1.0 / spec.p)
-    full = (point_term + integral) ** (1.0 / spec.p)
+    try:
+        seminorm = integral ** (1.0 / spec.p)
+        full = (point_term + integral) ** (1.0 / spec.p)
+    except OverflowError:
+        raise ValueError(f"p is {spec.p!r}, too small: the norm "
+                         f"{point_term + integral}^(1/p) overflows") from None
     return NormResult(full, seminorm, point_term, flags)
 
 

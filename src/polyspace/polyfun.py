@@ -143,14 +143,7 @@ class PolyFunction:
     def __eq__(self, other):
         if not isinstance(other, PolyFunction):
             return NotImplemented
-        n = max(self.q, other.q)
-        zero_series = PowerSeries([0.0])
-        for k in range(n):
-            a = self.components[k] if k < self.q else zero_series
-            b = other.components[k] if k < other.q else zero_series
-            if a != b:
-                return False
-        return True
+        return all(np.array_equal(a, b) for a, b in _zip_components(self, other))
 
     __hash__ = None
 
@@ -268,11 +261,11 @@ def truncate(f, m):
 def from_monomials(entries, q):
     """Build a PolyFunction from ``{(k, j): coefficient}`` with declared order ``q``.
 
-    Raises ``ValueError`` on an index with ``k >= q`` (the declared order must
-    bound every antiholomorphic power).
+    Raises ``ValueError`` on ``q < 1``, a negative index, or an index with
+    ``k >= q`` (the declared order must bound every antiholomorphic power).
     """
     if q < 1:
-        raise ValueError("polyanalytic order q must be at least 1")
+        raise ValueError(f"q must be >= 1, got {q!r}")
     degrees = [0] * q
     for (k, j) in entries:
         if k < 0 or j < 0:

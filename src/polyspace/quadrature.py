@@ -31,22 +31,22 @@ Tight tolerances on integrands that are not smooth go through
 A grid stores only its 1-D rules: ``radii`` with ``radial_weights`` (the
 rule's weights times the Jacobian ``s``) and ``angles`` with
 ``angle_weights``.  The node ``(i, l)`` is ``radii[i] * exp(1j * angles[l])``
-with weight ``radial_weights[i] * angle_weights[l]``; the flat ``nodes`` and
-``node_weights`` are built from these on first access, for callers that want
-them.  A caller that knows the polar structure of its integrand (see
+with weight ``radial_weights[i] * angle_weights[l]``; :meth:`block_nodes` and
+:meth:`block_weights` build them for a block of radii.  A caller that knows
+the polar structure of its integrand (see
 :func:`polyspace.polyfun.block_evaluators`) produces values without touching
 the nodes.
 
-Integration is two pieces.  :func:`blocked_sum` is the one reduction: it asks
-for the integrand one block of radii at a time (a power-of-two number of
+Every integral is blockwise.  :func:`blocked_sum` is the one reduction: it
+asks for the integrand one block of radii at a time (a power-of-two number of
 radii, at most :data:`BLOCK_VALUES` nodes), multiplies by the node weights,
 refuses a non-finite value by naming its node, and combines the block sums
 pairwise — for power-of-two grids that is bit for bit numpy's pairwise sum of
 the whole array.  :func:`refine_levels` runs the one refinement loop over
 ``level -> value``.  :func:`integrate` and :func:`refine_until` are these
-pieces applied to a callable of the nodes.  Block arrays live in per-thread
-buffers from :func:`scratch`, reused from call to call, so no call allocates
-memory in proportion to the grid.
+pieces applied to a callable of one block of nodes.  Block arrays live in
+per-thread buffers from :func:`scratch`, reused from call to call, so no call
+allocates memory in proportion to the grid.
 """
 
 from __future__ import annotations
@@ -96,12 +96,11 @@ class QuadratureGrid:
     1-D rules: ``radii`` with ``radial_weights`` and ``angles`` with
     ``angle_weights``, all positive and read-only.
 
-    ``nodes`` is the radius-major tensor product
-    ``(radii[:, None] * exp(1j * angles)[None, :]).ravel()`` and
-    ``node_weights`` is ``outer(radial_weights, angle_weights).ravel()``; both
-    are built on first access and are read-only.
-
-    ``sum(g(nodes) * node_weights)`` approximates the integral of ``g`` dA.
+    The nodes are the radius-major tensor product
+    ``radii[:, None] * exp(1j * angles)[None, :]`` with weights
+    ``outer(radial_weights, angle_weights)``, built one block of radii at a
+    time by :meth:`block_nodes` and :meth:`block_weights`; the sum of
+    ``g(nodes)`` times the weights approximates the integral of ``g`` dA.
     The rules' nodes are those of ``s^e0 (radius - s)^e1`` for
     ``radial_exponents`` ``(e0, e1)`` and of ``theta^e0 (span - theta)^e1``
     for ``angular_exponents``, or ``None`` for periodic midpoints.
@@ -133,14 +132,6 @@ class QuadratureGrid:
     def block_weights(self, rows, out=None):
         """Node weights at ``radii[rows]`` x ``angles``, shape ``(len, n_theta)``."""
         return np.multiply(self.radial_weights[rows, None], self.angle_weights, out=out)
-
-    @functools.cached_property
-    def nodes(self):
-        return _frozen(self.block_nodes(slice(None)).ravel())
-
-    @functools.cached_property
-    def node_weights(self):
-        return _frozen(self.block_weights(slice(None)).ravel())
 
 
 def _frozen(arr):
@@ -246,9 +237,16 @@ def _rule(n, end, exponents):
 
 def _radial_rule(n_r, radius, exponents):
     """Radii on ``(0, radius)`` and their weights times the area Jacobian
-    ``s``."""
-    s, ws = _rule(n_r, radius, exponents)
-    return s, ws * s
+    ``s``; a radius whose weights are not finite is refused."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            s, ws = _rule(n_r, radius, exponents)
+            weights = ws * s
+    except OverflowError:   # the rule's float power of the radius
+        weights = np.array([math.inf])
+    if not np.isfinite(weights).all():
+        raise ValueError(f"R is {radius!r}, too large for finite grid weights")
+    return s, weights
 
 
 def _angular_rule(n_theta, span, exponents):
@@ -322,7 +320,10 @@ def default_radius(beta):
     beyond ``R`` is below ``exp(-40) ~ 4e-18`` of the total."""
     if not beta > 0:
         raise ValueError("default_radius needs beta > 0; pass an explicit R instead")
-    return max(8.0, float(np.sqrt(40.0 / beta)))
+    R = math.sqrt(40.0 / beta)
+    if not math.isfinite(R):
+        raise ValueError(f"beta is {beta!r}, too small for a finite truncation radius")
+    return max(8.0, R)
 
 
 _SCRATCH = threading.local()
@@ -358,8 +359,8 @@ def _pairwise(sums):
 
 
 def blocked_sum(block_values, grid):
-    """``sum(values * node_weights)`` over ``grid``, one block of radii at a
-    time.
+    """The sum of the integrand times the node weights over ``grid``, one
+    block of radii at a time.
 
     ``block_values(rows)`` returns the real integrand on ``grid.radii[rows]``
     x ``grid.angles`` as a ``(len, n_theta)`` array; ``rows`` are consecutive
@@ -373,7 +374,9 @@ def blocked_sum(block_values, grid):
         rows = slice(start, min(start + step, grid.n_r))
         vals = block_values(rows)
         terms = grid.block_weights(rows, out=scratch("weights", vals.shape))
-        terms *= vals
+        # inf times an underflowed weight is nan, which is refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms *= vals
         total = float(np.sum(terms.reshape(-1)))
         # a non-finite value makes the block sum non-finite
         if not math.isfinite(total):
@@ -394,14 +397,19 @@ def _refuse_non_finite(vals, grid, start):
 
 
 def integrate(g, grid):
-    """:func:`blocked_sum` of ``g(nodes)``: ``g`` returns one real value per
-    node of ``grid``, in node order.  A complex array raises ``TypeError``; a
+    """:func:`blocked_sum` of ``g`` over ``grid``: ``g`` gets one
+    ``(rows, n_theta)`` block of nodes per call and returns one real value per
+    node, in any shape of that size.  A complex result raises ``TypeError``; a
     non-finite value raises ``ValueError`` naming the offending node."""
-    vals = np.asarray(g(grid.nodes))
-    if np.iscomplexobj(vals):
-        raise TypeError("integrand must be real-valued on the nodes")
-    vals = vals.reshape(grid.n_r, grid.n_theta)
-    return blocked_sum(lambda rows: vals[rows], grid)
+
+    def block_values(rows):
+        nodes = grid.block_nodes(rows)
+        vals = np.asarray(g(nodes))
+        if np.iscomplexobj(vals):
+            raise TypeError("integrand must be real-valued on the nodes")
+        return vals.reshape(nodes.shape)
+
+    return blocked_sum(block_values, grid)
 
 
 @dataclass(frozen=True)

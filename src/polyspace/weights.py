@@ -117,9 +117,6 @@ class Weight:
 class Uniform(Weight):
     """w(z) = 1."""
 
-    def describe(self):
-        return "uniform"
-
 
 @dataclass(frozen=True)
 class ExpAbsPow(Weight):
@@ -165,9 +162,6 @@ class ExpAbs(Weight):
 
     def radial_factor(self, s, domain):
         return np.exp(s)
-
-    def describe(self):
-        return "expabs"
 
 
 @dataclass(frozen=True)
@@ -296,21 +290,14 @@ def _stratified_points(r, n_z, domain):
     return (s[:, None] * np.exp(1j * theta[None, :])).ravel()
 
 
-def check_condition(
-    w,
-    k,
-    r0=0.5,
-    n_r=64,
-    n_z=4096,
-    domain=Domain.DISK,
-    cap=DIVERGENCE_CAP,
-):
+def check_condition(w, k, r0=0.5, n_r=64, n_z=4096, domain=Domain.DISK):
     """Certify the dilatation-compatibility condition for ``w`` at index ``k``.
 
     Takes the supremum of ``r^k w(z/r) / w(z)`` over the tensor grid of ``n_r``
     radii ``r in [r0, 1)`` and ``n_z`` stratified points ``|z| < r``.  Returns a
-    :class:`ConditionWitness`, or ``None`` when the ratio exceeds ``cap``
-    anywhere on the grid (the weight fails the condition at this ``k``).
+    :class:`ConditionWitness`, or ``None`` when the ratio exceeds
+    :data:`DIVERGENCE_CAP` anywhere on the grid (the weight fails the
+    condition at this ``k``).
     """
     if not 0.0 < r0 < 1.0:
         raise ValueError(f"r0 must lie in (0, 1), got {r0!r}")
@@ -333,7 +320,7 @@ def check_condition(
             best = float(ratio[i])
             best_z = complex(z[i])
             best_r = float(r)
-    if not np.isfinite(best) or best > cap:
+    if not np.isfinite(best) or best > DIVERGENCE_CAP:
         return None
     return ConditionWitness(
         k=int(k), C=best, r0=float(r0), grid_size=total,

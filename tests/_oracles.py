@@ -9,9 +9,9 @@ confirm the hand-computed closed forms that the tight assertions then use.
 
 :func:`per_node_integral` checks the factored measure and the blocked
 reduction of the norms instead: on the library's own grid it builds the whole
-integrand node by node, from Horner point values and ``eval_weight`` on the
-flat nodes times the kind/domain factors in complex form, and sums it against
-``node_weights``, which integrate plain area, in one call.
+integrand node by node, from Horner point values and ``eval_weight`` on all
+the grid's nodes at once times the kind/domain factors in complex form, and
+sums it against the node weights, which integrate plain area, in one call.
 
 :func:`monomial_norm` is exact: ``|c conj(z)^k z^j|`` is radial, so every norm
 of a monomial against the Beta- and Gamma-type measures below has a closed
@@ -76,7 +76,7 @@ def dirichlet_norm_fd(f, weight_fn, p=2.0, n_s=1500, n_t=1500):
 def per_node_integral(parts, spec, grid):
     """``integral sum_part |part|^p`` against the measure of ``spec`` on
     ``grid``, from a per-node density and per-node values."""
-    nodes = grid.nodes
+    nodes = grid.block_nodes(slice(None)).ravel()
     dens = eval_weight(spec.weight, nodes, spec.domain)
     besov = spec.kind is SpaceKind.BESOV
     if spec.domain is Domain.DISK:
@@ -86,7 +86,7 @@ def per_node_integral(parts, spec, grid):
         dens = dens * np.imag(nodes) ** (spec.alpha + (spec.p - 2.0 if besov else 0.0))
         dens = dens * np.exp(-spec.beta * np.abs(nodes) ** 2)
     vals = sum(np.abs(evaluate(part, nodes)) ** spec.p for part in parts)
-    return float(np.sum(vals * dens * grid.node_weights))
+    return float(np.sum(vals * dens * grid.block_weights(slice(None)).ravel()))
 
 
 def _beta(a, b):

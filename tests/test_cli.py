@@ -161,6 +161,7 @@ def test_load_function_empty_body_is_zero(tmp_path):
     ("q 2\n1 1 1 0\n1 1 2 0\n", "duplicate"),
     ("q 2\n-1 1 1 0\n", "negative"),
     ("q 2\n2 0 1 0\n", "exceeds declared order"),
+    ("q 2\n1 1 inf 0\n", "coefficients must be finite"),
 ])
 def test_load_function_reports_line_numbers(tmp_path, text, fragment):
     path = _function_file(tmp_path, text)
@@ -318,6 +319,49 @@ def test_overflowing_derivative_exits_1_without_a_warning(tmp_path, capsys, doma
     err = capsys.readouterr().err
     assert err.startswith("error: coefficients must be finite")
     assert "RuntimeWarning" not in err and not caught
+
+
+@pytest.mark.parametrize("argv, prefix", [
+    # |z^3|^p overflows where the Besov weight (1 - s^2)^(p - 2) underflows to 0
+    (["--space", "besov", "--domain", "disk", "--p", "1e300"],
+     "error: integrand is inf at node"),
+    (["--space", "dirichlet", "--domain", "halfplane", "--p", "2", "--quad-R", "1e200"],
+     "error: --quad-R: R is 1e+200, too large for finite grid weights"),
+    (["--space", "dirichlet", "--domain", "halfplane", "--p", "2", "--beta", "1e-310"],
+     "error: --beta: beta is 1e-310, too small for a finite truncation radius"),
+    (["--space", "bergman", "--domain", "disk", "--p", "1e-300"], "error: --p: p is 1e-300"),
+], ids=["besov-p-1e300", "quad-R-1e200", "beta-1e-310", "p-1e-300"])
+def test_out_of_range_numbers_exit_1_without_a_warning(tmp_path, capsys, argv, prefix):
+    path = _function_file(tmp_path, "q 1\n0 3 1 0\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["norm", "--function", path] + argv)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(prefix)
+    assert "Traceback" not in err and "RuntimeWarning" not in err and not caught
+
+
+def test_suite_self_check_fails_on_a_coarse_grid(capsys):
+    # on 4 x 4 the half-plane grid misses the closed form by 25 %
+    assert main(["suite", "--quad-nr", "4", "--quad-ntheta", "4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("half-plane quadrature self-check failed: quad=")
+
+
+def test_suite_allocates_little(capsys):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        main(["suite", "--quad-nr", "16", "--quad-ntheta", "32"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(capsys.readouterr().out.splitlines()) == 253
+    # the self-check draws no random samples: 10**6 of them were >= 24 MB
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("command", ["limsup-check", "converge"])

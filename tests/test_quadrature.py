@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -31,14 +32,18 @@ import _oracles
 # grid structure
 
 
+def _all_nodes(grid):
+    return grid.block_nodes(slice(None)).ravel(), grid.block_weights(slice(None)).ravel()
+
+
 def test_disk_grid_shape_and_interior():
     grid = disk_grid(16, 32)
-    assert grid.nodes.shape == (16 * 32,)
-    assert grid.node_weights.shape == (16 * 32,)
-    assert np.all(np.abs(grid.nodes) < 1)
-    assert np.all(grid.node_weights > 0)
+    nodes, weights = _all_nodes(grid)
+    assert nodes.shape == weights.shape == (16 * 32,)
+    assert np.all(np.abs(nodes) < 1)
+    assert np.all(weights > 0)
     # total mass is the disk area
-    assert np.sum(grid.node_weights) == pytest.approx(np.pi, rel=1e-13)
+    assert np.sum(weights) == pytest.approx(np.pi, rel=1e-13)
 
 
 def test_disk_grid_is_cached():
@@ -65,12 +70,12 @@ def test_midpoint_angle_kills_harmonics(m):
 
 
 def test_halfplane_grid_lives_in_upper_halfdisk():
-    grid = halfplane_grid(8.0, 32, 64)
-    assert np.all(grid.nodes.imag > 0)
-    assert np.all(np.abs(grid.nodes) <= 8.0)
-    assert np.all(grid.node_weights > 0)
+    nodes, weights = _all_nodes(halfplane_grid(8.0, 32, 64))
+    assert np.all(nodes.imag > 0)
+    assert np.all(np.abs(nodes) <= 8.0)
+    assert np.all(weights > 0)
     # mass of the half-disk of radius R
-    assert np.sum(grid.node_weights) == pytest.approx(np.pi * 32, rel=1e-12)
+    assert np.sum(weights) == pytest.approx(np.pi * 32, rel=1e-12)
 
 
 def test_halfplane_grid_validation():
@@ -78,6 +83,16 @@ def test_halfplane_grid_validation():
         halfplane_grid(0.0, 16, 32)
     with pytest.raises(ValueError):
         halfplane_grid(-1.0, 16, 32)
+
+
+@pytest.mark.parametrize("R, radial", [(1e200, (0.0, 0.0)), (1e150, (0.9, 0.9)),
+                                       (math.inf, (0.0, 0.0))])
+def test_a_radius_whose_weights_overflow_is_refused(R, radial):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="^R is .*, too large for finite grid weights"):
+            halfplane_grid(R, 16, 32, radial=radial)
+    assert not caught
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +209,8 @@ def test_default_radius():
         default_radius(0.0)
     with pytest.raises(ValueError):
         default_radius(-1.0)
+    with pytest.raises(ValueError, match="^beta is 1e-310, too small"):
+        default_radius(1e-310)
 
 
 def test_integration_is_deterministic():
@@ -206,9 +223,9 @@ def test_integration_is_deterministic():
 def test_grid_arrays_are_frozen():
     grid = disk_grid(8, 8)
     with pytest.raises(ValueError):
-        grid.nodes[0] = 0.0
+        grid.radial_weights[0] = 0.0
     with pytest.raises(ValueError):
-        grid.node_weights[0] = 0.0
+        grid.angle_weights[0] = 0.0
 
 
 @pytest.mark.parametrize("grid", [disk_grid(8, 8), disk_grid(3, 1),
@@ -217,7 +234,10 @@ def test_radii_and_angles_rebuild_the_nodes(grid):
     assert grid.radii.shape == (grid.n_r,)
     assert grid.angles.shape == (grid.n_theta,)
     rebuilt = (grid.radii[:, None] * np.exp(1j * grid.angles)[None, :]).ravel()
-    assert np.array_equal(rebuilt, grid.nodes)
+    # one radius per block gives the same nodes as the whole grid at once
+    rows = [grid.block_nodes(slice(i, i + 1)) for i in range(grid.n_r)]
+    assert np.array_equal(rebuilt, np.concatenate(rows).ravel())
+    assert np.array_equal(rebuilt, _all_nodes(grid)[0])
     with pytest.raises(ValueError):
         grid.radii[0] = 0.0
     with pytest.raises(ValueError):
@@ -226,7 +246,7 @@ def test_radii_and_angles_rebuild_the_nodes(grid):
 
 def test_integrate_and_refine_levels():
     grid = disk_grid(8, 8)
-    assert integrate(lambda z: np.ones(grid.size), grid) == pytest.approx(np.pi, rel=1e-13)
+    assert integrate(lambda z: np.ones(z.size), grid) == pytest.approx(np.pi, rel=1e-13)
     with pytest.raises(TypeError):
         integrate(lambda z: z, grid)
     # a constant sequence converges at the first comparison
@@ -241,18 +261,19 @@ def test_grids_store_only_their_1d_rules(grid):
                        grid.angles, grid.radial_weights, grid.angle_weights)
     arrays = [v for v in vars(fresh).values() if isinstance(v, np.ndarray)]
     assert all(a.ndim == 1 for a in arrays)
-    # the flat arrays are derived on first access, bit for bit the products
-    assert np.array_equal(fresh.node_weights,
-                          np.outer(grid.radial_weights, grid.angle_weights).ravel())
-    assert np.array_equal(fresh.nodes, grid.nodes)
-    assert fresh.size == fresh.nodes.size == fresh.node_weights.size
+    # the node weights are built per block, bit for bit the products
+    assert np.array_equal(fresh.block_weights(slice(None)),
+                          np.outer(grid.radial_weights, grid.angle_weights))
+    assert fresh.size == fresh.block_nodes(slice(None)).size == grid.n_r * grid.n_theta
+    assert not hasattr(fresh, "nodes") and not hasattr(fresh, "node_weights")
 
 
 @pytest.mark.parametrize("n_r, n_theta", [(128, 256), (256, 512), (512, 64), (4, 8)])
 def test_blocked_sum_is_numpys_pairwise_sum_on_power_of_two_grids(n_r, n_theta):
     grid = disk_grid(n_r, n_theta)
-    vals = np.random.default_rng(n_r).random(grid.size)
-    assert integrate(lambda z: vals, grid) == float(np.sum(vals * grid.node_weights))
+    vals = np.random.default_rng(n_r).random((n_r, n_theta))
+    want = float(np.sum(vals.ravel() * _all_nodes(grid)[1]))
+    assert quadrature.blocked_sum(lambda rows: vals[rows], grid) == want
 
 
 def test_blocks_are_bounded_powers_of_two():
@@ -269,11 +290,26 @@ def test_blocked_sum_names_a_bad_node_in_a_later_block():
     vals = np.ones((300, 100))
     vals[290, 7] = -np.inf
     with pytest.raises(ValueError) as err:
-        integrate(lambda z: vals.ravel(), grid)
+        quadrature.blocked_sum(lambda rows: vals[rows], grid)
     assert str(err.value) == (f"integrand is -inf at node s_290 e^(i theta_7) = "
                               f"{grid.radii[290]} * exp({grid.angles[7]}j)")
     # an overflowing sum of finite values is returned, as numpy's sum would be
-    assert integrate(lambda z: np.full(grid.size, 1e308), grid) == np.inf
+    assert integrate(lambda z: np.full(z.shape, 1e308), grid) == np.inf
+
+
+def test_integrate_on_a_large_grid_allocates_little():
+    import tracemalloc
+
+    grid = disk_grid(1024, 2048)
+    tracemalloc.start()
+    try:
+        area = integrate(lambda z: np.abs(z), grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert area == pytest.approx(2 * np.pi / 3, rel=1e-12)
+    # the grid has 2**21 nodes: one complex array of them is 32 MB
+    assert peak < 4 * 2**20
 
 
 def test_scratch_buffers_are_reused():
