@@ -40,6 +40,7 @@ from .quadrature import (
     DEFAULT_N_R,
     DEFAULT_N_THETA,
     DEFAULT_REL_TOL,
+    QuadSettings,
     QuadratureGrid,
     RefineResult,
     default_radius,
@@ -53,8 +54,6 @@ from .quadrature import (
 )
 from .norms import (
     NormResult,
-    QuadSettings,
-    QuadratureFlags,
     SpaceKind,
     SpaceSpec,
     bergman_norm,

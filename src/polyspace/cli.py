@@ -32,7 +32,7 @@ import numpy as np
 
 from . import experiments, polyfun, quadrature
 from .domain import Domain
-from .norms import QuadSettings, SpaceKind, SpaceSpec, space_norm
+from .norms import SpaceKind, SpaceSpec, space_norm
 from .weights import (AngularPoly, ExpAbs, ExpAbsPow, ExpRePow, PowerLaw, Product,
                       Uniform, check_condition, find_min_k)
 
@@ -174,7 +174,7 @@ def _build_weight(args):
     tag, beta, alpha, n = args.weight, args.weight_beta, args.weight_alpha, args.weight_n
     theta_max = args.weight_theta_max
     if theta_max is None:
-        theta_max = 2.0 * math.pi if args.domain is Domain.DISK else math.pi
+        theta_max = args.domain.angle_span
     if tag == "product":
         # --weight-beta picks the ExpAbsPow radial profile, --weight-alpha the
         # AngularPoly angular factor
@@ -203,8 +203,8 @@ def parse_args(argv=None):
         # the suite runs every cell on one fixed grid, so a run is a fixed
         # amount of work whatever the cells' convergence
         with _naming(_RUN_FLAGS):
-            args.settings = QuadSettings(n_r=args.quad_nr, n_theta=args.quad_ntheta,
-                                         refine=False)
+            args.settings = quadrature.QuadSettings(n_r=args.quad_nr,
+                                                    n_theta=args.quad_ntheta, refine=False)
         return args
     args.domain = Domain(args.domain)
     with _naming(_WEIGHT_FLAGS):
@@ -216,9 +216,9 @@ def parse_args(argv=None):
     alpha = 0.0 if halfplane and args.alpha is None else args.alpha
     beta = 1.0 if halfplane and args.beta is None else args.beta
     with _naming(_RUN_FLAGS):
-        args.settings = QuadSettings(n_r=args.quad_nr, n_theta=args.quad_ntheta,
-                                     rel_tol=args.quad_rel_tol,
-                                     refine=not args.no_refine)
+        args.settings = quadrature.QuadSettings(
+            n_r=args.quad_nr, n_theta=args.quad_ntheta, rel_tol=args.quad_rel_tol,
+            refine=not args.no_refine)
         args.spec = SpaceSpec(domain=args.domain, kind=SpaceKind(args.space), p=args.p,
                               weight=args.weight, alpha=alpha, beta=beta,
                               quad_R=args.quad_R)

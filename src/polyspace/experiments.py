@@ -17,13 +17,11 @@ matrix and aggregates per-cell verdicts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from . import polyfun
+from . import polyfun, quadrature
 from .domain import Domain, check_positive
 from .norms import (
-    QuadSettings,
     SpaceKind,
     SpaceSpec,
     norm_of_difference,
@@ -215,27 +213,19 @@ def limsup_check(f, spec, r_grid=DEFAULT_R_GRID, tol=1e-3, settings=None,
         raise ValueError("limsup_check applies to Dirichlet and Besov specs only")
     rs = _checked_r_grid(r_grid)
     check_positive("tol", tol)
-    converged = []
-
-    def integral(g):
-        value, flags = weighted_p_integral(g, spec, settings)
-        converged.append(flags.converged)
-        return value
-
-    rhs_dz = integral(polyfun.d_z(f))
-    rhs_dzbar = integral(polyfun.d_zbar(f))
-    rows = []
-    for r in rs:
-        fr = polyfun.dilate(f, r)
-        rows.append(LimsupRow(r, integral(polyfun.d_z(fr)), integral(polyfun.d_zbar(fr))))
+    # the right-hand sides, then (d_z, d_zbar) of f_r for each r
+    results = [weighted_p_integral(d(g), spec, settings)
+               for g in [f] + [polyfun.dilate(f, r) for r in rs]
+               for d in (polyfun.d_z, polyfun.d_zbar)]
+    rhs_dz, rhs_dzbar, *lhs = (res.value for res in results)
     return LimsupReport(
         spec=spec,
         function_label=function_label,
-        rows=tuple(rows),
+        rows=tuple(map(LimsupRow, rs, lhs[::2], lhs[1::2])),
         rhs_dz=rhs_dz,
         rhs_dzbar=rhs_dzbar,
         tol=tol,
-        unresolved=not all(converged),
+        unresolved=not all(res.converged for res in results),
     )
 
 
@@ -310,7 +300,7 @@ def standard_functions():
 
 
 def _matrix_weights(domain):
-    theta_max = 2.0 * math.pi if domain is Domain.DISK else math.pi
+    theta_max = domain.angle_span
     return (
         Uniform(),
         ExpAbsPow(beta=1.0, n=2),
@@ -411,7 +401,7 @@ def run_theorem_suite(
     if cells is None:
         cells = default_matrix()
     if settings is None:
-        settings = QuadSettings(refine=False)
+        settings = quadrature.QuadSettings(refine=False)
     out = []
     for spec, label, f in cells:
         report = dilatation_convergence(

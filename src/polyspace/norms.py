@@ -13,7 +13,8 @@ Dirichlet norms coincide; the implementation shares the code path bit for bit.
 
 Derivatives are exact coefficient operations — no finite differences anywhere.
 
-Every integral goes through one integrator, :func:`_integrate`.  Its measure
+Every integral goes through one integrator, :func:`_integrate`, and comes
+back as one :class:`~polyspace.quadrature.RefineResult`.  Its measure
 is polar-separable: the weight's radial and angular factors times the
 kind/domain factors — Besov ``(1-s^2)^(p-2)`` on the disk; ``s^a sin^a theta``
 for ``Im(z)^a`` and ``exp(-beta s^2)`` on the half-plane — as one vector on the
@@ -45,14 +46,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import polyfun, quadrature
-from .domain import Domain, check_integer, check_positive
+from .domain import Domain, check_positive
 from .weights import Weight
 
 __all__ = [
     "SpaceKind",
     "SpaceSpec",
-    "QuadSettings",
-    "QuadratureFlags",
     "NormResult",
     "space_norm",
     "bergman_norm",
@@ -69,27 +68,6 @@ class SpaceKind(enum.Enum):
 
     def __str__(self):
         return self.value
-
-
-@dataclass(frozen=True)
-class QuadSettings:
-    """Grid resolution and refinement policy for norm evaluation.
-
-    Out-of-range values raise ``ValueError`` with a message that starts with
-    the field's name.
-    """
-
-    n_r: int = quadrature.DEFAULT_N_R
-    n_theta: int = quadrature.DEFAULT_N_THETA
-    rel_tol: float = quadrature.DEFAULT_REL_TOL
-    max_level: int = quadrature.DEFAULT_MAX_LEVEL
-    refine: bool = True
-
-    def __post_init__(self):
-        check_integer("n_r", self.n_r, 1)
-        check_integer("n_theta", self.n_theta, 1)
-        check_positive("rel_tol", self.rel_tol)
-        check_integer("max_level", self.max_level, 0)
 
 
 @dataclass(frozen=True)
@@ -164,37 +142,19 @@ class SpaceSpec:
 
 
 @dataclass(frozen=True)
-class QuadratureFlags:
-    """How the integral behind a norm was obtained."""
-
-    refined: bool
-    converged: bool
-    level: int
-    rel_change: float
-    truncated: bool
-
-    def describe(self):
-        mode = "refined" if self.refined else "fixed-grid"
-        out = f"{mode}(level={self.level},rel_change={self.rel_change:.3g})"
-        if not self.converged:
-            out += ":NOT-CONVERGED"
-        if self.truncated:
-            out += ":truncated"
-        return out
-
-
-@dataclass(frozen=True)
 class NormResult:
     """Full norm together with its decomposition
     ``full_norm^p = point_term + seminorm^p``.
 
     For Bergman norms the point term is zero and ``full_norm == seminorm``.
+    ``flags`` is the :class:`~polyspace.quadrature.RefineResult` of the
+    integral behind the norm; its ``value`` is ``seminorm^p``.
     """
 
     full_norm: float
     seminorm: float
     point_term: float
-    flags: QuadratureFlags
+    flags: quadrature.RefineResult
 
 
 def _halfplane_exponent(spec):
@@ -232,20 +192,22 @@ def _measure_density(spec, grid):
         raise TypeError(f"{w.describe()} overrides _values; norms integrate "
                         "against a weight's radial, angular and planar factors")
     s, radial, angular = grid.radii, grid.radial_weights, grid.angle_weights
-    if w.radial_factor is not None:
-        radial = radial * w.radial_factor(s, domain)
-    if w.angular_factor is not None:
-        angular = angular * w.angular_factor(grid.angles, domain)
-    if domain is Domain.DISK:
-        if spec.kind is SpaceKind.BESOV and spec.p != 2:
-            radial = radial * (1.0 - s**2) ** (spec.p - 2.0)
-    else:
-        expo = _halfplane_exponent(spec)
-        if expo != 0.0:
-            radial = radial * s**expo
-            angular = angular * np.sin(grid.angles) ** expo
-        if spec.beta != 0.0:
-            radial = radial * np.exp(-spec.beta * s**2)
+    # an overflowing factor leaves a non-finite weight, refused by blocked_sum
+    with np.errstate(over="ignore", invalid="ignore"):
+        if w.radial_factor is not None:
+            radial = radial * w.radial_factor(s, domain)
+        if w.angular_factor is not None:
+            angular = angular * w.angular_factor(grid.angles, domain)
+        if domain is Domain.DISK:
+            if spec.kind is SpaceKind.BESOV and spec.p != 2:
+                radial = radial * (1.0 - s**2) ** (spec.p - 2.0)
+        else:
+            expo = _halfplane_exponent(spec)
+            if expo != 0.0:
+                radial = radial * s**expo
+                angular = angular * np.sin(grid.angles) ** expo
+            if spec.beta != 0.0:
+                radial = radial * np.exp(-spec.beta * s**2)
     return dataclasses.replace(grid, radial_weights=radial, angle_weights=angular)
 
 
@@ -277,21 +239,18 @@ def _block_integrand(parts, spec, grid):
 
 
 def _integrate(parts, spec, settings):
-    """``(value, QuadratureFlags)`` of ``integral sum_part |part|^p`` against
-    the measure of ``spec``, on the grid family of ``spec``."""
-    settings = settings or QuadSettings()
+    """:class:`~polyspace.quadrature.RefineResult` of ``integral sum_part
+    |part|^p`` against the measure of ``spec``, on the grid family of
+    ``spec``, flagged truncated when ``spec`` is."""
+    settings = settings or quadrature.QuadSettings()
     family = spec.grid_family(settings.n_r, settings.n_theta)
 
     def value_at(level):
         grid = _measure_density(spec, family(level))
         return quadrature.blocked_sum(_block_integrand(parts, spec, grid), grid)
 
-    if settings.refine:
-        res = quadrature.refine_levels(value_at, rel_tol=settings.rel_tol,
-                                       max_level=settings.max_level)
-        return res.value, QuadratureFlags(True, res.converged, res.level,
-                                          res.rel_change, spec.truncated)
-    return value_at(0), QuadratureFlags(False, True, 0, math.nan, spec.truncated)
+    res = quadrature.refine_levels(value_at, settings)
+    return dataclasses.replace(res, truncated=spec.truncated)
 
 
 def space_norm(f, spec, settings=None):
@@ -306,8 +265,8 @@ def space_norm(f, spec, settings=None):
         if not math.isfinite(point_term):
             raise ValueError(f"point term |f(z0)|^p at the base point "
                              f"z0 = {spec.base_point} is {point_term}")
-    integral, flags = _integrate(parts, spec, settings)
-    integral = max(integral, 0.0)
+    flags = _integrate(parts, spec, settings)
+    integral = max(flags.value, 0.0)
     try:
         seminorm = integral ** (1.0 / spec.p)
         full = (point_term + integral) ** (1.0 / spec.p)
@@ -347,8 +306,9 @@ def norm_of_difference(f, g, spec, settings=None):
 
 
 def weighted_p_integral(g, spec, settings=None):
-    """``(value, QuadratureFlags)`` of ``integral |g|^p`` against the full
-    measure of ``spec`` (weight times boundary/confinement factors).
+    """:class:`~polyspace.quadrature.RefineResult` of ``integral |g|^p``
+    against the full measure of ``spec`` (weight times boundary/confinement
+    factors): the value with the flags of how it was obtained.
 
     This is one half of a Dirichlet/Besov seminorm; the dilatation-limit
     experiments compare these part integrals side by side.

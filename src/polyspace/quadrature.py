@@ -42,11 +42,12 @@ asks for the integrand one block of radii at a time (a power-of-two number of
 radii, at most :data:`BLOCK_VALUES` nodes), multiplies by the node weights,
 refuses a non-finite value by naming its node, and combines the block sums
 pairwise — for power-of-two grids that is bit for bit numpy's pairwise sum of
-the whole array.  :func:`refine_levels` runs the one refinement loop over
-``level -> value``.  :func:`integrate` and :func:`refine_until` are these
-pieces applied to a callable of one block of nodes.  Block arrays live in
-per-thread buffers from :func:`scratch`, reused from call to call, so no call
-allocates memory in proportion to the grid.
+the whole array.  :func:`refine_levels` runs ``level -> value`` under a
+:class:`QuadSettings` policy, fixed or refined, and returns one
+:class:`RefineResult`, the value with its flags.  :func:`integrate` and
+:func:`refine_until` are these pieces applied to a callable of one block of
+nodes.  Block arrays live in per-thread buffers from :func:`scratch`, reused
+from call to call, so no call allocates memory in proportion to the grid.
 """
 
 from __future__ import annotations
@@ -58,9 +59,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import Domain, check_integer
+from .domain import Domain, check_integer, check_positive
 
 __all__ = [
+    "QuadSettings",
     "QuadratureGrid",
     "RefineResult",
     "gauss_jacobi",
@@ -88,6 +90,27 @@ DEFAULT_REL_TOL = 1e-9
 DEFAULT_MAX_LEVEL = 5
 # nodes per radial block: 256 KB of complex values
 BLOCK_VALUES = 16384
+
+
+@dataclass(frozen=True)
+class QuadSettings:
+    """Grid resolution and refinement policy for norm evaluation.
+
+    Out-of-range values raise ``ValueError`` with a message that starts with
+    the field's name.
+    """
+
+    n_r: int = DEFAULT_N_R
+    n_theta: int = DEFAULT_N_THETA
+    rel_tol: float = DEFAULT_REL_TOL
+    max_level: int = DEFAULT_MAX_LEVEL
+    refine: bool = True
+
+    def __post_init__(self):
+        check_integer("n_r", self.n_r, 1)
+        check_integer("n_theta", self.n_theta, 1)
+        check_positive("rel_tol", self.rel_tol)
+        check_integer("max_level", self.max_level, 0)
 
 
 @dataclass(frozen=True)
@@ -230,8 +253,7 @@ def _rule(n, end, exponents):
     x, w = gauss_jacobi(n, e1, e0)
     nodes = (x + 1.0) / 2.0 * end
     weights = w * (end / 2.0) ** (1.0 + e0 + e1)
-    if exponents != (0.0, 0.0):
-        weights /= nodes**e0 * (end - nodes) ** e1
+    weights /= nodes**e0 * (end - nodes) ** e1
     return _frozen(nodes), _frozen(weights)
 
 
@@ -366,34 +388,38 @@ def blocked_sum(block_values, grid):
     x ``grid.angles`` as a ``(len, n_theta)`` array; ``rows`` are consecutive
     slices of :func:`block_rows` radii.  Each block is summed with numpy's
     pairwise summation and the block sums are combined pairwise.  A
-    non-finite value raises ``ValueError`` naming the offending node.
+    non-finite value, or else a non-finite node weight, raises ``ValueError``
+    naming the offending node.
     """
     step = block_rows(grid.n_theta)
     sums = []
     for start in range(0, grid.n_r, step):
         rows = slice(start, min(start + step, grid.n_r))
         vals = block_values(rows)
-        terms = grid.block_weights(rows, out=scratch("weights", vals.shape))
         # inf times an underflowed weight is nan, which is refused below
         with np.errstate(over="ignore", invalid="ignore"):
+            terms = grid.block_weights(rows, out=scratch("weights", vals.shape))
             terms *= vals
         total = float(np.sum(terms.reshape(-1)))
-        # a non-finite value makes the block sum non-finite
+        # a non-finite value or weight makes the block sum non-finite
         if not math.isfinite(total):
-            _refuse_non_finite(vals, grid, start)
+            _refuse_non_finite(vals, grid, rows)
         sums.append(total)
     return _pairwise(sums)
 
 
-def _refuse_non_finite(vals, grid, start):
-    bad = np.flatnonzero(~np.isfinite(vals))
-    if bad.size:
-        i, l = divmod(int(bad[0]), grid.n_theta)
-        raise ValueError(
-            f"integrand is {vals.flat[bad[0]]} at node "
-            f"s_{start + i} e^(i theta_{l}) = {grid.radii[start + i]} * "
-            f"exp({grid.angles[l]}j)"
-        )
+def _refuse_non_finite(vals, grid, rows):
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = grid.block_weights(rows)
+    for what, arr in (("integrand", vals), ("measure weight", weights)):
+        bad = np.flatnonzero(~np.isfinite(arr))
+        if bad.size:
+            i, l = divmod(int(bad[0]), grid.n_theta)
+            i += rows.start
+            raise ValueError(
+                f"{what} is {arr.flat[bad[0]]} at node "
+                f"s_{i} e^(i theta_{l}) = {grid.radii[i]} * exp({grid.angles[l]}j)"
+            )
 
 
 def integrate(g, grid):
@@ -414,36 +440,55 @@ def integrate(g, grid):
 
 @dataclass(frozen=True)
 class RefineResult:
-    """Outcome of :func:`refine_until`: the last value, the final relative
-    change between levels, whether that change met the tolerance, and the level
-    at which iteration stopped."""
+    """An integral and how it was obtained: the last value, the final relative
+    change between levels (``nan`` on a fixed grid), whether it met the
+    tolerance, the level at which iteration stopped, whether the grid was
+    refined, and whether the domain was truncated."""
 
     value: float
     rel_change: float
     converged: bool
     level: int
+    refined: bool = True
+    truncated: bool = False
+
+    def describe(self):
+        mode = "refined" if self.refined else "fixed-grid"
+        out = f"{mode}(level={self.level},rel_change={self.rel_change:.3g})"
+        if not self.converged:
+            out += ":NOT-CONVERGED"
+        if self.truncated:
+            out += ":truncated"
+        return out
 
 
-def refine_levels(value_at, rel_tol=DEFAULT_REL_TOL, max_level=DEFAULT_MAX_LEVEL):
+def refine_levels(value_at, settings=None):
     """Compute ``value_at(0), value_at(1), ...`` until successive values agree
-    to ``rel_tol`` relative, or ``max_level`` is hit — then the result is
-    flagged as not converged."""
+    to ``settings.rel_tol`` relative, or ``settings.max_level`` is hit — then
+    the result is flagged as not converged.  With ``settings.refine`` false
+    only ``value_at(0)`` is computed.  ``settings`` defaults to
+    ``QuadSettings()``."""
+    settings = settings or QuadSettings()
     prev = value_at(0)
+    if not settings.refine:
+        return RefineResult(prev, math.nan, True, 0, refined=False)
     change = np.inf
-    for level in range(1, max_level + 1):
+    for level in range(1, settings.max_level + 1):
         cur = value_at(level)
         denom = max(abs(cur), abs(prev))
         change = 0.0 if denom == 0.0 else abs(cur - prev) / denom
-        if change <= rel_tol:
+        if change <= settings.rel_tol:
             return RefineResult(cur, change, True, level)
         prev = cur
-    return RefineResult(prev, change, False, max_level)
+    return RefineResult(prev, change, False, settings.max_level)
 
 
 def refine_until(g, family, rel_tol=DEFAULT_REL_TOL, max_level=DEFAULT_MAX_LEVEL):
     """Integrate ``g`` on ``family(0), family(1), ...`` (each level doubles both
-    grid resolutions) through :func:`refine_levels`."""
-    return refine_levels(lambda level: integrate(g, family(level)), rel_tol, max_level)
+    grid resolutions) through :func:`refine_levels`.  An out-of-range
+    ``rel_tol`` or ``max_level`` raises ``ValueError`` naming it."""
+    settings = QuadSettings(rel_tol=rel_tol, max_level=max_level)
+    return refine_levels(lambda level: integrate(g, family(level)), settings)
 
 
 def halfplane_mc_check(R=8.0, n_samples=10_000_000, seed=0,

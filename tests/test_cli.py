@@ -330,7 +330,17 @@ def test_overflowing_derivative_exits_1_without_a_warning(tmp_path, capsys, doma
     (["--space", "dirichlet", "--domain", "halfplane", "--p", "2", "--beta", "1e-310"],
      "error: --beta: beta is 1e-310, too small for a finite truncation radius"),
     (["--space", "bergman", "--domain", "disk", "--p", "1e-300"], "error: --p: p is 1e-300"),
-], ids=["besov-p-1e300", "quad-R-1e200", "beta-1e-310", "p-1e-300"])
+    # s^400 overflows where sin^400 underflows to 0
+    (["--space", "bergman", "--domain", "halfplane", "--p", "2", "--alpha", "400",
+      "--no-refine", "--quad-nr", "16", "--quad-ntheta", "16"],
+     "error: measure weight is nan at node s_11 e^(i theta_0)"),
+    # exp(s) overflows where exp(-beta s^2) underflows to 0
+    (["--space", "bergman", "--domain", "halfplane", "--p", "2", "--weight", "expabs",
+      "--quad-R", "1000", "--beta", "1", "--no-refine", "--quad-nr", "16",
+      "--quad-ntheta", "16"],
+     "error: measure weight is nan at node s_10 e^(i theta_0)"),
+], ids=["besov-p-1e300", "quad-R-1e200", "beta-1e-310", "p-1e-300", "alpha-400",
+        "expabs-quad-R-1000"])
 def test_out_of_range_numbers_exit_1_without_a_warning(tmp_path, capsys, argv, prefix):
     path = _function_file(tmp_path, "q 1\n0 3 1 0\n")
     with warnings.catch_warnings(record=True) as caught:

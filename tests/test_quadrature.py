@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -14,6 +15,7 @@ from polyspace import (
     DEFAULT_N_THETA,
     DEFAULT_REL_TOL,
     Domain,
+    QuadSettings,
     RefineResult,
     default_radius,
     disk_grid,
@@ -251,7 +253,8 @@ def test_integrate_and_refine_levels():
         integrate(lambda z: z, grid)
     # a constant sequence converges at the first comparison
     assert refine_levels(lambda level: 2.0) == RefineResult(2.0, 0.0, True, 1)
-    slow = refine_levels(lambda level: 1.0 + 2.0 ** -level, rel_tol=1e-3, max_level=3)
+    slow = refine_levels(lambda level: 1.0 + 2.0 ** -level,
+                         QuadSettings(rel_tol=1e-3, max_level=3))
     assert slow == RefineResult(1.125, 0.125 / 1.25, False, 3)
 
 
@@ -295,6 +298,24 @@ def test_blocked_sum_names_a_bad_node_in_a_later_block():
                               f"{grid.radii[290]} * exp({grid.angles[7]}j)")
     # an overflowing sum of finite values is returned, as numpy's sum would be
     assert integrate(lambda z: np.full(z.shape, 1e308), grid) == np.inf
+
+
+def test_blocked_sum_names_a_node_whose_weight_is_not_finite():
+    grid = disk_grid(8, 8)
+    radial, angular = grid.radial_weights.copy(), grid.angle_weights.copy()
+    radial[5], angular[0] = np.inf, 0.0   # inf * 0 is nan
+    bad = dataclasses.replace(grid, radial_weights=radial, angle_weights=angular)
+    with pytest.raises(ValueError) as err:
+        quadrature.blocked_sum(lambda rows: np.ones((rows.stop - rows.start, 8)), bad)
+    assert str(err.value) == (f"measure weight is nan at node s_5 e^(i theta_0) = "
+                              f"{grid.radii[5]} * exp({grid.angles[0]}j)")
+
+
+@pytest.mark.parametrize("field, value", [("rel_tol", math.nan), ("max_level", -1)])
+def test_refine_until_refuses_an_out_of_range_policy(field, value):
+    args = {"rel_tol": DEFAULT_REL_TOL, "max_level": DEFAULT_MAX_LEVEL, field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        refine_until(lambda z: np.ones(z.shape), grid_family(Domain.DISK, 4, 4), **args)
 
 
 def test_integrate_on_a_large_grid_allocates_little():

@@ -2,9 +2,9 @@
 
 The tracer wraps polyspace's functions from outside, so renaming one of them
 (or losing ``disk_grid.cache_info``) silently empties a per-layer metric.
-This runs the tracer over a refined norm and a limsup check on a small grid
-in a fresh process and asserts that every layer the norms touch records
-calls.  ``bench/`` is only read.
+This runs the tracer over a refined norm, a limsup check and a
+``refine_until`` on small grids in a fresh process and asserts that every
+layer they touch records calls.  ``bench/`` is only read.
 """
 
 import json
@@ -32,6 +32,9 @@ print(json.dumps(tracer.layers()))
 tracer.spans.clear()
 ps.limsup_check(f, spec, r_grid=(0.9,), settings=settings)
 print(json.dumps(tracer.layers()))
+tracer.spans.clear()
+ps.refine_until(lambda z: abs(z) ** 3, ps.grid_family(ps.Domain.DISK, 8, 16))
+print(json.dumps(tracer.layers()))
 """
 
 
@@ -40,7 +43,7 @@ def test_bench_tracer_records_every_norm_layer():
     proc = subprocess.run([sys.executable, "-c", _SCRIPT, str(BENCH)],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    layers, limsup = (json.loads(line) for line in proc.stdout.splitlines())
+    layers, limsup, refine = (json.loads(line) for line in proc.stdout.splitlines())
     for layer in ("norms.density", "quadrature.grid", "norms.space_norm"):
         assert layers.get(layer, {}).get("calls", 0) >= 1, (layer, sorted(layers))
     # each of the limsup check's part integrals is a weighted_p_integral:
@@ -50,3 +53,6 @@ def test_bench_tracer_records_every_norm_layer():
     # a refined norm builds its two levels' grids and evaluates their density
     assert layers["quadrature.grid"]["builds"] >= 2
     assert layers["norms.density"]["nodes"] > 0
+    # the tracer reads .level and .converged off the refinement record
+    assert refine["quadrature.refine"]["calls"] == 1
+    assert refine["quadrature.refine"]["levels"] >= 1
