@@ -330,9 +330,9 @@ def _dispatch(args, sink):
     if args.command == "suite":
         report = experiments.run_theorem_suite(
             r_grid=args.r_grid, threshold=args.threshold, settings=args.settings)
-        # the half-plane measure at alpha = beta = 1, integrated over the
-        # half-disk of radius R on the suite's grid, against its closed form
-        R, settings = 8.0, args.settings
+        # the half-plane measure at alpha = beta = 1, integrated on the suite's
+        # grid over the half-disk its cells truncate to, against its closed form
+        R, settings = quadrature.default_radius(1.0), args.settings
         quad = quadrature.integrate(lambda z: z.imag * np.exp(-np.abs(z) ** 2),
                                     quadrature.halfplane_grid(R, settings.n_r, settings.n_theta))
         exact = math.sqrt(math.pi) / 2.0 * math.erf(R) - R * math.exp(-R * R)

@@ -29,11 +29,12 @@ places the nodes of a Gauss-Jacobi rule.  A spec whose exponents are all
 integers integrates on Gauss-Legendre radii (and, on the disk, periodic
 midpoint angles when the angular factor is smooth and periodic).
 
-The integrand is formed one block of radii at a time
-(:func:`quadrature.blocked_sum`): each part as one radial × harmonic product
+The integrand is formed one block of radii at a time, in reused block
+buffers: each part as one radial × harmonic product
 (:func:`polyfun.block_evaluators`, one harmonic table for all parts), then
-``|.|^p`` and the node weights, in reused block buffers.  No array the size
-of the grid is ever built.  Horner's scheme is used only for the point term.
+``|.|^p``.  :func:`quadrature.blocked_sum` sums each block through the grid's
+angular and radial weights.  No array the size of the grid is ever built.
+Horner's scheme is used only for the point term.
 """
 
 from __future__ import annotations
@@ -223,16 +224,15 @@ def _block_integrand(parts, spec, grid):
         total = quadrature.scratch("integrand", shape)
         term = quadrature.scratch("term", shape)
         # an overflow leaves inf or nan, which blocked_sum refuses by node
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i, evaluate in enumerate(evaluators):
-                evaluate(rows, out=part_vals)
-                out = total if i == 0 else term
-                np.abs(part_vals, out=out)
-                out **= spec.p
-                if i:
-                    total += term
-            if planar is not None:
-                total *= planar(grid.block_nodes(rows), spec.domain)
+        for i, evaluate in enumerate(evaluators):
+            evaluate(rows, out=part_vals)
+            out = total if i == 0 else term
+            np.abs(part_vals, out=out)
+            out **= spec.p
+            if i:
+                total += term
+        if planar is not None:
+            total *= planar(grid.block_nodes(rows), spec.domain)
         return total
 
     return values

@@ -38,16 +38,16 @@ the polar structure of its integrand (see
 the nodes.
 
 Every integral is blockwise.  :func:`blocked_sum` is the one reduction: it
-asks for the integrand one block of radii at a time (a power-of-two number of
-radii, at most :data:`BLOCK_VALUES` nodes), multiplies by the node weights,
-refuses a non-finite value by naming its node, and combines the block sums
-pairwise — for power-of-two grids that is bit for bit numpy's pairwise sum of
-the whole array.  :func:`refine_levels` runs ``level -> value`` under a
-:class:`QuadSettings` policy, fixed or refined, and returns one
-:class:`RefineResult`, the value with its flags.  :func:`integrate` and
-:func:`refine_until` are these pieces applied to a callable of one block of
-nodes.  Block arrays live in per-thread buffers from :func:`scratch`, reused
-from call to call, so no call allocates memory in proportion to the grid.
+asks for the integrand one block of radii at a time (at most
+:data:`BLOCK_VALUES` nodes), sums it through the two 1-D rules, refuses a
+non-finite value by naming its node and an overflowing sum as such, and adds
+the block sums exactly rounded.  :func:`refine_levels` runs
+``level -> value`` under a :class:`QuadSettings` policy, fixed or refined,
+and returns one :class:`RefineResult`, the value with its flags.
+:func:`integrate` and :func:`refine_until` are these pieces applied to a
+callable of one block of nodes.  Block arrays live in per-thread buffers
+from :func:`scratch`, reused from call to call, so no call allocates memory
+in proportion to the grid.
 """
 
 from __future__ import annotations
@@ -152,9 +152,9 @@ class QuadratureGrid:
         """Nodes at ``radii[rows]`` x ``angles``, shape ``(len, n_theta)``."""
         return self.radii[rows, None] * np.exp(1j * self.angles)[None, :]
 
-    def block_weights(self, rows, out=None):
+    def block_weights(self, rows):
         """Node weights at ``radii[rows]`` x ``angles``, shape ``(len, n_theta)``."""
-        return np.multiply(self.radial_weights[rows, None], self.angle_weights, out=out)
+        return self.radial_weights[rows, None] * self.angle_weights
 
 
 def _frozen(arr):
@@ -366,18 +366,9 @@ def scratch(slot, shape, dtype=float):
 
 
 def block_rows(n_theta):
-    """Radii per block: the largest power of two whose block holds at most
-    :data:`BLOCK_VALUES` nodes, and at least one."""
-    rows = 1
-    while 2 * rows * n_theta <= BLOCK_VALUES:
-        rows *= 2
-    return rows
-
-
-def _pairwise(sums):
-    while len(sums) > 1:
-        sums = [a + b for a, b in zip(sums[::2], sums[1::2])] + sums[len(sums) & ~1:]
-    return sums[0]
+    """Radii per block: as many as fit in :data:`BLOCK_VALUES` nodes, and at
+    least one."""
+    return max(1, BLOCK_VALUES // n_theta)
 
 
 def blocked_sum(block_values, grid):
@@ -386,31 +377,34 @@ def blocked_sum(block_values, grid):
 
     ``block_values(rows)`` returns the real integrand on ``grid.radii[rows]``
     x ``grid.angles`` as a ``(len, n_theta)`` array; ``rows`` are consecutive
-    slices of :func:`block_rows` radii.  Each block is summed with numpy's
-    pairwise summation and the block sums are combined pairwise.  A
+    slices of :func:`block_rows` radii.  Each block is summed through the
+    grid's two 1-D rules, ``radial_weights[rows] @ (vals @ angle_weights)``,
+    and the block sums are added exactly rounded (``math.fsum``).  A
     non-finite value, or else a non-finite node weight, raises ``ValueError``
-    naming the offending node.
+    naming the offending node; a sum of finite terms that overflows raises
+    ``ValueError`` starting with ``integral``.
     """
     step = block_rows(grid.n_theta)
     sums = []
-    for start in range(0, grid.n_r, step):
-        rows = slice(start, min(start + step, grid.n_r))
-        vals = block_values(rows)
-        # inf times an underflowed weight is nan, which is refused below
-        with np.errstate(over="ignore", invalid="ignore"):
-            terms = grid.block_weights(rows, out=scratch("weights", vals.shape))
-            terms *= vals
-        total = float(np.sum(terms.reshape(-1)))
-        # a non-finite value or weight makes the block sum non-finite
-        if not math.isfinite(total):
-            _refuse_non_finite(vals, grid, rows)
-        sums.append(total)
-    return _pairwise(sums)
-
-
-def _refuse_non_finite(vals, grid, rows):
+    # an overflow or inf times an underflowed weight is refused below
     with np.errstate(over="ignore", invalid="ignore"):
-        weights = grid.block_weights(rows)
+        for start in range(0, grid.n_r, step):
+            rows = slice(start, min(start + step, grid.n_r))
+            vals = block_values(rows)
+            total = float(grid.radial_weights[rows] @ (vals @ grid.angle_weights))
+            # a non-finite value or weight makes the block sum non-finite
+            if not math.isfinite(total):
+                _refuse_non_finite(vals, grid, rows, total)
+            sums.append(total)
+    try:
+        return math.fsum(sums)
+    except OverflowError:
+        raise ValueError("integral overflows: its finite block sums add up "
+                         "beyond the float range") from None
+
+
+def _refuse_non_finite(vals, grid, rows, total):
+    weights = grid.block_weights(rows)
     for what, arr in (("integrand", vals), ("measure weight", weights)):
         bad = np.flatnonzero(~np.isfinite(arr))
         if bad.size:
@@ -420,6 +414,8 @@ def _refuse_non_finite(vals, grid, rows):
                 f"{what} is {arr.flat[bad[0]]} at node "
                 f"s_{i} e^(i theta_{l}) = {grid.radii[i]} * exp({grid.angles[l]}j)"
             )
+    raise ValueError(f"integral overflows: its block of radii s_{rows.start} to "
+                     f"s_{rows.stop - 1} sums to {total} from finite values and weights")
 
 
 def integrate(g, grid):

@@ -321,6 +321,20 @@ def test_overflowing_derivative_exits_1_without_a_warning(tmp_path, capsys, doma
     assert "RuntimeWarning" not in err and not caught
 
 
+def test_overflowing_integral_exits_1_without_a_warning(tmp_path, capsys):
+    # |f|^2 = 1.69e308 is finite at every node, but the integral, pi times
+    # that, is not
+    big = _function_file(tmp_path, "q 1\n0 0 1.3e154 0\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["norm", "--space", "bergman", "--domain", "disk", "--p", "2",
+                     "--function", big])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: integral overflows") and err.count("\n") == 1
+    assert "RuntimeWarning" not in err and not caught
+
+
 @pytest.mark.parametrize("argv, prefix", [
     # |z^3|^p overflows where the Besov weight (1 - s^2)^(p - 2) underflows to 0
     (["--space", "besov", "--domain", "disk", "--p", "1e300"],

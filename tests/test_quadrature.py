@@ -271,33 +271,62 @@ def test_grids_store_only_their_1d_rules(grid):
     assert not hasattr(fresh, "nodes") and not hasattr(fresh, "node_weights")
 
 
-@pytest.mark.parametrize("n_r, n_theta", [(128, 256), (256, 512), (512, 64), (4, 8)])
-def test_blocked_sum_is_numpys_pairwise_sum_on_power_of_two_grids(n_r, n_theta):
+@pytest.mark.parametrize("n_r, n_theta", [
+    (128, 256),
+    (300, 100),                               # two blocks, not powers of two
+    (3, 2 * quadrature.BLOCK_VALUES + 1),     # one radius per block
+])
+def test_blocked_sum_is_the_sum_of_the_weighted_values(n_r, n_theta):
     grid = disk_grid(n_r, n_theta)
     vals = np.random.default_rng(n_r).random((n_r, n_theta))
-    want = float(np.sum(vals.ravel() * _all_nodes(grid)[1]))
-    assert quadrature.blocked_sum(lambda rows: vals[rows], grid) == want
+    want = math.fsum(vals.ravel() * _all_nodes(grid)[1])
+    assert quadrature.blocked_sum(lambda rows: vals[rows], grid) == pytest.approx(want, rel=1e-14)
+
+
+def test_blocked_sum_does_not_depend_on_the_block_split(monkeypatch):
+    grid = disk_grid(300, 100)
+    vals = np.random.default_rng(5).random((300, 100))
+    whole = quadrature.blocked_sum(lambda rows: vals[rows], grid)
+    monkeypatch.setattr(quadrature, "BLOCK_VALUES", 700)
+    seen = []
+
+    def block_values(rows):
+        seen.append(rows)
+        return vals[rows]
+
+    assert quadrature.blocked_sum(block_values, grid) == pytest.approx(whole, rel=1e-14)
+    # seven radii per block, the last block short
+    assert [(r.start, r.stop) for r in seen] == [(i, min(i + 7, 300)) for i in range(0, 300, 7)]
 
 
 def test_blocks_are_bounded_powers_of_two():
     for n_theta in (1, 40, 256, 512, 2048, 16384, 40000):
         rows = quadrature.block_rows(n_theta)
-        assert rows & (rows - 1) == 0
         assert rows * n_theta <= max(quadrature.BLOCK_VALUES, n_theta)
         assert 2 * rows * n_theta > quadrature.BLOCK_VALUES
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_blocked_sum_names_a_bad_node_in_a_later_block():
-    grid = disk_grid(300, 100)   # three blocks of radii, the last one short
+    grid = disk_grid(300, 100)   # two blocks of radii, the last one short
     vals = np.ones((300, 100))
     vals[290, 7] = -np.inf
     with pytest.raises(ValueError) as err:
         quadrature.blocked_sum(lambda rows: vals[rows], grid)
     assert str(err.value) == (f"integrand is -inf at node s_290 e^(i theta_7) = "
                               f"{grid.radii[290]} * exp({grid.angles[7]}j)")
-    # an overflowing sum of finite values is returned, as numpy's sum would be
-    assert integrate(lambda z: np.full(z.shape, 1e308), grid) == np.inf
+    # an overflowing sum of finite values is refused
+    with pytest.raises(ValueError, match="^integral overflows"):
+        integrate(lambda z: np.full(z.shape, 1e308), grid)
+
+
+def test_an_overflowing_total_of_finite_block_sums_is_refused():
+    n_theta = quadrature.BLOCK_VALUES   # one radius per block
+    grid = dataclasses.replace(disk_grid(2, n_theta), radial_weights=np.ones(2),
+                               angle_weights=np.full(n_theta, 1.0 / n_theta))
+    # each block sums to 0.6 of the largest float, the two to 1.2
+    big = np.full((1, n_theta), 0.6 * np.finfo(float).max)
+    with pytest.raises(ValueError, match="^integral overflows: its finite block sums"):
+        quadrature.blocked_sum(lambda rows: big, grid)
 
 
 def test_blocked_sum_names_a_node_whose_weight_is_not_finite():

@@ -56,3 +56,6 @@ def test_bench_tracer_records_every_norm_layer():
     # the tracer reads .level and .converged off the refinement record
     assert refine["quadrature.refine"]["calls"] == 1
     assert refine["quadrature.refine"]["levels"] >= 1
+    # and each level's integral is a quadrature.integrate over the grid's nodes
+    assert refine.get("quadrature.integrate", {}).get("calls", 0) >= 1, sorted(refine)
+    assert refine["quadrature.integrate"]["nodes"] > 0
