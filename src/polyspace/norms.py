@@ -29,11 +29,19 @@ places the nodes of a Gauss-Jacobi rule.  A spec whose exponents are all
 integers integrates on Gauss-Legendre radii (and, on the disk, periodic
 midpoint angles when the angular factor is smooth and periodic).
 
-The integrand is formed one block of radii at a time, in reused block
-buffers: each part as one radial × harmonic product
-(:func:`polyfun.block_evaluators`, one harmonic table for all parts), then
-``|.|^p``.  :func:`quadrature.blocked_sum` sums each block through the grid's
-angular and radial weights.  No array the size of the grid is ever built.
+A part whose coefficients are all zero is dropped before any evaluation.
+At ``p = 2`` on a separable measure, when every part has at most ``n_theta``
+harmonics, the integral is summed ring by ring: the angular sum of
+``sum_part |part|^2`` at each radius is a quadratic form in the part's
+radial matrix and the moments of the measure-weighted angular rule
+(:func:`polyfun.block_ring_sums`), the same quadrature value without a value
+on any node.  Otherwise, and for a block whose ring sums are not finite or
+could have lost digits to cancellation, the integrand is formed on the
+block's nodes, in reused block buffers: each part as one radial × harmonic
+product (:func:`polyfun.block_evaluators`, one harmonic table for all parts),
+then ``|.|^p``.  :func:`quadrature.blocked_sum` sums either form through the
+grid's radial weights (the node form through its angular weights first), and
+its refusals name a node.  No array the size of the grid is ever built.
 Horner's scheme is used only for the point term.
 """
 
@@ -41,6 +49,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -214,9 +223,10 @@ def _measure_density(spec, grid):
 
 def _block_integrand(parts, spec, grid):
     """``rows -> sum_part |part|^p`` (times a planar weight factor) on
-    ``grid.radii[rows]`` x ``grid.angles``, in reused block buffers."""
+    ``grid.radii[rows]`` x ``grid.angles``, in reused block buffers; the
+    evaluators are built at the first call."""
     planar = spec.weight.planar_factor
-    evaluators = polyfun.block_evaluators(parts, grid)
+    evaluators = functools.cache(lambda: polyfun.block_evaluators(parts, grid))
 
     def values(rows):
         shape = (rows.stop - rows.start, grid.n_theta)
@@ -224,7 +234,7 @@ def _block_integrand(parts, spec, grid):
         total = quadrature.scratch("integrand", shape)
         term = quadrature.scratch("term", shape)
         # an overflow leaves inf or nan, which blocked_sum refuses by node
-        for i, evaluate in enumerate(evaluators):
+        for i, evaluate in enumerate(evaluators()):
             evaluate(rows, out=part_vals)
             out = total if i == 0 else term
             np.abs(part_vals, out=out)
@@ -238,16 +248,31 @@ def _block_integrand(parts, spec, grid):
     return values
 
 
+def _ring_sums(parts, spec, grid):
+    """``rows -> ring sums`` of ``sum_part |part|^2`` from the moments of the
+    angular rule (:func:`polyfun.block_ring_sums`) when ``p = 2``, the
+    measure separates and every part has at most ``n_theta`` harmonics;
+    ``None`` otherwise."""
+    if (spec.p == 2 and spec.weight.planar_factor is None
+            and all(f.degree_z + f.q <= grid.n_theta for f in parts)):
+        return polyfun.block_ring_sums(parts, grid)
+    return None
+
+
 def _integrate(parts, spec, settings):
     """:class:`~polyspace.quadrature.RefineResult` of ``integral sum_part
     |part|^p`` against the measure of ``spec``, on the grid family of
     ``spec``, flagged truncated when ``spec`` is."""
     settings = settings or quadrature.QuadSettings()
     family = spec.grid_family(settings.n_r, settings.n_theta)
+    # a part that is identically zero adds nothing; one part stays, so that a
+    # measure weight that is not finite is still refused
+    parts = [f for f in parts if any(h.coeffs.any() for h in f.components)] or parts[:1]
 
     def value_at(level):
         grid = _measure_density(spec, family(level))
-        return quadrature.blocked_sum(_block_integrand(parts, spec, grid), grid)
+        return quadrature.blocked_sum(_block_integrand(parts, spec, grid), grid,
+                                      _ring_sums(parts, spec, grid))
 
     res = quadrature.refine_levels(value_at, settings)
     return dataclasses.replace(res, truncated=spec.truncated)

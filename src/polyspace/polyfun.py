@@ -16,8 +16,11 @@ Values come two ways.  On a polar tensor grid of radii ``s_i`` and angles
 product ``A @ E``: the radial matrix ``A[i, m] = sum_k c_{k, m+k} s_i^(m+2k)``
 of the block times the harmonic table ``E[m, l] = exp(i m theta_l)``,
 ``m = -(q-1) .. degree_z``, one table per call for all the functions passed.
-Nothing is cached between calls.  Point values (the base-point term of a
-norm) use Horner's scheme in :func:`evaluate` and :meth:`PowerSeries.__call__`.
+Where only the angular rule's sum of ``|f|^2`` at each radius is wanted,
+:func:`block_ring_sums` forms it from ``A`` and the rule's moments without
+values on the nodes.  Nothing is cached between calls.  Point values (the
+base-point term of a norm) use Horner's scheme in :func:`evaluate` and
+:meth:`PowerSeries.__call__`.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ __all__ = [
     "PolyFunction",
     "evaluate",
     "block_evaluators",
+    "block_ring_sums",
     "d_z",
     "d_zbar",
     "dilate",
@@ -219,6 +223,56 @@ def block_evaluators(fs, grid):
                                                 harmonics, out=out)
 
     return [evaluator(f) for f in fs]
+
+
+def _angular_moments(angles, weights, lags):
+    """``mu[k + lags] = sum_l weights_l exp(i k angles_l)``, ``k = -lags ..
+    lags``: one :func:`_harmonic_table` row per lag ``k > 0``, ``mu[0]``
+    exactly rounded (``math.fsum``) and ``mu[-k] = conj(mu[k])``."""
+    mu = np.empty(2 * lags + 1, dtype=complex)
+    # a weight that is not finite (or that overflows a moment) leaves nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu[lags:] = _harmonic_table(angles, 0, lags) @ weights
+        try:
+            mu[lags] = math.fsum(weights)
+        except OverflowError:
+            mu[lags] = math.nan
+    mu[:lags] = np.conj(mu[:lags:-1])
+    return mu
+
+
+def block_ring_sums(fs, grid):
+    """``rows -> rings``: ``rings[i] = sum_f sum_l angle_weights[l] |f|^2``
+    on the ring of radius ``grid.radii[i]``, for the radii of ``rows``, or
+    ``None`` when a ring could have lost digits.
+
+    With ``A`` the radial matrix of ``f`` (see :func:`block_evaluators`) and
+    ``mu`` the moments of the angular rule, the ring sum is
+    ``Re sum_(m, m') A[i, m] conj(A[i, m']) mu[m - m']``: ``M^2`` operations
+    per radius for ``M`` harmonics, in place of ``M * n_theta``.  A ring is
+    refused when ``(sum_m |A[i, m]|)^2 mu[0]``, which bounds the terms, exceeds
+    ``10^3`` times the sum, i.e. when the terms cancel, and so is a sum that
+    is ``nan``.
+    """
+    lags = max(f.degree_z + f.q - 1 for f in fs)
+    mu = _angular_moments(grid.angles, grid.angle_weights, lags)
+
+    def moment_matrix(f):
+        m = np.arange(1 - f.q, f.degree_z + 1)
+        return mu[lags + m[:, None] - m[None, :]]   # mu[m - m']
+
+    blocks = [(f, moment_matrix(f)) for f in fs]
+
+    def ring_sums(rows):
+        rings = np.zeros(rows.stop - rows.start)
+        bound = np.zeros_like(rings)
+        for f, moments in blocks:
+            radial = _radial_matrix(f, grid.radii[rows])
+            rings += np.einsum("im,im->i", radial @ moments, radial.conj()).real
+            bound += np.abs(radial).sum(axis=1) ** 2
+        return rings if np.all(bound * mu[lags].real <= 1e3 * rings) else None
+
+    return ring_sums
 
 
 def d_z(f):

@@ -466,6 +466,38 @@ def test_non_finite_integrand_names_the_node():
     assert f"s_0 e^(i theta_0) = {grid.radii[0]} * exp({grid.angles[0]}j)" in str(err.value)
 
 
+class _NodeEvaluation(Exception):
+    pass
+
+
+def test_p2_separable_norms_sum_rings_without_node_values(monkeypatch):
+    from polyspace import polyfun
+
+    def refuse(fs, grid):
+        raise _NodeEvaluation
+
+    monkeypatch.setattr(polyfun, "block_evaluators", refuse)
+    f = from_monomials({(0, 3): 1.0, (1, 1): 0.5j, (2, 0): 0.25}, q=3)
+    settings = QuadSettings(max_level=1)
+    space_norm(f, disk_spec(SpaceKind.DIRICHLET, 2), settings)
+    space_norm(f, hp_spec(SpaceKind.BERGMAN, 2, alpha=0.5), settings)
+    # a planar factor, or p != 2, leaves nodes as the only way
+    for spec in (disk_spec(SpaceKind.DIRICHLET, 2, ExpRePow(beta=1.0, n=2)),
+                 disk_spec(SpaceKind.DIRICHLET, 2.5)):
+        with pytest.raises(_NodeEvaluation):
+            space_norm(f, spec, settings)
+
+
+def test_a_ring_whose_moment_sum_cancels_is_summed_on_its_nodes():
+    # |exp(2iz)| <= 1 on the half-plane, but its Taylor terms reach ~4e16 at
+    # |z| = 20: the moment form alone gives 902.03 here
+    f = PolyFunction([[(2j) ** j / math.factorial(j) for j in range(161)]])
+    spec = hp_spec(SpaceKind.BERGMAN, 2, alpha=0.0, beta=0.1)
+    res = space_norm(f, spec, QuadSettings(n_r=256, n_theta=512, refine=False))
+    want = _oracles.per_node_integral([f], spec, spec.grid_family(256, 512)(0))
+    assert res.seminorm**2 == pytest.approx(want, rel=1e-12)
+
+
 def test_norms_never_build_the_flat_nodes():
     # ExpRePow's planar factor, the one factor that reads nodes, gets them
     # one block of radii at a time
