@@ -16,6 +16,7 @@ from .polyfun import (
     exp_taylor,
     from_monomials,
     monomial,
+    mul,
     scale,
     sub,
     truncate,

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import experiments, polyfun, quadrature
 from .domain import Domain
-from .norms import SpaceKind, SpaceSpec, space_norm
+from .norms import SpaceKind, SpaceSpec, norm_of_difference, space_norm
 from .weights import (AngularPoly, ExpAbs, ExpAbsPow, ExpRePow, PowerLaw, Product,
                       Uniform, check_condition, find_min_k)
 
@@ -339,6 +339,14 @@ def _dispatch(args, sink):
         if not abs(quad - exact) <= args.threshold * exact:
             print(f"half-plane quadrature self-check failed: quad={quad!r} "
                   f"exact={exact!r}", file=sys.stderr)
+            return 2
+        # ||(conj(z) z)_r - conj(z) z|| in the disk Besov p = 2 space, a moment
+        # sum (polyfun.gram_sum), against its closed form (1 - r^2) sqrt(pi)
+        f, spec = polyfun.monomial(1, 1), SpaceSpec(Domain.DISK, SpaceKind.BESOV, 2, Uniform())
+        err = norm_of_difference(polyfun.dilate(f, 0.5), f, spec, settings).full_norm
+        if not abs(err - 0.75 * math.sqrt(math.pi)) <= 1e-10:
+            print(f"dilatation self-check failed: err={err!r} "
+                  f"exact={0.75 * math.sqrt(math.pi)!r}", file=sys.stderr)
             return 2
         emit_csv(report.csv_header(), report.csv_rows(), sink)
         if not report.all_converged:

@@ -137,18 +137,20 @@ def dilatation_convergence(
     ref = space_norm(f, spec, settings)
     errs = [norm_of_difference(polyfun.dilate(f, r), f, spec, settings) for r in rs]
     rows = [ConvergenceRow(r, err.seminorm, err.full_norm) for r, err in zip(rs, errs)]
-    ok = (
-        rows[-1].err_fullnorm <= threshold * ref.full_norm
-        and rows[-1].err_fullnorm <= rows[0].err_fullnorm
-    )
     return ConvergenceReport(
         spec=spec,
         function_label=function_label,
         rows=tuple(rows),
         ref_norm=ref.full_norm,
         threshold=threshold,
-        verdict=_verdict(ok, [ref] + errs),
+        verdict=_verdict(_errors_converge(rows, threshold * ref.full_norm), [ref] + errs),
     )
+
+
+def _errors_converge(rows, limit):
+    """The dilatation criterion: the last full-norm error is at most ``limit``
+    and did not grow from the first row."""
+    return rows[-1].err_fullnorm <= limit and rows[-1].err_fullnorm <= rows[0].err_fullnorm
 
 
 @dataclass(frozen=True)

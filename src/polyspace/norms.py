@@ -30,18 +30,18 @@ integers integrates on Gauss-Legendre radii (and, on the disk, periodic
 midpoint angles when the angular factor is smooth and periodic).
 
 A part whose coefficients are all zero is dropped before any evaluation.
-At ``p = 2`` on a separable measure, when every part has at most ``n_theta``
-harmonics, the integral is summed ring by ring: the angular sum of
-``sum_part |part|^2`` at each radius is a quadratic form in the part's
-radial matrix and the moments of the measure-weighted angular rule
-(:func:`polyfun.block_ring_sums`), the same quadrature value without a value
-on any node.  Otherwise, and for a block whose ring sums are not finite or
-could have lost digits to cancellation, the integrand is formed on the
-block's nodes, in reused block buffers: each part as one radial × harmonic
-product (:func:`polyfun.block_evaluators`, one harmonic table for all parts),
-then ``|.|^p``.  :func:`quadrature.blocked_sum` sums either form through the
-grid's radial weights (the node form through its angular weights first), and
-its refusals name a node.  No array the size of the grid is ever built.
+At an even ``p = 2k`` on a separable measure, when each ``part^k`` (the
+exact product :func:`polyfun.mul`) has at most ``n_theta`` harmonics, the
+integral of ``sum_part |part^k|^2`` is a quadratic form in the coefficients
+of ``part^k`` and the moments of the measure-weighted radial and angular
+rules (:func:`polyfun.gram_sum`): the same quadrature value, without a value
+on any node.  Otherwise, and at a level whose moment sum is not finite or
+could have lost digits to cancellation, the integrand is formed on the nodes
+one block of radii at a time, in reused block buffers: each part as one
+radial × harmonic product (:func:`polyfun.block_evaluators`, whose tables and
+radial matrices are built once per level), then ``|.|^p``.
+:func:`quadrature.blocked_sum` sums the blocks through the grid's 1-D rules,
+and its refusals name a node.  No array the size of the grid is ever built.
 Horner's scheme is used only for the point term.
 """
 
@@ -223,10 +223,9 @@ def _measure_density(spec, grid):
 
 def _block_integrand(parts, spec, grid):
     """``rows -> sum_part |part|^p`` (times a planar weight factor) on
-    ``grid.radii[rows]`` x ``grid.angles``, in reused block buffers; the
-    evaluators are built at the first call."""
+    ``grid.radii[rows]`` x ``grid.angles``, in reused block buffers."""
     planar = spec.weight.planar_factor
-    evaluators = functools.cache(lambda: polyfun.block_evaluators(parts, grid))
+    evaluators = polyfun.block_evaluators(parts, grid)
 
     def values(rows):
         shape = (rows.stop - rows.start, grid.n_theta)
@@ -234,7 +233,7 @@ def _block_integrand(parts, spec, grid):
         total = quadrature.scratch("integrand", shape)
         term = quadrature.scratch("term", shape)
         # an overflow leaves inf or nan, which blocked_sum refuses by node
-        for i, evaluate in enumerate(evaluators()):
+        for i, evaluate in enumerate(evaluators):
             evaluate(rows, out=part_vals)
             out = total if i == 0 else term
             np.abs(part_vals, out=out)
@@ -248,15 +247,19 @@ def _block_integrand(parts, spec, grid):
     return values
 
 
-def _ring_sums(parts, spec, grid):
-    """``rows -> ring sums`` of ``sum_part |part|^2`` from the moments of the
-    angular rule (:func:`polyfun.block_ring_sums`) when ``p = 2``, the
-    measure separates and every part has at most ``n_theta`` harmonics;
-    ``None`` otherwise."""
-    if (spec.p == 2 and spec.weight.planar_factor is None
-            and all(f.degree_z + f.q <= grid.n_theta for f in parts)):
-        return polyfun.block_ring_sums(parts, grid)
-    return None
+def _half_powers(parts, spec, n_theta):
+    """``part^(p/2)``, whose ``|.|^2`` is ``|part|^p``, of each part when ``p``
+    is even and below ``2 n_theta``, the measure separates and each power has
+    at most ``n_theta`` harmonics; ``None`` otherwise, and when a product
+    overflows."""
+    k = int(spec.p) // 2
+    if (spec.p % 2 or k >= n_theta or spec.weight.planar_factor is not None
+            or any(k * (f.degree_z + f.q - 1) >= n_theta for f in parts)):
+        return None
+    try:
+        return [functools.reduce(polyfun.mul, [f] * k) for f in parts]
+    except ValueError:   # coefficients that overflow
+        return None
 
 
 def _integrate(parts, spec, settings):
@@ -268,11 +271,13 @@ def _integrate(parts, spec, settings):
     # a part that is identically zero adds nothing; one part stays, so that a
     # measure weight that is not finite is still refused
     parts = [f for f in parts if any(h.coeffs.any() for h in f.components)] or parts[:1]
+    halves = _half_powers(parts, spec, settings.n_theta)
 
     def value_at(level):
         grid = _measure_density(spec, family(level))
-        return quadrature.blocked_sum(_block_integrand(parts, spec, grid), grid,
-                                      _ring_sums(parts, spec, grid))
+        if halves and (value := polyfun.gram_sum(halves, grid)) is not None:
+            return value
+        return quadrature.blocked_sum(_block_integrand(parts, spec, grid), grid)
 
     res = quadrature.refine_levels(value_at, settings)
     return dataclasses.replace(res, truncated=spec.truncated)

@@ -14,28 +14,31 @@ Values come two ways.  On a polar tensor grid of radii ``s_i`` and angles
 ``theta_l``, ``conj(z)^k z^j = s^(k+j) exp(i (j-k) theta)``, so
 :func:`block_evaluators` forms ``f`` on a block of radii as one matrix
 product ``A @ E``: the radial matrix ``A[i, m] = sum_k c_{k, m+k} s_i^(m+2k)``
-of the block times the harmonic table ``E[m, l] = exp(i m theta_l)``,
-``m = -(q-1) .. degree_z``, one table per call for all the functions passed.
-Where only the angular rule's sum of ``|f|^2`` at each radius is wanted,
-:func:`block_ring_sums` forms it from ``A`` and the rule's moments without
-values on the nodes.  Nothing is cached between calls.  Point values (the
-base-point term of a norm) use Horner's scheme in :func:`evaluate` and
-:meth:`PowerSeries.__call__`.
+times the harmonic table ``E[m, l] = exp(i m theta_l)``,
+``m = -(q-1) .. degree_z``, built once per call for all the functions passed.
+:func:`gram_sum` forms the grid's sum of ``|f|^2`` from the moments of its
+two rules instead, without a value on any node; with the exact product
+:func:`mul`, ``|f|^(2k) = |f^k|^2`` brings every even power to it.  Nothing
+is cached between calls.  Point values (the base-point term of a norm) use
+Horner's scheme in :func:`evaluate` and :meth:`PowerSeries.__call__`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .quadrature import BLOCK_VALUES
 
 __all__ = [
     "PowerSeries",
     "PolyFunction",
     "evaluate",
     "block_evaluators",
-    "block_ring_sums",
+    "gram_sum",
     "d_z",
     "d_zbar",
     "dilate",
@@ -43,6 +46,7 @@ __all__ = [
     "from_monomials",
     "sub",
     "add",
+    "mul",
     "scale",
     "zero",
     "monomial",
@@ -189,11 +193,10 @@ def _harmonic_table(angles, lo, hi):
     return table
 
 
-def _radial_matrix(f, radii):
-    """``A[i, m] = sum_k c_{k, m+k} radii[i]^(m+2k)``, ``m = -(q-1) .. degree_z``."""
+def _radial_matrix(f, powers):
+    """``A[i, m] = sum_k c_{k, m+k} powers[i, m+2k]``, ``m = -(q-1) .. degree_z``."""
     lo, hi = 1 - f.q, f.degree_z
-    powers = radii[:, None] ** np.arange(hi + f.q)
-    radial = np.zeros((radii.size, hi - lo + 1), dtype=complex)
+    radial = np.zeros((powers.shape[0], hi - lo + 1), dtype=complex)
     for k, h in enumerate(f.components):
         n = h.coeffs.size
         # conj(z)^k z^j lands in harmonic j - k with radial power k + j
@@ -209,70 +212,87 @@ def block_evaluators(fs, grid):
     raveled, is node order).
 
     ``grid`` is a polar tensor grid with 1-D ``radii`` and ``angles`` (a
-    :class:`polyspace.quadrature.QuadratureGrid`).  ``A`` has one column per
-    harmonic ``m = -(q-1) .. degree_z`` of ``f``, and ``E`` is their slice of
-    one table built for every function of ``fs``.  A value does not depend on
-    the other functions or on the block its row is in.
+    :class:`polyspace.quadrature.QuadratureGrid`).  ``A`` has one row per
+    radius and one column per harmonic ``m = -(q-1) .. degree_z`` of ``f``,
+    and ``E`` is their slice of one table; both tables (harmonics, radius
+    powers) and each ``A`` are built once per call.  A value does not depend
+    on the other functions or on the block its row is in.
     """
     lo = min(1 - f.q for f in fs)
     table = _harmonic_table(grid.angles, lo, max(f.degree_z for f in fs))
+    powers = grid.radii[:, None] ** np.arange(max(f.degree_z + f.q for f in fs))
 
     def evaluator(f):
         harmonics = table[1 - f.q - lo: f.degree_z - lo + 1]
-        return lambda rows, out=None: np.matmul(_radial_matrix(f, grid.radii[rows]),
-                                                harmonics, out=out)
+        radial = _radial_matrix(f, powers)
+        return lambda rows, out=None: np.matmul(radial[rows], harmonics, out=out)
 
     return [evaluator(f) for f in fs]
 
 
 def _angular_moments(angles, weights, lags):
     """``mu[k + lags] = sum_l weights_l exp(i k angles_l)``, ``k = -lags ..
-    lags``: one :func:`_harmonic_table` row per lag ``k > 0``, ``mu[0]``
-    exactly rounded (``math.fsum``) and ``mu[-k] = conj(mu[k])``."""
+    lags``: rows of powers of ``exp(i angles)`` by repeated multiplication,
+    at most :data:`~polyspace.quadrature.BLOCK_VALUES` values at a time,
+    summed pairwise; ``mu[0]`` exactly rounded (``math.fsum``) and
+    ``mu[-k] = conj(mu[k])``."""
     mu = np.empty(2 * lags + 1, dtype=complex)
-    # a weight that is not finite (or that overflows a moment) leaves nan
-    with np.errstate(over="ignore", invalid="ignore"):
-        mu[lags:] = _harmonic_table(angles, 0, lags) @ weights
-        try:
-            mu[lags] = math.fsum(weights)
-        except OverflowError:
-            mu[lags] = math.nan
+    u = np.exp(1j * angles)
+    step = max(1, BLOCK_VALUES // u.size)
+    powers = np.ones((step + 1, u.size), dtype=complex)
+    for start in range(lags, 2 * lags + 1, step):
+        powers[0] = powers[step]   # exp(i (start - lags) angles)
+        rows = min(step, 2 * lags + 1 - start)
+        for r in range(rows):
+            np.multiply(powers[r], u, out=powers[r + 1])
+        mu[start: start + rows] = (powers[:rows] * weights).sum(axis=1)
+    try:
+        mu[lags] = math.fsum(weights)
+    except OverflowError:   # finite weights whose sum overflows
+        mu[lags] = math.nan
     mu[:lags] = np.conj(mu[:lags:-1])
     return mu
 
 
-def block_ring_sums(fs, grid):
-    """``rows -> rings``: ``rings[i] = sum_f sum_l angle_weights[l] |f|^2``
-    on the ring of radius ``grid.radii[i]``, for the radii of ``rows``, or
-    ``None`` when a ring could have lost digits.
+def gram_sum(fs, grid):
+    """``sum_f`` of the quadrature sum of ``|f|^2`` on ``grid``, from moments,
+    or ``None`` when it could have lost digits.
 
-    With ``A`` the radial matrix of ``f`` (see :func:`block_evaluators`) and
-    ``mu`` the moments of the angular rule, the ring sum is
-    ``Re sum_(m, m') A[i, m] conj(A[i, m']) mu[m - m']``: ``M^2`` operations
-    per radius for ``M`` harmonics, in place of ``M * n_theta``.  A ring is
-    refused when ``(sum_m |A[i, m]|)^2 mu[0]``, which bounds the terms, exceeds
-    ``10^3`` times the sum, i.e. when the terms cancel, and so is a sum that
-    is ``nan``.
+    It is ``Re sum_(a, b) c_a conj(c_b) R[n_a + n_b] mu[m_a - m_b]`` over the
+    monomials ``conj(z)^k z^j = s^n exp(i m theta)`` of each ``f``
+    (``n = k + j``, ``m = j - k``), with ``R[n] = radial_weights @ s^n`` and
+    ``mu`` the angular rule's moments, both built once per call.  The pair
+    ``a = (x, j)``, ``b = (y, j')`` meets ``W[Q, P] = R[P + Q] mu[P - Q]`` at
+    ``P = y + j``, ``Q = x + j'``, so ``W``, built in chunks of rows of at most
+    :data:`~polyspace.quadrature.BLOCK_VALUES` entries, multiplies the
+    coefficients of each order shifted by each other order.  The sum is
+    refused when ``sum_(a, b) |c_a| |c_b| |R mu|``, which bounds its terms,
+    is not below ``10^3`` times it: when the terms cancel, or the sum is not
+    positive or not finite.
     """
-    lags = max(f.degree_z + f.q - 1 for f in fs)
-    mu = _angular_moments(grid.angles, grid.angle_weights, lags)
-
-    def moment_matrix(f):
-        m = np.arange(1 - f.q, f.degree_z + 1)
-        return mu[lags + m[:, None] - m[None, :]]   # mu[m - m']
-
-    blocks = [(f, moment_matrix(f)) for f in fs]
-
-    def ring_sums(rows):
-        rings = np.zeros(rows.stop - rows.start)
-        bound = np.zeros_like(rings)
-        for f, moments in blocks:
-            radial = _radial_matrix(f, grid.radii[rows])
-            rings += np.einsum("im,im->i", radial @ moments, radial.conj()).real
-            bound += np.abs(radial).sum(axis=1) ** 2
-        return rings if np.all(bound * mu[lags].real <= 1e3 * rings) else None
-
-    return ring_sums
+    width = max(f.degree_z + f.q for f in fs)
+    total = bound = 0.0
+    # an overflow leaves inf or nan, which fails the bound
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = max(1, BLOCK_VALUES // (2 * width))
+        radial = sum(grid.radial_weights[i: i + step]
+                     @ grid.radii[i: i + step, None] ** np.arange(2 * width - 1)
+                     for i in range(0, grid.n_r, step))
+        mu = _angular_moments(grid.angles, grid.angle_weights, width - 1)
+        for f in fs:
+            n, q = f.degree_z + f.q, f.q
+            # column x q + y: conj(z)^x from row y on (s1), conj(z)^y from row x on (s2)
+            s1, s2 = np.zeros((2, n, q * q), dtype=complex)
+            for (x, hx), (y, hy) in itertools.product(enumerate(f.components), repeat=2):
+                s1[y: y + hx.coeffs.size, x * q + y] = hx.coeffs
+                s2[x: x + hy.coeffs.size, x * q + y] = hy.coeffs
+            index, step = np.arange(n), max(1, BLOCK_VALUES // n)
+            for start in range(0, n, step):
+                rows, low = index[start: start + step, None], s2[start: start + step]
+                gram = radial[rows + index] * mu[width - 1 + index - rows]
+                total += np.vdot(low, gram @ s1).real
+                bound += np.vdot(np.abs(low), np.abs(gram) @ np.abs(s1))
+    return float(total) if bound < 1e3 * total else None
 
 
 def d_z(f):
@@ -363,6 +383,19 @@ def sub(f, g):
 
 def add(f, g):
     return PolyFunction([PowerSeries(ca + cb) for ca, cb in _zip_components(f, g)])
+
+
+def mul(f, g):
+    """The exact product ``f g``: ``conj(z)^k z^j`` times ``conj(z)^k' z^j'`` is
+    ``conj(z)^(k+k') z^(j+j')``, so the order is ``f.q + g.q - 1``.  A product
+    whose coefficients overflow raises ``ValueError``."""
+    out = np.zeros((f.q + g.q - 1, f.degree_z + g.degree_z + 1), dtype=complex)
+    # an overflow leaves inf or nan, which PowerSeries refuses as not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (k, h), (k2, h2) in itertools.product(enumerate(f.components),
+                                                  enumerate(g.components)):
+            out[k + k2, : h.degree + h2.degree + 1] += np.convolve(h.coeffs, h2.coeffs)
+    return PolyFunction(out)
 
 
 def scale(f, c):

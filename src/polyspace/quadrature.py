@@ -37,12 +37,11 @@ the polar structure of its integrand (see
 :func:`polyspace.polyfun.block_evaluators`) produces values without touching
 the nodes.
 
-Every integral is blockwise.  :func:`blocked_sum` is the one reduction: it
-asks for the integrand one block of radii at a time (at most
-:data:`BLOCK_VALUES` nodes), sums it through the two 1-D rules (or takes the
-block's angular sums per radius in closed form, when the caller has them),
-refuses a non-finite value by naming its node and an overflowing sum as
-such, and adds the block sums exactly rounded.  :func:`refine_levels` runs
+Every integral of node values is blockwise.  :func:`blocked_sum` is the one
+reduction: it asks for the integrand one block of radii at a time (at most
+:data:`BLOCK_VALUES` nodes), sums it through the two 1-D rules, refuses a
+non-finite value by naming its node and an overflowing sum as such, and adds
+the block sums exactly rounded.  :func:`refine_levels` runs
 ``level -> value`` under a :class:`QuadSettings` policy, fixed or refined,
 and returns one :class:`RefineResult`, the value with its flags.
 :func:`integrate` and :func:`refine_until` are these pieces applied to a
@@ -372,22 +371,18 @@ def block_rows(n_theta):
     return max(1, BLOCK_VALUES // n_theta)
 
 
-def blocked_sum(block_values, grid, ring_sums=None):
+def blocked_sum(block_values, grid):
     """The sum of the integrand times the node weights over ``grid``, one
     block of radii at a time.
 
     ``block_values(rows)`` returns the real integrand on ``grid.radii[rows]``
     x ``grid.angles`` as a ``(len, n_theta)`` array; ``rows`` are consecutive
-    slices of :func:`block_rows` radii.  ``ring_sums(rows)``, if given,
-    returns the block's ring sums ``vals @ angle_weights`` in closed form, or
-    ``None`` when they could have lost digits.  Each block's ring sums (from
-    ``ring_sums``, or else from its values through the angular rule) are
-    summed through the radial rule, and the block sums are added exactly
-    rounded (``math.fsum``).  A block whose closed-form sum is ``None`` or not
-    finite is summed on its values instead.  A non-finite value, or else a
-    non-finite node weight, raises ``ValueError`` naming the offending node; a
-    sum of finite terms that overflows raises ``ValueError`` starting with
-    ``integral``.
+    slices of :func:`block_rows` radii.  Each block is summed through the
+    grid's two 1-D rules, ``radial_weights[rows] @ (vals @ angle_weights)``,
+    and the block sums are added exactly rounded (``math.fsum``).  A
+    non-finite value, or else a non-finite node weight, raises ``ValueError``
+    naming the offending node; a sum of finite terms that overflows raises
+    ``ValueError`` starting with ``integral``.
     """
     step = block_rows(grid.n_theta)
     sums = []
@@ -395,14 +390,11 @@ def blocked_sum(block_values, grid, ring_sums=None):
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, grid.n_r, step):
             rows = slice(start, min(start + step, grid.n_r))
-            rings = ring_sums(rows) if ring_sums else None
-            total = math.nan if rings is None else float(grid.radial_weights[rows] @ rings)
+            vals = block_values(rows)
+            total = float(grid.radial_weights[rows] @ (vals @ grid.angle_weights))
+            # a non-finite value or weight makes the block sum non-finite
             if not math.isfinite(total):
-                vals = block_values(rows)
-                total = float(grid.radial_weights[rows] @ (vals @ grid.angle_weights))
-                # a non-finite value or weight makes the block sum non-finite
-                if not math.isfinite(total):
-                    _refuse_non_finite(vals, grid, rows, total)
+                _refuse_non_finite(vals, grid, rows, total)
             sums.append(total)
     try:
         return math.fsum(sums)

@@ -15,7 +15,10 @@ sums it against the node weights, which integrate plain area, in one call.
 
 :func:`monomial_norm` is exact: ``|c conj(z)^k z^j|`` is radial, so every norm
 of a monomial against the Beta- and Gamma-type measures below has a closed
-form.
+form.  :func:`even_p_integral` is exact too, for any polyanalytic polynomial
+at an even ``p`` on a rotation-invariant disk measure: it multiplies
+coefficient dictionaries and pairs monomials of equal harmonic with the same
+closed-form moments, sharing nothing with the library's moment sums.
 """
 
 import math
@@ -129,3 +132,36 @@ def monomial_norm(spec, k, j, c):
     if spec.domain is Domain.HALFPLANE or k == j == 0:
         total += abs(c) ** p
     return total ** (1.0 / p)
+
+
+def _square(coeffs):
+    """``{(k, j): c}`` of the product of the polynomial ``coeffs`` with itself."""
+    out = {}
+    for (k1, j1), c1 in coeffs.items():
+        for (k2, j2), c2 in coeffs.items():
+            out[(k1 + k2, j1 + j2)] = out.get((k1 + k2, j1 + j2), 0) + c1 * c2
+    return out
+
+
+def wirtinger_parts(coeffs):
+    """``(d_z f, d_zbar f)`` of ``f = {(k, j): c}`` as coefficient dictionaries."""
+    dz = {(k, j - 1): j * c for (k, j), c in coeffs.items() if j}
+    dzbar = {(k - 1, j): k * c for (k, j), c in coeffs.items() if k}
+    return dz, dzbar
+
+
+def even_p_integral(parts, spec):
+    """``integral sum_part |part|^p`` for ``p`` = 2 or 4 against a rotation-
+    invariant disk measure of ``spec``, each part a ``{(k, j): c}`` dict:
+    ``sum_(m_a = m_b) c_a conj(c_b) _moment(spec, n_a + n_b)`` over the
+    monomials of ``part`` (``p = 2``) or of its square (``p = 4``), with
+    ``n = k + j`` and ``m = j - k``."""
+    assert spec.domain is Domain.DISK and spec.p in (2, 4)
+    total = []
+    for part in parts:
+        terms = list((_square(part) if spec.p == 4 else part).items())
+        for (ka, ja), ca in terms:
+            for (kb, jb), cb in terms:
+                if ja - ka == jb - kb:
+                    total.append((ca * cb.conjugate()).real * _moment(spec, ka + ja + kb + jb))
+    return math.fsum(total)

@@ -1,0 +1,153 @@
+"""Seeded single-edit mutants of ``src/polyspace``, each run against the tier-1 tests.
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py NAME ...   # the named ones
+
+For each mutant the harness copies the repository, without ``.git`` and
+caches, to a temporary directory, applies one textual edit there, and runs
+``python -m pytest -x -q`` in the copy.  A mutant is killed when the tests
+fail.  The run prints one line per mutant and a kill count, and exits 1 when
+a mutant survives that the tests should kill, or when an edit no longer
+matches the source exactly once.  It needs only the standard library and a
+pytest that can run the suite; pytest does not collect this file.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# (name, file under src/polyspace, text, replacement)
+MUTANTS = [
+    # verdicts and certificates
+    ("dilatation-errors-may-grow", "experiments.py",
+     "return rows[-1].err_fullnorm <= limit and rows[-1].err_fullnorm <= rows[0].err_fullnorm",
+     "return rows[-1].err_fullnorm <= limit"),
+    ("dilatation-threshold-10x", "experiments.py",
+     "_errors_converge(rows, threshold * ref.full_norm)",
+     "_errors_converge(rows, threshold * ref.full_norm * 10)"),
+    ("limsup-tolerance-100x", "experiments.py",
+     "and self.margin_dz <= self.tol * self.rhs_dz",
+     "and self.margin_dz <= 100 * self.tol * self.rhs_dz"),
+    ("verdict-ignores-flags", "experiments.py",
+     "if not all(res.flags.converged for res in results):",
+     "if False:"),
+    ("limsup-ignores-unresolved", "experiments.py",
+     "unresolved=not all(res.converged for res in results),",
+     "unresolved=False,"),
+    # measures and rules
+    ("no-gauss-jacobi-folding", "norms.py",
+     "tuple(e - math.floor(e) for e in exponents)",
+     "tuple(0.0 for e in exponents)"),
+    ("halfplane-sin-power-dropped", "norms.py",
+     "angular = angular * np.sin(grid.angles) ** expo",
+     "angular = angular"),
+    ("besov-disk-exponent-off-by-one", "norms.py",
+     "radial = radial * (1.0 - s**2) ** (spec.p - 2.0)",
+     "radial = radial * (1.0 - s**2) ** (spec.p - 1.0)"),
+    ("besov-halfplane-exponent-off-by-one", "norms.py",
+     "return spec.alpha + (spec.p - 2.0 if spec.kind is SpaceKind.BESOV else 0.0)",
+     "return spec.alpha + (spec.p - 1.0 if spec.kind is SpaceKind.BESOV else 0.0)"),
+    ("halfplane-endpoint-exponent-halved", "norms.py",
+     "        r0 += a\n",
+     "        r0 += a / 2\n"),
+    ("point-term-dropped", "norms.py",
+     "full = (point_term + integral) ** (1.0 / spec.p)",
+     "full = integral ** (1.0 / spec.p)"),
+    ("expabs-decays", "weights.py",
+     "        return np.exp(s)\n",
+     "        return np.exp(-s)\n"),
+    ("jacobian-off-by-1e-9", "quadrature.py",
+     "weights = ws * s\n",
+     "weights = ws * s * (1.0 + 1e-9)\n"),
+    ("shorter-truncation-radius", "quadrature.py",
+     "return max(8.0, R)",
+     "return max(4.0, R)"),
+    # refinement
+    ("max-level-reported-converged", "quadrature.py",
+     "return RefineResult(prev, change, False, settings.max_level)",
+     "return RefineResult(prev, change, True, settings.max_level)"),
+    ("refinement-stops-at-level-1", "quadrature.py",
+     "for level in range(1, settings.max_level + 1):",
+     "for level in range(1, 2):"),
+    # coefficient calculus
+    ("dilate-uses-r-to-the-j", "polyfun.py",
+     "powers = float(r) ** (k + np.arange(h.coeffs.size))",
+     "powers = float(r) ** np.arange(h.coeffs.size)"),
+    ("d-zbar-factor-changed", "polyfun.py",
+     "comps = [f.components[k + 1].coeffs * (k + 1) for k in range(f.q - 1)]",
+     "comps = [f.components[k + 1].coeffs * (k + 2) for k in range(f.q - 1)]"),
+    ("mul-drops-a-cross-term", "polyfun.py",
+     "            out[k + k2, : h.degree + h2.degree + 1] += np.convolve(h.coeffs, h2.coeffs)\n",
+     "            if k <= k2:\n"
+     "                out[k + k2, : h.degree + h2.degree + 1] += np.convolve(h.coeffs, h2.coeffs)\n"),
+    # the moment (Gram) sums
+    ("gram-guard-off", "polyfun.py",
+     "return float(total) if bound < 1e3 * total else None",
+     "return float(total)"),
+    ("gram-moments-transposed", "polyfun.py",
+     "mu[width - 1 + index - rows]",
+     "mu[width - 1 + rows - index]"),
+    ("gram-radial-moments-shifted", "polyfun.py",
+     "** np.arange(2 * width - 1)\n",
+     "** (np.arange(2 * width - 1) + 1)\n"),
+    ("mu0-summed-pairwise", "polyfun.py",
+     "mu[lags] = math.fsum(weights)",
+     "mu[lags] = mu[lags]"),
+]
+
+# mutants the tier-1 tests are not meant to kill, and what sees them instead
+LEFT_TO = {
+    "mu0-summed-pairwise": "the benchmark's correct_digits (an accuracy loss of ~1e-16)",
+}
+
+
+def _copy(dest):
+    ignore = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",
+                                    ".work", ".benchmarks")
+    shutil.copytree(ROOT, dest, ignore=ignore)
+
+
+def run(name, path, text, replacement):
+    """``"killed"``, ``"survived"`` or ``"stale"`` (the edit does not apply)."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        copy = os.path.join(tmp, "repo")
+        _copy(copy)
+        target = os.path.join(copy, "src", "polyspace", path)
+        with open(target, encoding="utf-8") as fh:
+            source = fh.read()
+        if source.count(text) != 1:
+            return "stale"
+        with open(target, "w", encoding="utf-8") as fh:
+            fh.write(source.replace(text, replacement))
+        env = dict(os.environ, PYTHONPATH=os.path.join(copy, "src"))
+        proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
+                              cwd=copy, env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL, timeout=1800)
+        return "survived" if proc.returncode == 0 else "killed"
+
+
+def main(names):
+    chosen = [m for m in MUTANTS if not names or m[0] in names]
+    killed, bad = 0, []
+    for name, path, text, replacement in chosen:
+        start = time.perf_counter()
+        outcome = run(name, path, text, replacement)
+        killed += outcome == "killed"
+        note = ""
+        if outcome == "survived" and name in LEFT_TO:
+            note = f" (left to {LEFT_TO[name]})"
+        elif outcome != "killed":
+            bad.append(name)
+        print(f"{outcome:8s} {name}  [{time.perf_counter() - start:.0f} s]{note}", flush=True)
+    print(f"{killed} of {len(chosen)} mutants killed; "
+          f"{len(bad)} unexpected: {', '.join(bad) or 'none'}")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -374,6 +374,17 @@ def test_suite_self_check_fails_on_a_coarse_grid(capsys):
     assert err.startswith("half-plane quadrature self-check failed: quad=")
 
 
+def test_suite_dilatation_self_check_fails_on_a_broken_dilate(monkeypatch, capsys):
+    from polyspace import polyfun
+
+    # f_r = f makes every dilatation error 0 instead of (1 - r^2) sqrt(pi)
+    monkeypatch.setattr(polyfun, "dilate", lambda f, r: f)
+    assert main(["suite", "--quad-nr", "16", "--quad-ntheta", "32"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("dilatation self-check failed: err=0.0 ")
+
+
 def test_suite_allocates_little(capsys):
     import tracemalloc
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from polyspace import (
     Domain,
     ExpAbsPow,
+    LimsupReport,
     QuadSettings,
     SpaceKind,
     SpaceSpec,
@@ -54,6 +56,45 @@ def test_convergence_rows_match_closed_form():
         assert row.err_fullnorm == pytest.approx(expected, rel=1e-8)
     assert report.ref_norm == pytest.approx(math.sqrt(math.pi), rel=1e-8)
     assert report.verdict == "converged"
+
+
+def test_the_threshold_sets_the_verdict_to_its_last_bit():
+    # (1 - r^2) sqrt(pi) / sqrt(pi) at the last r
+    f, spec = monomial(1, 1), disk_spec(SpaceKind.BESOV, 2)
+    report = dilatation_convergence(f, spec, r_grid=(0.5, 0.9))
+    ratio = report.rows[-1].err_fullnorm / report.ref_norm
+    above = dilatation_convergence(f, spec, r_grid=(0.5, 0.9), threshold=ratio * (1 + 1e-9))
+    below = dilatation_convergence(f, spec, r_grid=(0.5, 0.9), threshold=ratio * (1 - 1e-9))
+    assert (above.verdict, below.verdict) == ("converged", "not_converged")
+
+
+def test_errors_that_grow_are_not_convergence():
+    from polyspace.experiments import ConvergenceRow, _errors_converge
+
+    falling = [ConvergenceRow(0.5, 0.2, 0.3), ConvergenceRow(0.9, 0.01, 0.02)]
+    assert _errors_converge(falling, 0.05)
+    assert not _errors_converge(falling, 0.01)
+    # below the limit, but larger than at the first r
+    growing = [ConvergenceRow(0.5, 0.01, 0.02), ConvergenceRow(0.9, 0.02, 0.03)]
+    assert not _errors_converge(growing, 0.05)
+    flat = [ConvergenceRow(0.5, 0.01, 0.02), ConvergenceRow(0.9, 0.01, 0.02)]
+    assert _errors_converge(flat, 0.05)
+
+
+@pytest.mark.parametrize("part", ["dz", "dzbar"])
+def test_a_limsup_margin_is_certified_up_to_its_tolerance(part):
+    from polyspace.experiments import LimsupRow
+
+    spec, tol, rhs = disk_spec(SpaceKind.DIRICHLET, 2), 1e-3, 2.0
+
+    def report(margin):
+        lhs = (rhs + margin, rhs / 2) if part == "dz" else (rhs / 2, rhs + margin)
+        return LimsupReport(spec=spec, function_label="f", rows=(LimsupRow(0.9, *lhs),),
+                            rhs_dz=rhs, rhs_dzbar=rhs, tol=tol)
+
+    assert report(tol * rhs - 1e-12).certified
+    assert not report(tol * rhs + 1e-12).certified
+    assert not dataclasses.replace(report(0.0), unresolved=True).certified
 
 
 def test_zbar_exp_converges_in_weighted_dirichlet():

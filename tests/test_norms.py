@@ -395,7 +395,7 @@ def test_norms_match_the_per_node_oracle(domain, w):
     for n_r, n_theta in _ORACLE_GRIDS:
         settings = QuadSettings(n_r=n_r, n_theta=n_theta, refine=False)
         for kind in SpaceKind:
-            for p in (2.0, 2.5, 3.0):
+            for p in (2.0, 2.5, 3.0, 4.0):
                 spec = (disk_spec(kind, p, weight) if domain is DISK
                         else hp_spec(kind, p, weight, alpha=0.5))
                 grid = spec.grid_family(n_r, n_theta)(0)
@@ -438,6 +438,33 @@ def test_fractional_endpoint_powers_converge_to_the_closed_form(spec, monomial_k
     assert res.full_norm == pytest.approx(_oracles.monomial_norm(spec, k, j, c), rel=1e-13)
 
 
+# exact even-p integrals on the rotation-invariant disk measures
+
+_EVEN_P_FUNCTIONS = [
+    {(0, 0): 0.5, (0, 3): 1.0 - 0.5j, (1, 2): 0.75j, (2, 1): -0.25, (1, 0): 0.3},
+    {(0, 8): 0.2j, (1, 1): 1.0, (2, 5): -0.4 + 0.1j, (2, 0): 0.7},
+    {(1, 7): 1.5, (0, 2): -1.0j, (2, 8): 0.05, (0, 0): 2.0},
+]
+_EVEN_P_SPECS = [
+    spec for p in (2, 4) for spec in (
+        disk_spec(SpaceKind.BERGMAN, p), disk_spec(SpaceKind.DIRICHLET, p),
+        disk_spec(SpaceKind.BESOV, p),
+        disk_spec(SpaceKind.BERGMAN, p, Product(radial=PowerLaw(gamma=0.25), angular=UNI)),
+        disk_spec(SpaceKind.DIRICHLET, p, Product(radial=PowerLaw(gamma=0.5), angular=UNI)))
+]
+
+
+@pytest.mark.parametrize("spec", _EVEN_P_SPECS, ids=[s.describe() for s in _EVEN_P_SPECS])
+def test_even_p_integrals_match_the_exact_oracle(spec):
+    for coeffs in _EVEN_P_FUNCTIONS:
+        f = from_monomials(coeffs, q=3)
+        parts = ([coeffs] if spec.kind is SpaceKind.BERGMAN
+                 else list(_oracles.wirtinger_parts(coeffs)))
+        res = space_norm(f, spec, QuadSettings(refine=False))
+        assert res.flags.value == pytest.approx(_oracles.even_p_integral(parts, spec),
+                                                rel=1e-12)
+
+
 def test_grids_fold_only_fractional_exponents():
     # integer exponents keep Gauss-Legendre radii and midpoint angles
     plain, legendre = disk_spec(SpaceKind.BESOV, 3.0).grid_family()(0), disk_grid()
@@ -470,7 +497,7 @@ class _NodeEvaluation(Exception):
     pass
 
 
-def test_p2_separable_norms_sum_rings_without_node_values(monkeypatch):
+def test_even_p_separable_norms_form_no_node_values(monkeypatch):
     from polyspace import polyfun
 
     def refuse(fs, grid):
@@ -479,23 +506,49 @@ def test_p2_separable_norms_sum_rings_without_node_values(monkeypatch):
     monkeypatch.setattr(polyfun, "block_evaluators", refuse)
     f = from_monomials({(0, 3): 1.0, (1, 1): 0.5j, (2, 0): 0.25}, q=3)
     settings = QuadSettings(max_level=1)
-    space_norm(f, disk_spec(SpaceKind.DIRICHLET, 2), settings)
-    space_norm(f, hp_spec(SpaceKind.BERGMAN, 2, alpha=0.5), settings)
-    # a planar factor, or p != 2, leaves nodes as the only way
+    for p in (2, 4):
+        space_norm(f, disk_spec(SpaceKind.DIRICHLET, p), settings)
+        space_norm(f, hp_spec(SpaceKind.BERGMAN, p, alpha=0.5), settings)
+    # a planar factor, or an odd p, leaves nodes as the only way
     for spec in (disk_spec(SpaceKind.DIRICHLET, 2, ExpRePow(beta=1.0, n=2)),
-                 disk_spec(SpaceKind.DIRICHLET, 2.5)):
+                 disk_spec(SpaceKind.DIRICHLET, 3)):
         with pytest.raises(_NodeEvaluation):
             space_norm(f, spec, settings)
 
 
-def test_a_ring_whose_moment_sum_cancels_is_summed_on_its_nodes():
+def test_a_level_whose_moment_sum_cancels_is_summed_on_its_nodes():
+    from polyspace import polyfun
+    from polyspace.norms import _measure_density
+
     # |exp(2iz)| <= 1 on the half-plane, but its Taylor terms reach ~4e16 at
-    # |z| = 20: the moment form alone gives 902.03 here
+    # |z| = 20, so the moment sum cancels far past its 10^3 bound
     f = PolyFunction([[(2j) ** j / math.factorial(j) for j in range(161)]])
     spec = hp_spec(SpaceKind.BERGMAN, 2, alpha=0.0, beta=0.1)
+    grid = spec.grid_family(256, 512)(0)
+    assert polyfun.gram_sum([f], _measure_density(spec, grid)) is None
     res = space_norm(f, spec, QuadSettings(n_r=256, n_theta=512, refine=False))
-    want = _oracles.per_node_integral([f], spec, spec.grid_family(256, 512)(0))
+    want = _oracles.per_node_integral([f], spec, grid)
     assert res.seminorm**2 == pytest.approx(want, rel=1e-12)
+
+
+def test_an_overflowing_square_is_refused_on_the_nodes():
+    # the square of 1e200 overflows, so p = 4 falls back to the nodes, where
+    # |1e200|^4 is refused by node without a warning
+    spec = disk_spec(SpaceKind.BERGMAN, 4)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="^integrand is inf at node"):
+            space_norm(from_monomials({(0, 0): 1e200}, q=1), spec,
+                       QuadSettings(n_r=16, n_theta=32, refine=False))
+    assert not caught
+
+
+def test_a_huge_even_p_of_a_constant_part_stays_on_the_nodes():
+    # d_z z = 1 has one harmonic at any power, but 5e299 products are out of
+    # reach: the integral of |1|^p is the disk's area
+    res = space_norm(monomial(0, 1), disk_spec(SpaceKind.DIRICHLET, 1e300),
+                     QuadSettings(n_r=8, n_theta=16, refine=False))
+    assert res.flags.value == pytest.approx(math.pi, rel=1e-14)
 
 
 def test_norms_never_build_the_flat_nodes():
@@ -523,4 +576,23 @@ def test_one_norm_on_a_large_grid_allocates_little():
     finally:
         tracemalloc.stop()
     # the grid has 2**21 nodes: one complex array of them is 32 MB
+    assert peak < 4 * 2**20
+
+
+def test_an_even_p_norm_allocates_little():
+    import tracemalloc
+
+    # the square has 7 x 61 = 427 monomials: their Gram matrix alone is 2.9 MB
+    rng = np.random.default_rng(9)
+    f = PolyFunction([rng.standard_normal(31) + 1j * rng.standard_normal(31)
+                      for _ in range(4)])
+    spec = hp_spec(SpaceKind.BERGMAN, 4, alpha=0.5)
+    settings = QuadSettings(n_r=1024, n_theta=2048, refine=False)
+    spec.grid_family(1024, 2048)(0)
+    tracemalloc.start()
+    try:
+        space_norm(f, spec, settings)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert peak < 4 * 2**20

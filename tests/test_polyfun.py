@@ -18,6 +18,7 @@ from polyspace import (
     halfplane_grid,
     from_monomials,
     monomial,
+    mul,
     scale,
     sub,
     truncate,
@@ -348,3 +349,23 @@ def test_exp_taylor():
     assert e.coeffs[5] == pytest.approx(1.0 / 120.0)
     z = 0.3 + 0.1j
     assert_allclose(e(z), np.exp(z), rtol=1e-15)
+
+
+def test_mul_matches_the_product_of_point_values():
+    rng = np.random.default_rng(16)
+    z = 0.9 * np.sqrt(rng.random(20)) * np.exp(2j * np.pi * rng.random(20))
+    for qf, qg, df, dg in [(1, 1, 8, 5), (2, 3, 3, 8), (3, 3, 8, 8), (3, 1, 0, 6)]:
+        f = PolyFunction([rng.standard_normal(df + 1) + 1j * rng.standard_normal(df + 1)
+                          for _ in range(qf)])
+        g = PolyFunction([rng.standard_normal(dg + 1) + 1j * rng.standard_normal(dg + 1)
+                          for _ in range(qg)])
+        h = mul(f, g)
+        assert (h.q, h.degree_z) == (qf + qg - 1, df + dg)
+        want = f(z) * g(z)
+        assert np.max(np.abs(h(z) - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_mul_refuses_coefficients_that_overflow():
+    f = PolyFunction([[1e200, 1.0]])
+    with pytest.raises(ValueError, match="finite"):
+        mul(f, f)
