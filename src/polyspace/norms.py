@@ -30,6 +30,11 @@ integers integrates on Gauss-Legendre radii (and, on the disk, periodic
 midpoint angles when the angular factor is smooth and periodic).
 
 A part whose coefficients are all zero is dropped before any evaluation.
+When every part is, and the weight has no planar factor, a level whose 1-D
+measure weights are all finite is worth exactly ``0.0`` without a node; at
+any other level one zero part stays on the nodes, where a measure weight or
+planar factor that is not finite is refused by its node.
+
 At an even ``p = 2k`` on a separable measure, when each ``part^k`` (the
 exact product :func:`polyfun.mul`) has at most ``n_theta`` harmonics, the
 integral of ``sum_part |part^k|^2`` is a quadratic form in the coefficients
@@ -39,7 +44,9 @@ on any node.  Otherwise, and at a level whose moment sum is not finite or
 could have lost digits to cancellation, the integrand is formed on the nodes
 one block of radii at a time, in reused block buffers: each part as one
 radial × harmonic product (:func:`polyfun.block_evaluators`, whose tables and
-radial matrices are built once per level), then ``|.|^p``.
+radial matrices are built once per level), then ``|.|^p`` (:func:`_power`):
+for ``p = n + k/4 <= 4`` from products and one or two square roots, which
+cost a fraction of ``pow``, for any other ``p`` by ``**``.
 :func:`quadrature.blocked_sum` sums the blocks through the grid's 1-D rules,
 and its refusals name a node.  No array the size of the grid is ever built.
 Horner's scheme is used only for the point term.
@@ -221,6 +228,40 @@ def _measure_density(spec, grid):
     return dataclasses.replace(grid, radial_weights=radial, angle_weights=angular)
 
 
+def _power(a, p, spare):
+    """``a **= p`` in place, for ``a >= 0``.
+
+    When ``4 p`` is an integer and ``p <= 4``, ``p = n + k/4`` and ``a^p`` is
+    ``a^n`` by squaring (``a (a a)`` for ``n = 3``) times ``a^(k/4)`` from one
+    or two square roots: at most six correctly rounded operations, so within
+    a few ulp of ``a ** p``, with the same zeros, infinities and NaNs, and
+    bit for bit ``a ** p`` at ``p = 1`` and ``p = 2``.  ``spare`` holds two
+    scratch arrays of the shape of ``a``.  Any other ``p`` takes ``**``.
+    """
+    q = 4.0 * p
+    if not (q.is_integer() and q <= 16):
+        a **= p
+        return
+    n, k = divmod(int(q), 4)
+    root, square = spare
+    if k:
+        if n == 0:
+            root = a
+        np.sqrt(a, out=root)
+        if k == 1:
+            np.sqrt(root, out=root)
+        elif k == 3:
+            root *= np.sqrt(root, out=square)
+    if n == 3:
+        a *= np.multiply(a, a, out=square)
+    elif n > 1:
+        a *= a
+        if n == 4:
+            a *= a
+    if k and n:
+        a *= root
+
+
 def _block_integrand(parts, spec, grid):
     """``rows -> sum_part |part|^p`` (times a planar weight factor) on
     ``grid.radii[rows]`` x ``grid.angles``, in reused block buffers."""
@@ -232,12 +273,14 @@ def _block_integrand(parts, spec, grid):
         part_vals = quadrature.scratch("part", shape, complex)
         total = quadrature.scratch("integrand", shape)
         term = quadrature.scratch("term", shape)
+        # once |part| is taken, the part's buffer holds two float arrays
+        spare = part_vals.reshape(-1).view(float).reshape((2,) + shape)
         # an overflow leaves inf or nan, which blocked_sum refuses by node
         for i, evaluate in enumerate(evaluators):
             evaluate(rows, out=part_vals)
             out = total if i == 0 else term
             np.abs(part_vals, out=out)
-            out **= spec.p
+            _power(out, spec.p, spare)
             if i:
                 total += term
         if planar is not None:
@@ -268,16 +311,23 @@ def _integrate(parts, spec, settings):
     ``spec``, flagged truncated when ``spec`` is."""
     settings = settings or quadrature.QuadSettings()
     family = spec.grid_family(settings.n_r, settings.n_theta)
-    # a part that is identically zero adds nothing; one part stays, so that a
-    # measure weight that is not finite is still refused
-    parts = [f for f in parts if any(h.coeffs.any() for h in f.components)] or parts[:1]
-    halves = _half_powers(parts, spec, settings.n_theta)
+    # a part that is identically zero adds nothing
+    nonzero = [f for f in parts if any(h.coeffs.any() for h in f.components)]
+    zero = not nonzero and spec.weight.planar_factor is None
+    halves = _half_powers(nonzero, spec, settings.n_theta)
 
     def value_at(level):
         grid = _measure_density(spec, family(level))
+        # blocked_sum of zeros against finite 1-D weights is exactly 0.0
+        if zero and np.isfinite(grid.radial_weights).all() and np.isfinite(
+                grid.angle_weights).all():
+            return 0.0
         if halves and (value := polyfun.gram_sum(halves, grid)) is not None:
             return value
-        return quadrature.blocked_sum(_block_integrand(parts, spec, grid), grid)
+        # a zero integrand keeps one part on the nodes, where a measure weight
+        # or planar factor that is not finite is refused by its node
+        return quadrature.blocked_sum(_block_integrand(nonzero or parts[:1], spec, grid),
+                                      grid)
 
     res = quadrature.refine_levels(value_at, settings)
     return dataclasses.replace(res, truncated=spec.truncated)

@@ -39,6 +39,9 @@ MUTANTS = [
     ("limsup-ignores-unresolved", "experiments.py",
      "unresolved=not all(res.converged for res in results),",
      "unresolved=False,"),
+    ("approx-slack-loosened", "experiments.py",
+     "ok = rows[-1].error <= (1.0 + slack) * dil.full_norm",
+     "ok = rows[-1].error <= (1.0 + 10 * slack) * dil.full_norm"),
     # measures and rules
     ("no-gauss-jacobi-folding", "norms.py",
      "tuple(e - math.floor(e) for e in exponents)",
@@ -67,6 +70,17 @@ MUTANTS = [
     ("shorter-truncation-radius", "quadrature.py",
      "return max(8.0, R)",
      "return max(4.0, R)"),
+    # |.|^p on the nodes, and the zero integrand
+    ("quarter-root-dropped", "norms.py",
+     "        if k == 1:\n            np.sqrt(root, out=root)\n",
+     "        if k == 1:\n            pass\n"),
+    ("integer-power-one-product-short", "norms.py",
+     "a *= np.multiply(a, a, out=square)",
+     "np.multiply(a, a, out=a)"),
+    ("zero-shortcut-without-finiteness-check", "norms.py",
+     "if zero and np.isfinite(grid.radial_weights).all() and np.isfinite(\n"
+     "                grid.angle_weights).all():",
+     "if zero:"),
     # refinement
     ("max-level-reported-converged", "quadrature.py",
      "return RefineResult(prev, change, False, settings.max_level)",

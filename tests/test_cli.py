@@ -366,6 +366,25 @@ def test_out_of_range_numbers_exit_1_without_a_warning(tmp_path, capsys, argv, p
     assert "Traceback" not in err and "RuntimeWarning" not in err and not caught
 
 
+@pytest.mark.parametrize("argv, prefix", [
+    (["--space", "bergman", "--domain", "halfplane", "--p", "2", "--alpha", "400",
+      "--no-refine", "--quad-nr", "16", "--quad-ntheta", "16"],
+     "error: measure weight is nan at node s_11 e^(i theta_0)"),
+    (["--space", "bergman", "--domain", "halfplane", "--p", "2", "--weight", "expabs",
+      "--quad-R", "1000", "--beta", "1", "--no-refine", "--quad-nr", "16",
+      "--quad-ntheta", "16"],
+     "error: measure weight is nan at node s_10 e^(i theta_0)"),
+], ids=["alpha-400", "expabs-quad-R-1000"])
+def test_a_zero_function_is_refused_by_its_measure_weight(tmp_path, capsys, argv, prefix):
+    path = _function_file(tmp_path, "q 1\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["norm", "--function", path] + argv)
+    assert code == 1
+    assert capsys.readouterr().err.startswith(prefix)
+    assert not caught
+
+
 def test_suite_self_check_fails_on_a_coarse_grid(capsys):
     # on 4 x 4 the half-plane grid misses the closed form by 25 %
     assert main(["suite", "--quad-nr", "4", "--quad-ntheta", "4"]) == 2

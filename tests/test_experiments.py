@@ -240,6 +240,17 @@ def test_truncation_errors_decrease_to_dilation_error():
     assert report.verdict == "converged"
 
 
+def test_the_approx_verdict_flips_at_its_own_slack_margin():
+    f = from_monomials({(0, j): 1.0 / math.factorial(j) for j in range(12)}, q=1)
+    spec = disk_spec(SpaceKind.DIRICHLET, 2)
+    report = poly_approx(f, spec, r=0.9, m_grid=(3,))
+    margin = report.rows[-1].error / report.dilation_error - 1.0
+    assert margin > 0
+    for slack, converged in ((margin * (1 + 1e-9), True), (margin * (1 - 1e-9), False)):
+        report = poly_approx(f, spec, r=0.9, m_grid=(3,), slack=slack)
+        assert report.converged is converged and report.verdict != "unresolved"
+
+
 def test_poly_approx_validation():
     f = monomial(0, 1)
     spec = disk_spec(SpaceKind.DIRICHLET, 2)

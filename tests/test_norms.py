@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polyspace import (
     AngularPoly,
@@ -15,6 +16,7 @@ from polyspace import (
     PowerSeries,
     Product,
     QuadSettings,
+    RefineResult,
     SpaceKind,
     SpaceSpec,
     Uniform,
@@ -26,6 +28,7 @@ from polyspace import (
     dirichlet_norm,
     disk_grid,
     eval_weight,
+    exp_taylor,
     from_monomials,
     monomial,
     norm_of_difference,
@@ -34,6 +37,7 @@ from polyspace import (
     sub,
     weighted_p_integral,
 )
+from polyspace.norms import _power
 
 import _oracles
 
@@ -516,6 +520,23 @@ def test_even_p_separable_norms_form_no_node_values(monkeypatch):
             space_norm(f, spec, settings)
 
 
+def test_a_zero_integrand_forms_no_node_values(monkeypatch):
+    from polyspace import polyfun
+
+    def refuse(fs, grid):
+        raise _NodeEvaluation
+
+    monkeypatch.setattr(polyfun, "block_evaluators", refuse)
+    zero = d_zbar(PolyFunction([exp_taylor(30)]))
+    for spec in (disk_spec(SpaceKind.BESOV, 2.5), disk_spec(SpaceKind.DIRICHLET, 3),
+                 disk_spec(SpaceKind.DIRICHLET, 2), hp_spec(SpaceKind.BERGMAN, 2.25, alpha=0.5)):
+        assert weighted_p_integral(zero, spec) == RefineResult(0.0, 0.0, True, 1)
+    # 0 times a planar factor is refused where that factor is not finite, so
+    # the nodes stay the only way
+    with pytest.raises(_NodeEvaluation):
+        weighted_p_integral(zero, disk_spec(SpaceKind.DIRICHLET, 2, ExpRePow(beta=1.0, n=2)))
+
+
 def test_a_level_whose_moment_sum_cancels_is_summed_on_its_nodes():
     from polyspace import polyfun
     from polyspace.norms import _measure_density
@@ -596,3 +617,38 @@ def test_an_even_p_norm_allocates_little():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+# |.|^p on the nodes from products and square roots
+
+_MAGNITUDES = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-310, 1e-150, 1e150, math.inf, math.nan]),
+    st.floats(min_value=0.0, allow_infinity=True),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=16), st.lists(_MAGNITUDES, min_size=1, max_size=32))
+def test_quarter_powers_match_pow(k, values):
+    a, p = np.array(values), k / 4
+    with np.errstate(all="ignore"):
+        want = a**p
+        got = a.copy()
+        _power(got, p, np.empty((2,) + a.shape))
+        ulp = np.spacing(want)   # inf at the largest float
+    exact = ~np.isfinite(want) | (want == 0)
+    assert np.array_equal(got[exact], want[exact], equal_nan=True)
+    near = ~exact
+    assert np.all(np.abs(got[near] - want[near]) <= 8 * ulp[near])
+
+
+@pytest.mark.parametrize("p", [1, 2, 2.1, 0.3, 4.5, 1e300])
+def test_other_powers_are_pow_bit_for_bit(p):
+    rng = np.random.default_rng(17)
+    a = np.concatenate([rng.random(200) * 10.0 ** rng.integers(-200, 200, 200),
+                        [0.0, 5e-324, 1e-150, 1e150, math.inf, math.nan]])
+    with np.errstate(all="ignore"):
+        want = a**p
+        got = a.copy()
+        _power(got, p, np.empty((2,) + a.shape))
+    assert np.array_equal(got, want, equal_nan=True)
