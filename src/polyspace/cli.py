@@ -348,6 +348,15 @@ def _dispatch(args, sink):
             print(f"dilatation self-check failed: err={err!r} "
                   f"exact={0.75 * math.sqrt(math.pi)!r}", file=sys.stderr)
             return 2
+        # a negative control: the same cell with the mixed function, cut to
+        # r = 0.5, where f_r is far from f, must not pass the verdict rule
+        f = dict(experiments.standard_functions())["mixed"]
+        control = experiments.dilatation_convergence(
+            f, spec, r_grid=(0.5,), threshold=args.threshold, settings=settings).verdict
+        if control != experiments.VERDICT_NOT_CONVERGED:
+            print(f"negative control failed: {spec.describe()} mixed cut to "
+                  f"r = 0.5 is {control}", file=sys.stderr)
+            return 2
         emit_csv(report.csv_header(), report.csv_rows(), sink)
         if not report.all_converged:
             print(f"{len(report.failures)} cell(s) not converged", file=sys.stderr)

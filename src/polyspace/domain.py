@@ -33,11 +33,16 @@ def require_interior(z, domain):
 
 def check_positive(name, value, allow_zero=False):
     """Raise ``ValueError``, with a message that starts with ``name``, unless
-    ``value`` is finite and > 0 (>= 0 with ``allow_zero``); NaN fails both."""
-    low_ok = value >= 0 if allow_zero else value > 0
-    if not (low_ok and value < math.inf):
-        rule = ">= 0" if allow_zero else "> 0"
-        raise ValueError(f"{name} must be finite and {rule}, got {value!r}")
+    ``value`` is a finite float and > 0 (>= 0 with ``allow_zero``); NaN and
+    an integer beyond the float range fail both."""
+    try:
+        if math.isfinite(value) and (value >= 0 if allow_zero else value > 0):
+            return
+        got = repr(value)
+    except OverflowError:   # an int that no float holds
+        got = "an integer beyond the float range"
+    rule = ">= 0" if allow_zero else "> 0"
+    raise ValueError(f"{name} must be finite and {rule}, got {got}")
 
 
 def check_integer(name, value, low):

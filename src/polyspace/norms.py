@@ -43,8 +43,9 @@ rules (:func:`polyfun.gram_sum`): the same quadrature value, without a value
 on any node.  Otherwise, and at a level whose moment sum is not finite or
 could have lost digits to cancellation, the integrand is formed on the nodes
 one block of radii at a time, in reused block buffers: each part as one
-radial × harmonic product (:func:`polyfun.block_evaluators`, whose tables and
-radial matrices are built once per level), then ``|.|^p`` (:func:`_power`):
+real product ``powers[rows] @ B`` of the radius powers and the float view of
+its complex angular matrix (:func:`polyfun.block_evaluators`, which builds
+both once per level), then ``|.|^p`` (:func:`_power`):
 for ``p = n + k/4 <= 4`` from products and one or two square roots, which
 cost a fraction of ``pow``, for any other ``p`` by ``**``.
 :func:`quadrature.blocked_sum` sums the blocks through the grid's 1-D rules,

@@ -12,10 +12,12 @@ test functions enter as Taylor truncations (see :func:`exp_taylor`).
 
 Values come two ways.  On a polar tensor grid of radii ``s_i`` and angles
 ``theta_l``, ``conj(z)^k z^j = s^(k+j) exp(i (j-k) theta)``, so
-:func:`block_evaluators` forms ``f`` on a block of radii as one matrix
-product ``A @ E``: the radial matrix ``A[i, m] = sum_k c_{k, m+k} s_i^(m+2k)``
-times the harmonic table ``E[m, l] = exp(i m theta_l)``,
-``m = -(q-1) .. degree_z``, built once per call for all the functions passed.
+:func:`block_evaluators` forms ``f`` on a block of radii as one real matrix
+product ``powers[rows] @ B``: the radius powers ``powers[i, n] = s_i^n``
+times the float view of the complex angular matrix
+``B[n, l] = sum_k c_{k, n-k} exp(i (n-2k) theta_l)``,
+``n = 0 .. degree_z + q - 1``, which is summed from one harmonic table built
+once per call for all the functions passed.
 :func:`gram_sum` forms the grid's sum of ``|f|^2`` from the moments of its
 two rules instead, without a value on any node; with the exact product
 :func:`mul`, ``|f|^(2k) = |f^k|^2`` brings every even power to it.  Nothing
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import BLOCK_VALUES
+from .quadrature import BLOCK_VALUES, block_rows, scratch
 
 __all__ = [
     "PowerSeries",
@@ -193,41 +195,61 @@ def _harmonic_table(angles, lo, hi):
     return table
 
 
-def _radial_matrix(f, powers):
-    """``A[i, m] = sum_k c_{k, m+k} powers[i, m+2k]``, ``m = -(q-1) .. degree_z``."""
-    lo, hi = 1 - f.q, f.degree_z
-    radial = np.zeros((powers.shape[0], hi - lo + 1), dtype=complex)
-    for k, h in enumerate(f.components):
-        n = h.coeffs.size
-        # conj(z)^k z^j lands in harmonic j - k with radial power k + j
-        first = -k - lo
-        radial[:, first: first + n] += powers[:, k: k + n] * h.coeffs
-    return radial
+def _angular_matrix(f, table, lo, buf):
+    """``B[n] = sum_k c_{k, n-k} table[n - 2k - lo]``, ``n = 0 .. degree_z +
+    q - 1``: the angular factor of ``s^n`` in ``f``, its terms formed in
+    ``buf``, one block of rows of ``table`` at a time."""
+    out = np.zeros((f.degree_z + f.q, table.shape[1]), dtype=complex)
+    # an overflow leaves inf or nan, which blocked_sum refuses by node
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, h in enumerate(f.components):
+            for j in range(0, h.coeffs.size, buf.shape[0]):
+                c = h.coeffs[j: j + buf.shape[0], None]
+                term = buf[: c.size]
+                # conj(z)^k z^j lands in harmonic j - k with radial power k + j
+                np.multiply(c, table[j - k - lo: j - k - lo + c.size], out=term)
+                out[k + j: k + j + c.size] += term
+    return out
 
 
 def block_evaluators(fs, grid):
     """One ``(rows, out=None) -> values`` per function ``f`` of ``fs``: ``f``
     at ``grid.radii[rows]`` x ``grid.angles`` as a ``(len, n_theta)`` array
-    ``A[rows] @ E``, written into ``out`` if given (``rows=slice(None)``,
+    ``powers[rows] @ B``, written into ``out`` if given (``rows=slice(None)``,
     raveled, is node order).
 
     ``grid`` is a polar tensor grid with 1-D ``radii`` and ``angles`` (a
-    :class:`polyspace.quadrature.QuadratureGrid`).  ``A`` has one row per
-    radius and one column per harmonic ``m = -(q-1) .. degree_z`` of ``f``,
-    and ``E`` is their slice of one table; both tables (harmonics, radius
-    powers) and each ``A`` are built once per call.  A value does not depend
-    on the other functions or on the block its row is in.
+    :class:`polyspace.quadrature.QuadratureGrid`).  On the ring of radius
+    ``s``, ``f = sum_n s^n B_n(theta)``: ``powers[i, n] = radii[i]^n`` is real
+    and ``B`` (:func:`_angular_matrix`) has one complex row per power
+    ``n = 0 .. degree_z + q - 1``, summed from one harmonic table for all of
+    ``fs``, so a block is one real product of ``powers`` with the float view
+    of ``B``, half the arithmetic of a complex one.  The radius powers and
+    each ``B`` are built once per call, through the ``"part"`` block buffer
+    of :func:`~polyspace.quadrature.scratch`, and the table is dropped before
+    the powers are built.  A value does not depend on the other functions or
+    on the block its row is in.
     """
     lo = min(1 - f.q for f in fs)
     table = _harmonic_table(grid.angles, lo, max(f.degree_z for f in fs))
-    powers = grid.radii[:, None] ** np.arange(max(f.degree_z + f.q for f in fs))
+    buf = scratch("part", (block_rows(grid.n_theta), grid.n_theta), complex)
+    angular = [_angular_matrix(f, table, lo, buf) for f in fs]
+    del table
+    powers = grid.radii[:, None] ** np.arange(max(b.shape[0] for b in angular))
 
-    def evaluator(f):
-        harmonics = table[1 - f.q - lo: f.degree_z - lo + 1]
-        radial = _radial_matrix(f, powers)
-        return lambda rows, out=None: np.matmul(radial[rows], harmonics, out=out)
+    def evaluator(b):
+        width, real = b.shape[0], b.view(float)
 
-    return [evaluator(f) for f in fs]
+        def evaluate(rows, out=None):
+            radial = powers[rows, :width]
+            if out is None:
+                out = np.empty((radial.shape[0], grid.n_theta), dtype=complex)
+            np.matmul(radial, real, out=out.view(float))
+            return out
+
+        return evaluate
+
+    return [evaluator(b) for b in angular]
 
 
 def _angular_moments(angles, weights, lags):

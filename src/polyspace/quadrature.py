@@ -33,9 +33,10 @@ rule's weights times the Jacobian ``s``) and ``angles`` with
 ``angle_weights``.  The node ``(i, l)`` is ``radii[i] * exp(1j * angles[l])``
 with weight ``radial_weights[i] * angle_weights[l]``; :meth:`block_nodes` and
 :meth:`block_weights` build them for a block of radii.  A caller that knows
-the polar structure of its integrand (see
-:func:`polyspace.polyfun.block_evaluators`) produces values without touching
-the nodes.
+the polar structure of its integrand produces values without touching the
+nodes: :func:`polyspace.polyfun.block_evaluators` forms a polynomial on a
+block as ``powers[rows] @ B``, real powers of the block's radii times an
+angular matrix on ``angles``.
 
 Every integral of node values is blockwise.  :func:`blocked_sum` is the one
 reduction: it asks for the integrand one block of radii at a time (at most

@@ -99,6 +99,18 @@ MUTANTS = [
      "            out[k + k2, : h.degree + h2.degree + 1] += np.convolve(h.coeffs, h2.coeffs)\n",
      "            if k <= k2:\n"
      "                out[k + k2, : h.degree + h2.degree + 1] += np.convolve(h.coeffs, h2.coeffs)\n"),
+    # node values powers[rows] @ B; each is killed by
+    # test_polyfun.py::test_grid_evaluation_matches_horner and by
+    # test_norms.py::test_node_and_moment_sums_of_the_square_agree
+    ("angular-matrix-radial-row-j", "polyfun.py",
+     "out[k + j: k + j + c.size] += term",
+     "out[j: j + c.size] += term"),
+    ("angular-matrix-harmonic-row-j-plus-k", "polyfun.py",
+     "table[j - k - lo: j - k - lo + c.size]",
+     "table[j + k - lo: j + k - lo + c.size]"),
+    ("radius-powers-shifted-by-one", "polyfun.py",
+     "radial = powers[rows, :width]",
+     "radial = powers[rows, 1:width + 1]"),
     # the moment (Gram) sums
     ("gram-guard-off", "polyfun.py",
      "return float(total) if bound < 1e3 * total else None",

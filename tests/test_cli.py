@@ -404,6 +404,18 @@ def test_suite_dilatation_self_check_fails_on_a_broken_dilate(monkeypatch, capsy
     assert err.startswith("dilatation self-check failed: err=0.0 ")
 
 
+def test_suite_negative_control_fails_on_a_broken_verdict_rule(monkeypatch, capsys):
+    from polyspace import experiments
+
+    # a rule that passes every error lets the cell cut to r = 0.5 converge
+    monkeypatch.setattr(experiments, "_errors_converge", lambda rows, limit: True)
+    assert main(["suite", "--quad-nr", "16", "--quad-ntheta", "32"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("negative control failed: besov:disk:p=2:")
+    assert err.rstrip().endswith("mixed cut to r = 0.5 is converged")
+
+
 def test_suite_allocates_little(capsys):
     import tracemalloc
 

@@ -30,14 +30,16 @@ from polyspace import (
     eval_weight,
     exp_taylor,
     from_monomials,
+    halfplane_grid,
     monomial,
     norm_of_difference,
+    quadrature,
     scale,
     space_norm,
     sub,
     weighted_p_integral,
 )
-from polyspace.norms import _power
+from polyspace.norms import _block_integrand, _power
 
 import _oracles
 
@@ -367,6 +369,17 @@ def test_spec_refuses_non_finite_and_misplaced_fields(domain, fields, name):
         assert "halfplane" in str(err.value)
 
 
+@pytest.mark.parametrize("name", ["p", "alpha", "beta", "quad_R", "rel_tol"])
+def test_a_number_beyond_the_float_range_is_refused_at_construction(name):
+    # 10**400 compares below inf but converts to no float
+    with pytest.raises(ValueError, match=f"^{name} must be finite .* beyond the float range"):
+        if name == "rel_tol":
+            QuadSettings(rel_tol=10**400)
+        else:
+            fields = {"p": 2.0, "alpha": 0.0, "beta": 1.0, name: 10**400}
+            SpaceSpec(domain=HALF, kind=SpaceKind.BERGMAN, weight=UNI, **fields)
+
+
 # ---------------------------------------------------------------------------
 # the factored measure and the blocked reduction against a per-node oracle
 
@@ -550,6 +563,27 @@ def test_a_level_whose_moment_sum_cancels_is_summed_on_its_nodes():
     res = space_norm(f, spec, QuadSettings(n_r=256, n_theta=512, refine=False))
     want = _oracles.per_node_integral([f], spec, grid)
     assert res.seminorm**2 == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("spec, grid", [
+    (disk_spec(SpaceKind.BERGMAN, 2), disk_grid(48, 96)),
+    # s^n reaches 8^33 on the outer radii
+    (hp_spec(SpaceKind.BERGMAN, 2), halfplane_grid(8.0, 48, 96)),
+], ids=["disk", "halfplane-R8"])
+@pytest.mark.parametrize("seed", range(6))
+def test_node_and_moment_sums_of_the_square_agree(spec, grid, seed):
+    from polyspace import polyfun
+
+    # the node form sums powers[rows] @ B on each node; the moment form pairs
+    # coefficients through R[n + n'] mu[m - m'] without a node
+    rng = np.random.default_rng(seed)
+    degrees = rng.integers(10, 31, size=4)
+    f = PolyFunction([rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1)
+                      for d in degrees])
+    moments = polyfun.gram_sum([f], grid)
+    assert moments is not None
+    nodes = quadrature.blocked_sum(_block_integrand([f], spec, grid), grid)
+    assert nodes == pytest.approx(moments, rel=1e-12)
 
 
 def test_an_overflowing_square_is_refused_on_the_nodes():

@@ -89,7 +89,7 @@ def test_eval_linearity():
 
 
 # ---------------------------------------------------------------------------
-# grid evaluation (A @ E) against Horner on the nodes
+# grid evaluation (powers @ B) against Horner on the nodes
 
 # coefficients are exact zeros or of magnitude 1e-3 .. 1e3, so no product of a
 # coefficient and a radial power reaches the subnormal range
