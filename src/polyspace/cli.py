@@ -278,10 +278,9 @@ def write_function(f, path):
     """Inverse of :func:`load_function`; round-trips coefficients exactly."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"q {f.q}\n")
-        for k, h in enumerate(f.components):
-            for j, c in enumerate(h.coeffs):
-                if c != 0:
-                    fh.write(f"{k} {j} {c.real:.17g} {c.imag:.17g}\n")
+        for (k, j), c in np.ndenumerate(f.coeffs):
+            if c != 0:
+                fh.write(f"{k} {j} {c.real:.17g} {c.imag:.17g}\n")
 
 
 def _fmt(value):

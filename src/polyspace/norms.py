@@ -313,7 +313,7 @@ def _integrate(parts, spec, settings):
     settings = settings or quadrature.QuadSettings()
     family = spec.grid_family(settings.n_r, settings.n_theta)
     # a part that is identically zero adds nothing
-    nonzero = [f for f in parts if any(h.coeffs.any() for h in f.components)]
+    nonzero = [f for f in parts if f.coeffs.any()]
     zero = not nonzero and spec.weight.planar_factor is None
     halves = _half_powers(nonzero, spec, settings.n_theta)
 

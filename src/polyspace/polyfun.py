@@ -1,28 +1,29 @@
 """Polyanalytic polynomials and their exact Wirtinger calculus.
 
-A function of polyanalytic order ``q`` is stored as
-
-    f(z) = sum_{k=0}^{q-1} conj(z)^k h_k(z),
-
-with each analytic component ``h_k`` a (truncated) power series in ``z``.
-Everything here is coefficient arithmetic: derivatives, dilatations and
-truncations act exactly on the coefficient arrays, so the only floating-point
-error anywhere is the rounding of individual scalar products.  Transcendental
-test functions enter as Taylor truncations (see :func:`exp_taylor`).
+``f(z) = sum_(k < q, j <= D) C[k, j] conj(z)^k z^j`` is stored as its one
+read-only, finite ``(q, D + 1)`` complex array ``PolyFunction.coeffs = C``,
+and every operation maps that array as a whole: ``d_z`` shifts the columns
+and scales column ``j`` by ``j``, ``d_zbar`` shifts the rows and scales row
+``k`` by ``k``, the dilatation ``f_r`` multiplies entry ``(k, j)`` by
+``r^(k+j)``, truncation drops columns, and sums pad both arrays to one
+shape.  So the only floating-point error anywhere is the rounding of
+individual scalar products.  Transcendental test functions enter as Taylor
+truncations (see :func:`exp_taylor`).
 
 Values come two ways.  On a polar tensor grid of radii ``s_i`` and angles
 ``theta_l``, ``conj(z)^k z^j = s^(k+j) exp(i (j-k) theta)``, so
 :func:`block_evaluators` forms ``f`` on a block of radii as one real matrix
 product ``powers[rows] @ B``: the radius powers ``powers[i, n] = s_i^n``
 times the float view of the complex angular matrix
-``B[n, l] = sum_k c_{k, n-k} exp(i (n-2k) theta_l)``,
+``B[n, l] = sum_k C[k, n-k] exp(i (n-2k) theta_l)``,
 ``n = 0 .. degree_z + q - 1``, which is summed from one harmonic table built
 once per call for all the functions passed.
 :func:`gram_sum` forms the grid's sum of ``|f|^2`` from the moments of its
 two rules instead, without a value on any node; with the exact product
 :func:`mul`, ``|f|^(2k) = |f^k|^2`` brings every even power to it.  Nothing
 is cached between calls.  Point values (the base-point term of a norm) use
-Horner's scheme in :func:`evaluate` and :meth:`PowerSeries.__call__`.
+Horner's scheme, in ``z`` along every row at once and then in ``conj(z)``
+(:func:`evaluate`; :meth:`PowerSeries.__call__` for one series).
 """
 
 from __future__ import annotations
@@ -56,13 +57,9 @@ __all__ = [
 ]
 
 
-def _as_coeffs(seq):
-    c = np.atleast_1d(np.asarray(seq, dtype=complex)).copy()
-    if c.ndim != 1:
-        raise ValueError("coefficients must form a one-dimensional sequence")
-    if c.size == 0:
-        c = np.zeros(1, dtype=complex)
-    if not np.all(np.isfinite(c)):
+def _frozen(c):
+    """``c``, made read-only, once every entry is known to be finite."""
+    if not np.isfinite(c).all():
         raise ValueError("coefficients must be finite")
     c.flags.writeable = False
     return c
@@ -84,7 +81,10 @@ class PowerSeries:
     coeffs: np.ndarray
 
     def __init__(self, coeffs):
-        object.__setattr__(self, "coeffs", _as_coeffs(coeffs))
+        c = np.atleast_1d(np.array(coeffs, dtype=complex))
+        if c.ndim != 1:
+            raise ValueError("coefficients must form a one-dimensional sequence")
+        object.__setattr__(self, "coeffs", _frozen(c if c.size else np.zeros(1, dtype=complex)))
 
     @property
     def degree(self):
@@ -99,16 +99,6 @@ class PowerSeries:
             out = out * z + c
         return out if out.ndim else complex(out)
 
-    def derivative(self):
-        if self.coeffs.size == 1:
-            return PowerSeries([0.0])
-        # an overflow leaves inf, which PowerSeries refuses as not finite
-        with np.errstate(over="ignore", invalid="ignore"):
-            return PowerSeries(self.coeffs[1:] * np.arange(1, self.coeffs.size))
-
-    def truncated(self, m):
-        return PowerSeries(self.coeffs[: m + 1])
-
     def __eq__(self, other):
         if not isinstance(other, PowerSeries):
             return NotImplemented
@@ -122,30 +112,42 @@ class PowerSeries:
 
 @dataclass(frozen=True, eq=False)
 class PolyFunction:
-    """Polyanalytic function of order ``q = len(components)``.
-
-    ``components[k]`` is the analytic coefficient series of ``conj(z)^k``.
-    Trailing zero components are kept: they record the declared order.
+    """Polyanalytic function of order ``q``: ``coeffs[k, j]`` is the
+    coefficient of ``conj(z)^k z^j`` in one read-only ``(q, degree_z + 1)``
+    array, built from a 2-D array or from ``q`` rows (sequences or
+    :class:`PowerSeries`, the shorter ones padded with zeros).  Trailing zero
+    rows are kept: they record the declared order.
     """
 
-    components: tuple
+    coeffs: np.ndarray
 
     def __init__(self, components):
-        comps = tuple(
-            c if isinstance(c, PowerSeries) else PowerSeries(c) for c in components
-        )
-        if not comps:
+        if isinstance(components, np.ndarray) and components.ndim == 2 and components.size:
+            c = components.astype(complex)
+        else:
+            rows = [(h if isinstance(h, PowerSeries) else PowerSeries(h)).coeffs
+                    for h in components]
+            c = np.zeros((len(rows), max((r.size for r in rows), default=1)), dtype=complex)
+            for k, r in enumerate(rows):
+                c[k, : r.size] = r
+        if not c.shape[0]:
             raise ValueError("a polyanalytic function needs at least one component")
-        object.__setattr__(self, "components", comps)
+        object.__setattr__(self, "coeffs", _frozen(c))
+
+    @property
+    def components(self):
+        """The rows of :attr:`coeffs` as :class:`PowerSeries`: ``components[k]``
+        is the analytic coefficient series of ``conj(z)^k``."""
+        return tuple(PowerSeries(h) for h in self.coeffs)
 
     @property
     def q(self):
-        return len(self.components)
+        return self.coeffs.shape[0]
 
     @property
     def degree_z(self):
-        """Largest power of ``z`` stored in any component."""
-        return max(h.degree for h in self.components)
+        """Largest power of ``z`` stored."""
+        return self.coeffs.shape[1] - 1
 
     def __call__(self, z):
         return evaluate(self, z)
@@ -153,7 +155,7 @@ class PolyFunction:
     def __eq__(self, other):
         if not isinstance(other, PolyFunction):
             return NotImplemented
-        return all(np.array_equal(a, b) for a, b in _zip_components(self, other))
+        return np.array_equal(*_aligned(self, other))
 
     __hash__ = None
 
@@ -169,10 +171,13 @@ def evaluate(f, z):
     (0.5+0j)
     """
     z = np.asarray(z, dtype=complex)
-    zbar = np.conj(z)
+    zbar, column = np.conj(z), z[..., None]
+    rows = np.zeros(z.shape + (f.q,), dtype=complex)
+    for c in f.coeffs.T[::-1]:   # Horner in z on every row at once
+        rows = rows * column + c
     out = np.zeros_like(z)
-    for h in f.components[::-1]:
-        out = out * zbar + h(z)
+    for k in range(f.q - 1, -1, -1):
+        out = out * zbar + rows[..., k]
     return out if out.ndim else complex(out)
 
 
@@ -196,19 +201,22 @@ def _harmonic_table(angles, lo, hi):
 
 
 def _angular_matrix(f, table, lo, buf):
-    """``B[n] = sum_k c_{k, n-k} table[n - 2k - lo]``, ``n = 0 .. degree_z +
-    q - 1``: the angular factor of ``s^n`` in ``f``, its terms formed in
-    ``buf``, one block of rows of ``table`` at a time."""
-    out = np.zeros((f.degree_z + f.q, table.shape[1]), dtype=complex)
+    """``B[n] = sum_k C[k, n-k] table[n - 2k - lo]``, ``n = 0 .. degree_z +
+    q - 1``: the angular factor of ``s^n`` in ``f``.  Row ``k = 0`` is written
+    into ``B``; the terms of each later row are formed in ``buf``, one block
+    of rows of ``table`` at a time, and added."""
+    c, (q, width) = f.coeffs, f.coeffs.shape
+    out = np.empty((width + q - 1, table.shape[1]), dtype=complex)
+    out[width:] = 0.0
     # an overflow leaves inf or nan, which blocked_sum refuses by node
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, h in enumerate(f.components):
-            for j in range(0, h.coeffs.size, buf.shape[0]):
-                c = h.coeffs[j: j + buf.shape[0], None]
-                term = buf[: c.size]
-                # conj(z)^k z^j lands in harmonic j - k with radial power k + j
-                np.multiply(c, table[j - k - lo: j - k - lo + c.size], out=term)
-                out[k + j: k + j + c.size] += term
+        # conj(z)^k z^j lands in harmonic j - k with radial power k + j
+        np.multiply(c[0, :, None], table[-lo: width - lo], out=out[:width])
+        for k, j in itertools.product(range(1, q), range(0, width, buf.shape[0])):
+            term = buf[: min(buf.shape[0], width - j)]
+            np.multiply(c[k, j: j + len(term), None], table[j - k - lo: j - k - lo + len(term)],
+                        out=term)
+            out[k + j: k + j + len(term)] += term
     return out
 
 
@@ -302,12 +310,12 @@ def gram_sum(fs, grid):
                      for i in range(0, grid.n_r, step))
         mu = _angular_moments(grid.angles, grid.angle_weights, width - 1)
         for f in fs:
-            n, q = f.degree_z + f.q, f.q
+            n, (q, m) = f.degree_z + f.q, f.coeffs.shape
             # column x q + y: conj(z)^x from row y on (s1), conj(z)^y from row x on (s2)
-            s1, s2 = np.zeros((2, n, q * q), dtype=complex)
-            for (x, hx), (y, hy) in itertools.product(enumerate(f.components), repeat=2):
-                s1[y: y + hx.coeffs.size, x * q + y] = hx.coeffs
-                s2[x: x + hy.coeffs.size, x * q + y] = hy.coeffs
+            s1, s2 = np.zeros((2, n, q, q), dtype=complex)
+            for i in range(q):
+                s1[i: i + m, :, i] = s2[i: i + m, i, :] = f.coeffs.T
+            s1, s2 = s1.reshape(n, q * q), s2.reshape(n, q * q)
             index, step = np.arange(n), max(1, BLOCK_VALUES // n)
             for start in range(0, n, step):
                 rows, low = index[start: start + step, None], s2[start: start + step]
@@ -318,40 +326,35 @@ def gram_sum(fs, grid):
 
 
 def d_z(f):
-    """Wirtinger derivative with respect to ``z``: differentiate every component."""
-    return PolyFunction([h.derivative() for h in f.components])
+    """Wirtinger derivative in ``z``: column ``j`` moves to ``j - 1``, times ``j``."""
+    # an overflow leaves inf, which PolyFunction refuses as not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        return PolyFunction(f.coeffs[:, 1:] * np.arange(1, f.degree_z + 1))
 
 
 def d_zbar(f):
-    """Wirtinger derivative with respect to ``conj(z)``.
-
-    Shifts the component stack down and scales: the new component ``k`` is
-    ``(k + 1) * h_{k+1}``.  Applying it ``q`` times annihilates ``f`` exactly.
-    """
+    """Wirtinger derivative in ``conj(z)``: row ``k`` moves to ``k - 1``, times
+    ``k``; ``q`` applications annihilate ``f`` exactly."""
     if f.q == 1:
         return zero(1)
-    # an overflow leaves inf, which PowerSeries refuses as not finite
+    # an overflow leaves inf, which PolyFunction refuses as not finite
     with np.errstate(over="ignore", invalid="ignore"):
-        comps = [f.components[k + 1].coeffs * (k + 1) for k in range(f.q - 1)]
-    return PolyFunction(comps)
+        return PolyFunction(f.coeffs[1:] * np.arange(1, f.q)[:, None])
 
 
 def dilate(f, r):
     """The dilatation ``f_r(z) = f(r z)``: each ``conj(z)^k z^j`` picks up ``r^(k+j)``."""
     if not 0.0 < r <= 1.0:
         raise ValueError(f"dilatation factor must lie in (0, 1], got {r}")
-    comps = []
-    for k, h in enumerate(f.components):
-        powers = float(r) ** (k + np.arange(h.coeffs.size))
-        comps.append(PowerSeries(h.coeffs * powers))
-    return PolyFunction(comps)
+    powers = float(r) ** np.add.outer(np.arange(f.q), np.arange(f.degree_z + 1))
+    return PolyFunction(f.coeffs * powers)
 
 
 def truncate(f, m):
-    """Drop every power ``z^j`` with ``j > m`` from every component."""
+    """Drop every power ``z^j`` with ``j > m``."""
     if m < 0:
         raise ValueError("truncation degree must be nonnegative")
-    return PolyFunction([h.truncated(m) for h in f.components])
+    return PolyFunction(f.coeffs[:, : m + 1])
 
 
 def from_monomials(entries, q):
@@ -362,21 +365,19 @@ def from_monomials(entries, q):
     """
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q!r}")
-    degrees = [0] * q
     for (k, j) in entries:
         if k < 0 or j < 0:
             raise ValueError(f"monomial indices must be nonnegative, got {(k, j)}")
         if k >= q:
             raise ValueError(f"monomial conj(z)^{k} z^{j} exceeds declared order q={q}")
-        degrees[k] = max(degrees[k], j)
-    comps = [np.zeros(d + 1, dtype=complex) for d in degrees]
+    coeffs = np.zeros((q, 1 + max((j for _, j in entries), default=0)), dtype=complex)
     for (k, j), c in entries.items():
-        comps[k][j] = c
-    return PolyFunction(comps)
+        coeffs[k, j] = c
+    return PolyFunction(coeffs)
 
 
 def zero(q=1):
-    return PolyFunction([PowerSeries([0.0]) for _ in range(q)])
+    return PolyFunction(np.zeros((q, 1)))
 
 
 def monomial(k, j, coefficient=1.0):
@@ -384,44 +385,40 @@ def monomial(k, j, coefficient=1.0):
     return from_monomials({(k, j): coefficient}, q=k + 1)
 
 
-def _zip_components(f, g):
-    q = max(f.q, g.q)
-    zs = PowerSeries([0.0])
-    for k in range(q):
-        a = f.components[k] if k < f.q else zs
-        b = g.components[k] if k < g.q else zs
-        n = max(a.coeffs.size, b.coeffs.size)
-        ca = np.zeros(n, dtype=complex)
-        cb = np.zeros(n, dtype=complex)
-        ca[: a.coeffs.size] = a.coeffs
-        cb[: b.coeffs.size] = b.coeffs
-        yield ca, cb
+def _aligned(f, g):
+    """``f.coeffs`` and ``g.coeffs``, zero-padded to one shape."""
+    out = np.zeros((2,) + tuple(np.maximum(f.coeffs.shape, g.coeffs.shape)), dtype=complex)
+    out[0, : f.q, : f.degree_z + 1] = f.coeffs
+    out[1, : g.q, : g.degree_z + 1] = g.coeffs
+    return out
 
 
 def sub(f, g):
     """Coefficient-wise difference; the result has order ``max(f.q, g.q)``."""
-    return PolyFunction([PowerSeries(ca - cb) for ca, cb in _zip_components(f, g)])
+    return PolyFunction(np.subtract(*_aligned(f, g)))
 
 
 def add(f, g):
-    return PolyFunction([PowerSeries(ca + cb) for ca, cb in _zip_components(f, g)])
+    return PolyFunction(np.add(*_aligned(f, g)))
 
 
 def mul(f, g):
     """The exact product ``f g``: ``conj(z)^k z^j`` times ``conj(z)^k' z^j'`` is
-    ``conj(z)^(k+k') z^(j+j')``, so the order is ``f.q + g.q - 1``.  A product
-    whose coefficients overflow raises ``ValueError``."""
+    ``conj(z)^(k+k') z^(j+j')``, so the order is ``f.q + g.q - 1``.  Each row
+    is convolved up to its last nonzero coefficient, so the rounding does not
+    depend on the zeros it is padded with.  A product whose coefficients
+    overflow raises ``ValueError``."""
     out = np.zeros((f.q + g.q - 1, f.degree_z + g.degree_z + 1), dtype=complex)
-    # an overflow leaves inf or nan, which PowerSeries refuses as not finite
+    # an overflow leaves inf or nan, which PolyFunction refuses as not finite
     with np.errstate(over="ignore", invalid="ignore"):
-        for (k, h), (k2, h2) in itertools.product(enumerate(f.components),
-                                                  enumerate(g.components)):
-            out[k + k2, : h.degree + h2.degree + 1] += np.convolve(h.coeffs, h2.coeffs)
+        for (k, h), (k2, h2) in itertools.product(enumerate(map(_stripped, f.coeffs)),
+                                                  enumerate(map(_stripped, g.coeffs))):
+            out[k + k2, : h.size + h2.size - 1] += np.convolve(h, h2)
     return PolyFunction(out)
 
 
 def scale(f, c):
-    return PolyFunction([PowerSeries(h.coeffs * complex(c)) for h in f.components])
+    return PolyFunction(f.coeffs * complex(c))
 
 
 def exp_taylor(degree=30):

@@ -90,24 +90,34 @@ MUTANTS = [
      "for level in range(1, 2):"),
     # coefficient calculus
     ("dilate-uses-r-to-the-j", "polyfun.py",
-     "powers = float(r) ** (k + np.arange(h.coeffs.size))",
-     "powers = float(r) ** np.arange(h.coeffs.size)"),
+     "powers = float(r) ** np.add.outer(np.arange(f.q), np.arange(f.degree_z + 1))",
+     "powers = float(r) ** np.arange(f.degree_z + 1)"),
     ("d-zbar-factor-changed", "polyfun.py",
-     "comps = [f.components[k + 1].coeffs * (k + 1) for k in range(f.q - 1)]",
-     "comps = [f.components[k + 1].coeffs * (k + 2) for k in range(f.q - 1)]"),
+     "f.coeffs[1:] * np.arange(1, f.q)[:, None]",
+     "f.coeffs[1:] * np.arange(2, f.q + 1)[:, None]"),
     ("mul-drops-a-cross-term", "polyfun.py",
-     "            out[k + k2, : h.degree + h2.degree + 1] += np.convolve(h.coeffs, h2.coeffs)\n",
+     "            out[k + k2, : h.size + h2.size - 1] += np.convolve(h, h2)\n",
      "            if k <= k2:\n"
-     "                out[k + k2, : h.degree + h2.degree + 1] += np.convolve(h.coeffs, h2.coeffs)\n"),
+     "                out[k + k2, : h.size + h2.size - 1] += np.convolve(h, h2)\n"),
+    # killed by test_polyfun.py::test_d_z_termwise and by
+    # test_polyfun.py::test_array_calculus_matches_the_row_reference_bit_for_bit
+    ("d-z-column-factor-shifted", "polyfun.py",
+     "f.coeffs[:, 1:] * np.arange(1, f.degree_z + 1)",
+     "f.coeffs[:, 1:] * np.arange(2, f.degree_z + 2)"),
+    # killed by test_polyfun.py::test_d_zbar_drops_one_order, whose conj(z) z^2
+    # has no row 2
+    ("from-monomials-transposed", "polyfun.py",
+     "coeffs[k, j] = c",
+     "coeffs[j, k] = c"),
     # node values powers[rows] @ B; each is killed by
     # test_polyfun.py::test_grid_evaluation_matches_horner and by
     # test_norms.py::test_node_and_moment_sums_of_the_square_agree
     ("angular-matrix-radial-row-j", "polyfun.py",
-     "out[k + j: k + j + c.size] += term",
-     "out[j: j + c.size] += term"),
+     "out[k + j: k + j + len(term)] += term",
+     "out[j: j + len(term)] += term"),
     ("angular-matrix-harmonic-row-j-plus-k", "polyfun.py",
-     "table[j - k - lo: j - k - lo + c.size]",
-     "table[j + k - lo: j + k - lo + c.size]"),
+     "table[j - k - lo: j - k - lo + len(term)]",
+     "table[j + k - lo: j + k - lo + len(term)]"),
     ("radius-powers-shifted-by-one", "polyfun.py",
      "radial = powers[rows, :width]",
      "radial = powers[rows, 1:width + 1]"),

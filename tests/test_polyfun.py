@@ -199,6 +199,69 @@ def test_nonfinite_coefficients_rejected():
 
 
 # ---------------------------------------------------------------------------
+# the array calculus against the row-by-row reference of _oracles, bit for bit
+
+_float_rows = st.lists(_float_series, min_size=1, max_size=4)
+
+
+def _same(f, rows):
+    """``f.coeffs`` equals the reference ``rows`` padded to its width."""
+    assert f.coeffs.shape[1] >= max(h.coeffs.size for h in rows)
+    return np.array_equal(f.coeffs, _oracles.series_array(rows, f.coeffs.shape[1]))
+
+
+def _stripped_rows(rows):
+    """Each row up to its last nonzero coefficient, as from_monomials builds it."""
+    return tuple(PowerSeries(np.trim_zeros(h.coeffs, "b")) for h in rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=_float_rows, b=_float_rows, r=st.sampled_from([0.5, 0.9, 0.999]),
+       m=st.integers(0, 34))
+def test_array_calculus_matches_the_row_reference_bit_for_bit(a, b, r, m):
+    f, g = PolyFunction(a), PolyFunction(b)
+    ra, rb = tuple(map(PowerSeries, a)), tuple(map(PowerSeries, b))
+    assert _same(f, ra) and f.q == len(a)
+    assert _same(d_z(f), _oracles.series_d_z(ra))
+    assert _same(d_zbar(f), _oracles.series_d_zbar(ra))
+    assert _same(dilate(f, r), _oracles.series_dilate(ra, r))
+    assert _same(truncate(f, m), _oracles.series_truncate(ra, m))
+    assert _same(sub(f, g), _oracles.series_sub(ra, rb))
+    assert _same(add(f, g), _oracles.series_add(ra, rb))
+    # mul convolves each row up to its last nonzero coefficient, the rows the
+    # row-by-row product saw for every function built from monomials
+    want = _oracles.series_mul(_stripped_rows(ra), _stripped_rows(rb))
+    got = mul(f, g).coeffs
+    assert np.array_equal(got[:, : want.shape[1]], want) and not got[:, want.shape[1]:].any()
+    z = _rng_points(7, radius=0.99, seed=len(a))
+    assert np.array_equal(evaluate(f, z), _oracles.series_evaluate(ra, z))
+    assert evaluate(f, z[0]) == _oracles.series_evaluate(ra, z[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=_float_rows, data=st.data())
+def test_polyfunction_is_one_finite_read_only_array(a, data):
+    f = PolyFunction(a)
+    assert f.coeffs.shape == (len(a), max(map(len, a)))
+    with pytest.raises(ValueError):
+        f.coeffs[0, 0] = 1.0
+    for h in f.components:
+        with pytest.raises(ValueError):
+            h.coeffs[0] = 1.0
+    k = data.draw(st.integers(0, len(a) - 1))
+    j = data.draw(st.integers(0, len(a[k]) - 1))
+    bad = [list(row) for row in a]
+    bad[k][j] = data.draw(st.sampled_from([np.inf, -np.inf, np.nan, complex(0, np.inf)]))
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        PolyFunction(bad)
+    array = np.zeros(f.coeffs.shape, dtype=complex)
+    for i, row in enumerate(bad):
+        array[i, : len(row)] = row
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        PolyFunction(array)
+
+
+# ---------------------------------------------------------------------------
 # derivatives
 
 
