@@ -20,7 +20,10 @@ kind/domain factors — Besov ``(1-s^2)^(p-2)`` on the disk; ``s^a sin^a theta``
 for ``Im(z)^a`` and ``exp(-beta s^2)`` on the half-plane — as one vector on the
 grid's radii and one on its angles, which multiply the grid's 1-D weights
 (:func:`_measure_density`).  Only :class:`~polyspace.weights.ExpRePow` adds a
-factor that does not separate; it is evaluated on each block's nodes.
+factor that does not separate; it is evaluated on each block's nodes.  The
+grid with its measure-weighted 1-D weights is a space's rule at a level
+(:func:`_level_rule`); it is built once and kept for every later integral in
+that space, and so are the rule's moments for a width (:func:`_level_moments`).
 
 The measure's endpoint powers — the weight's declared exponents plus Besov
 ``(1-s)^(p-2)``, ``s^a`` and ``sin^a theta ~ [theta (pi - theta)]^a`` — pick
@@ -98,6 +101,9 @@ class SpaceSpec:
     truncated in every report.  ``alpha``, ``beta`` and ``quad_R`` belong to
     the half-plane only.  Invalid fields raise ``ValueError`` with a message
     that starts with the field's name.
+
+    Norms keep the measure rules of a space keyed by its spec, so the weight
+    must be hashable, and it must not change once a spec holds it.
     """
 
     domain: Domain
@@ -109,6 +115,11 @@ class SpaceSpec:
     quad_R: float | None = None
 
     def __post_init__(self):
+        try:
+            hash(self.weight)
+        except TypeError as err:
+            raise ValueError(f"weight {self.weight!r} is not hashable ({err}); "
+                             "declare it a frozen dataclass") from None
         check_positive("p", self.p)
         if self.kind is SpaceKind.BESOV and self.p < 2:
             raise ValueError(f"p is {self.p!r}, but besov requires p >= 2")
@@ -306,24 +317,51 @@ def _half_powers(parts, spec, n_theta):
         return None
 
 
+@functools.lru_cache(maxsize=128)
+def _level_rule(spec, n_r, n_theta, level):
+    """The measure rule of ``spec`` at ``level``: its grid at ``n_r x
+    n_theta`` resolution with the measure folded into the 1-D weights
+    (:func:`_measure_density`), read-only like every grid.
+
+    Every integral in one space takes the same rule at a level, so each is
+    built once and kept for the next integral and the next call.  At most
+    128 are kept; at default settings a level-5 rule holds 4096 radii and
+    8192 angles with their weights, 192 KiB, so the cache holds at most
+    24 MiB, and a suite's rules (level 0, 6 KiB each) fit.
+    """
+    return _measure_density(spec, spec.grid_family(n_r, n_theta)(level))
+
+
+@functools.lru_cache(maxsize=256)
+def _level_moments(spec, n_r, n_theta, level, width):
+    """:func:`polyfun.gram_moments` of :func:`_level_rule` for ``width``.
+
+    An even-``p`` integral takes it only for ``width <= n_theta``
+    (:func:`_half_powers`), so at the default ``n_theta = 256`` an entry is
+    at most 12 KiB and the 256 kept at most 3 MiB.
+    """
+    return polyfun.gram_moments(_level_rule(spec, n_r, n_theta, level), width)
+
+
 def _integrate(parts, spec, settings):
     """:class:`~polyspace.quadrature.RefineResult` of ``integral sum_part
-    |part|^p`` against the measure of ``spec``, on the grid family of
+    |part|^p`` against the measure of ``spec``, on the level rules of
     ``spec``, flagged truncated when ``spec`` is."""
     settings = settings or quadrature.QuadSettings()
-    family = spec.grid_family(settings.n_r, settings.n_theta)
     # a part that is identically zero adds nothing
     nonzero = [f for f in parts if f.coeffs.any()]
     zero = not nonzero and spec.weight.planar_factor is None
     halves = _half_powers(nonzero, spec, settings.n_theta)
 
     def value_at(level):
-        grid = _measure_density(spec, family(level))
+        rule = (spec, settings.n_r, settings.n_theta, level)
+        grid = _level_rule(*rule)
         # blocked_sum of zeros against finite 1-D weights is exactly 0.0
         if zero and np.isfinite(grid.radial_weights).all() and np.isfinite(
                 grid.angle_weights).all():
             return 0.0
-        if halves and (value := polyfun.gram_sum(halves, grid)) is not None:
+        if halves and (value := polyfun.gram_sum(halves, _level_moments(
+                *rule, max(f.degree_z + f.q for f in halves)))) is not None:
             return value
         # a zero integrand keeps one part on the nodes, where a measure weight
         # or planar factor that is not finite is refused by its node

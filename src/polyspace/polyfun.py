@@ -19,9 +19,13 @@ times the float view of the complex angular matrix
 ``n = 0 .. degree_z + q - 1``, which is summed from one harmonic table built
 once per call for all the functions passed.
 :func:`gram_sum` forms the grid's sum of ``|f|^2`` from the moments of its
-two rules instead, without a value on any node; with the exact product
-:func:`mul`, ``|f|^(2k) = |f^k|^2`` brings every even power to it.  Nothing
-is cached between calls.  Point values (the base-point term of a norm) use
+two rules instead (:func:`gram_moments`), without a value on any node; with
+the exact product :func:`mul`, ``|f|^(2k) = |f^k|^2`` brings every even
+power to it.  The harmonic table and the radius powers are built per call;
+the moments are kept by :mod:`polyspace.norms`, keyed by space, resolution,
+level and width (at most 256), with the measure-weighted grid they come from
+(keyed by space, resolution and level, at most 128).  Point values (the
+base-point term of a norm) use
 Horner's scheme, in ``z`` along every row at once and then in ``conj(z)``
 (:func:`evaluate`; :meth:`PowerSeries.__call__` for one series).
 """
@@ -41,6 +45,7 @@ __all__ = [
     "PolyFunction",
     "evaluate",
     "block_evaluators",
+    "gram_moments",
     "gram_sum",
     "d_z",
     "d_zbar",
@@ -284,31 +289,45 @@ def _angular_moments(angles, weights, lags):
     return mu
 
 
-def gram_sum(fs, grid):
-    """``sum_f`` of the quadrature sum of ``|f|^2`` on ``grid``, from moments,
-    or ``None`` when it could have lost digits.
-
-    It is ``Re sum_(a, b) c_a conj(c_b) R[n_a + n_b] mu[m_a - m_b]`` over the
-    monomials ``conj(z)^k z^j = s^n exp(i m theta)`` of each ``f``
-    (``n = k + j``, ``m = j - k``), with ``R[n] = radial_weights @ s^n`` and
-    ``mu`` the angular rule's moments, both built once per call.  The pair
-    ``a = (x, j)``, ``b = (y, j')`` meets ``W[Q, P] = R[P + Q] mu[P - Q]`` at
-    ``P = y + j``, ``Q = x + j'``, so ``W``, built in chunks of rows of at most
-    :data:`~polyspace.quadrature.BLOCK_VALUES` entries, multiplies the
-    coefficients of each order shifted by each other order.  The sum is
-    refused when ``sum_(a, b) |c_a| |c_b| |R mu|``, which bounds its terms,
-    is not below ``10^3`` times it: when the terms cancel, or the sum is not
-    positive or not finite.
-    """
-    width = max(f.degree_z + f.q for f in fs)
-    total = bound = 0.0
-    # an overflow leaves inf or nan, which fails the bound
+def gram_moments(grid, width):
+    """``(R, mu)``: the moments of ``grid``'s two rules that :func:`gram_sum`
+    pairs the coefficients of functions with ``degree_z + q <= width``
+    through, as read-only arrays.  ``R[n] = radial_weights @ s^n``,
+    ``n < 2 width - 1``, is summed in chunks of radii of at most
+    :data:`~polyspace.quadrature.BLOCK_VALUES` powers, so its bits depend on
+    ``width``; ``mu`` is :func:`_angular_moments` with ``width - 1`` lags.  An
+    overflow leaves inf or nan, which fails :func:`gram_sum`'s bound."""
     with np.errstate(over="ignore", invalid="ignore"):
         step = max(1, BLOCK_VALUES // (2 * width))
         radial = sum(grid.radial_weights[i: i + step]
                      @ grid.radii[i: i + step, None] ** np.arange(2 * width - 1)
                      for i in range(0, grid.n_r, step))
         mu = _angular_moments(grid.angles, grid.angle_weights, width - 1)
+    radial.flags.writeable = mu.flags.writeable = False
+    return radial, mu
+
+
+def gram_sum(fs, moments):
+    """``sum_f`` of the quadrature sum of ``|f|^2`` from ``moments``, the
+    :func:`gram_moments` of a grid for a width of at least every
+    ``f.degree_z + f.q``, or ``None`` when it could have lost digits.
+
+    It is ``Re sum_(a, b) c_a conj(c_b) R[n_a + n_b] mu[m_a - m_b]`` over the
+    monomials ``conj(z)^k z^j = s^n exp(i m theta)`` of each ``f``
+    (``n = k + j``, ``m = j - k``).  The pair ``a = (x, j)``, ``b = (y, j')``
+    meets ``W[Q, P] = R[P + Q] mu[P - Q]`` at ``P = y + j``, ``Q = x + j'``,
+    so ``W``, built in chunks of rows of at most
+    :data:`~polyspace.quadrature.BLOCK_VALUES` entries, multiplies the
+    coefficients of each order shifted by each other order.  The sum is
+    refused when ``sum_(a, b) |c_a| |c_b| |R mu|``, which bounds its terms,
+    is not below ``10^3`` times it: when the terms cancel, or the sum is not
+    positive or not finite.
+    """
+    radial, mu = moments
+    lags = mu.size // 2
+    total = bound = 0.0
+    # an overflow leaves inf or nan, which fails the bound
+    with np.errstate(over="ignore", invalid="ignore"):
         for f in fs:
             n, (q, m) = f.degree_z + f.q, f.coeffs.shape
             # column x q + y: conj(z)^x from row y on (s1), conj(z)^y from row x on (s2)
@@ -319,7 +338,7 @@ def gram_sum(fs, grid):
             index, step = np.arange(n), max(1, BLOCK_VALUES // n)
             for start in range(0, n, step):
                 rows, low = index[start: start + step, None], s2[start: start + step]
-                gram = radial[rows + index] * mu[width - 1 + index - rows]
+                gram = radial[rows + index] * mu[lags + index - rows]
                 total += np.vdot(low, gram @ s1).real
                 bound += np.vdot(np.abs(low), np.abs(gram) @ np.abs(s1))
     return float(total) if bound < 1e3 * total else None

@@ -5,7 +5,8 @@
 
 For each mutant the harness copies the repository, without ``.git`` and
 caches, to a temporary directory, applies one textual edit there, and runs
-``python -m pytest -x -q`` in the copy.  A mutant is killed when the tests
+``python -m pytest -x -q`` in the copy, without ``tests/test_mutant_edits.py``,
+which checks that the edits apply.  A mutant is killed when the tests
 fail.  The run prints one line per mutant and a kill count, and exits 1 when
 a mutant survives that the tests should kill, or when an edit no longer
 matches the source exactly once.  It needs only the standard library and a
@@ -126,11 +127,20 @@ MUTANTS = [
      "return float(total) if bound < 1e3 * total else None",
      "return float(total)"),
     ("gram-moments-transposed", "polyfun.py",
-     "mu[width - 1 + index - rows]",
-     "mu[width - 1 + rows - index]"),
+     "mu[lags + index - rows]",
+     "mu[lags + rows - index]"),
     ("gram-radial-moments-shifted", "polyfun.py",
      "** np.arange(2 * width - 1)\n",
      "** (np.arange(2 * width - 1) + 1)\n"),
+    # the level rules kept per space; killed by
+    # test_norms.py::test_a_refined_norm_builds_one_rule_per_level_and_the_next_norm_none
+    ("level-rule-at-level-0", "norms.py",
+     "rule = (spec, settings.n_r, settings.n_theta, level)",
+     "rule = (spec, settings.n_r, settings.n_theta, 0)"),
+    # killed by test_norms.py::test_an_even_p_norm_takes_the_moments_of_its_widest_half
+    ("moments-for-the-wrong-width", "norms.py",
+     "*rule, max(f.degree_z + f.q for f in halves))",
+     "*rule, max(f.degree_z + f.q for f in halves) + 1)"),
     ("mu0-summed-pairwise", "polyfun.py",
      "mu[lags] = math.fsum(weights)",
      "mu[lags] = mu[lags]"),
@@ -161,7 +171,9 @@ def run(name, path, text, replacement):
         with open(target, "w", encoding="utf-8") as fh:
             fh.write(source.replace(text, replacement))
         env = dict(os.environ, PYTHONPATH=os.path.join(copy, "src"))
-        proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
+        # the check that every edit applies fails on any edited copy
+        proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                               "--ignore", os.path.join("tests", "test_mutant_edits.py")],
                               cwd=copy, env=env, stdout=subprocess.DEVNULL,
                               stderr=subprocess.DEVNULL, timeout=1800)
         return "survived" if proc.returncode == 0 else "killed"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -20,6 +21,7 @@ from polyspace import (
     SpaceKind,
     SpaceSpec,
     Uniform,
+    Weight,
     bergman_norm,
     besov_norm,
     d_z,
@@ -30,16 +32,20 @@ from polyspace import (
     eval_weight,
     exp_taylor,
     from_monomials,
+    default_matrix,
     halfplane_grid,
+    limsup_check,
     monomial,
     norm_of_difference,
+    polyfun,
     quadrature,
+    run_theorem_suite,
     scale,
     space_norm,
     sub,
     weighted_p_integral,
 )
-from polyspace.norms import _block_integrand, _power
+from polyspace.norms import _block_integrand, _level_moments, _level_rule, _power
 
 import _oracles
 
@@ -380,6 +386,17 @@ def test_a_number_beyond_the_float_range_is_refused_at_construction(name):
             SpaceSpec(domain=HALF, kind=SpaceKind.BERGMAN, weight=UNI, **fields)
 
 
+def test_spec_refuses_a_weight_it_cannot_hash():
+    @dataclasses.dataclass
+    class Mutable(Weight):   # eq without frozen: no hash
+        gamma: float = 0.5
+
+    with pytest.raises(ValueError, match="^weight .*Mutable.* is not hashable"):
+        disk_spec(SpaceKind.BERGMAN, 2, Mutable())
+    with pytest.raises(ValueError, match="^weight "):
+        hp_spec(SpaceKind.DIRICHLET, 2, Mutable())
+
+
 # ---------------------------------------------------------------------------
 # the factored measure and the blocked reduction against a per-node oracle
 
@@ -559,7 +576,8 @@ def test_a_level_whose_moment_sum_cancels_is_summed_on_its_nodes():
     f = PolyFunction([[(2j) ** j / math.factorial(j) for j in range(161)]])
     spec = hp_spec(SpaceKind.BERGMAN, 2, alpha=0.0, beta=0.1)
     grid = spec.grid_family(256, 512)(0)
-    assert polyfun.gram_sum([f], _measure_density(spec, grid)) is None
+    moments = polyfun.gram_moments(_measure_density(spec, grid), f.degree_z + f.q)
+    assert polyfun.gram_sum([f], moments) is None
     res = space_norm(f, spec, QuadSettings(n_r=256, n_theta=512, refine=False))
     want = _oracles.per_node_integral([f], spec, grid)
     assert res.seminorm**2 == pytest.approx(want, rel=1e-12)
@@ -580,10 +598,113 @@ def test_node_and_moment_sums_of_the_square_agree(spec, grid, seed):
     degrees = rng.integers(10, 31, size=4)
     f = PolyFunction([rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1)
                       for d in degrees])
-    moments = polyfun.gram_sum([f], grid)
+    moments = polyfun.gram_sum([f], polyfun.gram_moments(grid, f.degree_z + f.q))
     assert moments is not None
     nodes = quadrature.blocked_sum(_block_integrand([f], spec, grid), grid)
     assert nodes == pytest.approx(moments, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the level rules: one measure grid and one set of moments per space and level
+
+
+def _clear_level_rules():
+    _level_rule.cache_clear()
+    _level_moments.cache_clear()
+
+
+_CACHE_F = from_monomials({(0, 3): 1.0 - 0.5j, (1, 2): 0.75j, (2, 1): -0.25, (0, 0): 0.5}, q=3)
+
+
+@pytest.mark.parametrize("call, moments", [
+    # the node form, a limsup check's four part integrals, the Gram form
+    (lambda s: space_norm(_CACHE_F, disk_spec(SpaceKind.DIRICHLET, 3), s), False),
+    (lambda s: limsup_check(_CACHE_F, disk_spec(SpaceKind.BESOV, 2.5), r_grid=(0.9,),
+                            settings=s), False),
+    (lambda s: space_norm(_CACHE_F, hp_spec(SpaceKind.BERGMAN, 4, alpha=0.5), s), True),
+], ids=["dirichlet-nodes", "limsup", "even-p-gram"])
+def test_results_from_cold_and_warm_level_rules_are_equal(call, moments):
+    settings = QuadSettings(n_r=16, n_theta=32, max_level=2)
+    _clear_level_rules()
+    cold = call(settings)
+    assert (_level_moments.cache_info().currsize > 0) == moments
+    rules = _level_rule.cache_info()
+    assert call(settings) == cold
+    # the warm call built nothing
+    assert _level_rule.cache_info().misses == rules.misses
+    assert _level_rule.cache_info().hits > rules.hits
+
+
+def test_a_refined_norm_builds_one_rule_per_level_and_the_next_norm_none():
+    _clear_level_rules()
+    spec = disk_spec(SpaceKind.BESOV, 2.5, Product(radial=PowerLaw(gamma=0.5), angular=UNI))
+    settings = QuadSettings(n_r=8, n_theta=16, max_level=3)
+    res = space_norm(_CACHE_F, spec, settings)
+    assert res.flags.level >= 1
+    assert _level_rule.cache_info().currsize == res.flags.level + 1
+    space_norm(monomial(1, 2), spec, settings)
+    weighted_p_integral(_CACHE_F, spec, settings)
+    assert _level_rule.cache_info().misses == res.flags.level + 1
+
+
+def test_equal_specs_share_a_level_rule_and_each_key_field_misses():
+    _clear_level_rules()
+    a, b = (hp_spec(SpaceKind.BESOV, 2.5, Product(radial=PowerLaw(gamma=0.5), angular=UNI),
+                    alpha=0.25) for _ in range(2))
+    assert a is not b and a == b
+    rule = _level_rule(a, 8, 16, 0)
+    assert _level_rule(b, 8, 16, 0) is rule
+    for key in [(a, 16, 16, 0), (a, 8, 32, 0), (a, 8, 16, 1)]:
+        assert _level_rule(*key) is not rule
+    assert _level_rule.cache_info().currsize == 4
+    moments = _level_moments(a, 8, 16, 0, 5)
+    assert _level_moments(b, 8, 16, 0, 5) is moments
+    for key in [(a, 16, 16, 0, 5), (a, 8, 32, 0, 5), (a, 8, 16, 1, 5), (a, 8, 16, 0, 6)]:
+        assert _level_moments(*key) is not moments
+    assert _level_moments.cache_info().currsize == 5
+
+
+def test_an_even_p_norm_takes_the_moments_of_its_widest_half():
+    _clear_level_rules()
+    spec = hp_spec(SpaceKind.BERGMAN, 4, alpha=0.5)
+    res = space_norm(_CACHE_F, spec, QuadSettings(n_r=16, n_theta=32, refine=False))
+    half = polyfun.mul(_CACHE_F, _CACHE_F)
+    moments = _level_moments(spec, 16, 32, 0, half.degree_z + half.q)
+    info = _level_moments.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    assert res.flags.value == polyfun.gram_sum([half], moments)
+
+
+def test_level_rules_and_moments_are_read_only():
+    spec = hp_spec(SpaceKind.DIRICHLET, 2.5, AngularPoly(alpha=0.5, theta_max=math.pi),
+                   alpha=0.5)
+    grid = _level_rule(spec, 8, 16, 0)
+    radial, mu = _level_moments(spec, 8, 16, 0, 4)
+    for arr in (grid.radii, grid.angles, grid.radial_weights, grid.angle_weights, radial, mu):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+
+
+def test_the_level_caches_stay_within_their_bounds():
+    _clear_level_rules()
+    rules, moments = _level_rule.cache_info().maxsize, _level_moments.cache_info().maxsize
+    for i in range(max(rules, moments) + 8):
+        spec = disk_spec(SpaceKind.BESOV, 2.0 + i / 64)
+        _level_moments(spec, 4, 4, 0, 2)
+        assert _level_rule.cache_info().currsize <= rules
+        assert _level_moments.cache_info().currsize <= moments
+    assert _level_rule.cache_info().currsize == rules
+    assert _level_moments.cache_info().currsize == moments
+
+
+def test_a_suite_pass_keeps_every_rule_it_builds():
+    _clear_level_rules()
+    run_theorem_suite()
+    # one rule per spec of the matrix, and nothing evicted for the next pass
+    assert _level_rule.cache_info().misses == len({spec for spec, _, _ in default_matrix()})
+    for cache in (_level_rule, _level_moments):
+        assert cache.cache_info().currsize == cache.cache_info().misses
 
 
 def test_an_overflowing_square_is_refused_on_the_nodes():

@@ -416,10 +416,12 @@ def test_folded_exponents_are_checked():
 
 
 def test_import_builds_no_rule_and_needs_only_numpy():
-    code = ("import sys, polyspace.cli; from polyspace import quadrature; "
+    code = ("import sys, polyspace.cli; from polyspace import norms, quadrature; "
             "print(quadrature._rule.cache_info().currsize, "
+            "norms._level_rule.cache_info().currsize, "
+            "norms._level_moments.cache_info().currsize, "
             "sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'mpmath'}))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout
-    assert out.split() == ["0", "[]"]
+    assert out.split() == ["0", "0", "0", "[]"]
