@@ -21,13 +21,14 @@ once per call for all the functions passed.
 :func:`gram_sum` forms the grid's sum of ``|f|^2`` from the moments of its
 two rules instead (:func:`gram_moments`), without a value on any node; with
 the exact product :func:`mul`, ``|f|^(2k) = |f^k|^2`` brings every even
-power to it.  The harmonic table and the radius powers are built per call;
-the moments are kept by :mod:`polyspace.norms`, keyed by space, resolution,
-level and width (at most 256), with the measure-weighted grid they come from
-(keyed by space, resolution and level, at most 128).  Point values (the
-base-point term of a norm) use
-Horner's scheme, in ``z`` along every row at once and then in ``conj(z)``
-(:func:`evaluate`; :meth:`PowerSeries.__call__` for one series).
+power to it.  Both read the powers of ``u = exp(i theta)`` from one
+recurrence (:func:`_power_rows`), negative harmonics as exact conjugates.
+The harmonic table and the radius powers are built per call; the moments
+are kept by :mod:`polyspace.norms`, keyed by space, resolution, level and
+width (at most 256), with the measure-weighted grid they come from (keyed
+by space, resolution and level, at most 128).  Point values (the base-point
+term of a norm) use one Horner scheme, :func:`evaluate`, in ``z`` along
+every row at once and then in ``conj(z)``.
 """
 
 from __future__ import annotations
@@ -97,12 +98,9 @@ class PowerSeries:
         return self.coeffs.size - 1
 
     def __call__(self, z):
-        """Evaluate by Horner's scheme; ``z`` may be a scalar or an array."""
-        z = np.asarray(z, dtype=complex)
-        out = np.zeros_like(z)
-        for c in self.coeffs[::-1]:
-            out = out * z + c
-        return out if out.ndim else complex(out)
+        """Value at ``z`` (scalar or array): :func:`evaluate` of the series as
+        a function of order 1."""
+        return evaluate(PolyFunction([self]), z)
 
     def __eq__(self, other):
         if not isinstance(other, PowerSeries):
@@ -186,23 +184,23 @@ def evaluate(f, z):
     return out if out.ndim else complex(out)
 
 
-def _harmonic_table(angles, lo, hi):
-    """Rows ``exp(i m angles)`` for ``m = lo .. hi``, ``lo <= 0 <= hi``.
+def _power_rows(row, u, out):
+    """Fill ``out[m] = row * u^m`` by repeated multiplication from ``out[0] =
+    row``: the factors Horner's scheme multiplies on grid nodes ``s * u``."""
+    out[0] = row
+    for m in range(1, len(out)):
+        np.multiply(out[m - 1], u, out=out[m])
 
-    Row ``m`` is the ``|m|``-th power of the rounded unit ``u = exp(i angles)``
-    (of ``conj(u)`` for ``m < 0``) by repeated multiplication: the same factors
-    Horner's scheme multiplies on grid nodes ``s * u``, and the same bits
-    whatever range the table spans.
-    """
-    u = np.exp(1j * angles)
-    table = np.empty((hi - lo + 1, angles.size), dtype=complex)
-    table[-lo] = 1.0
-    for m in range(1, hi + 1):
-        np.multiply(table[m - 1 - lo], u, out=table[m - lo])
-    np.conj(u, out=u)
-    for m in range(-1, lo - 1, -1):
-        np.multiply(table[m + 1 - lo], u, out=table[m - lo])
-    return table
+
+def _harmonic_table(angles, lo, hi):
+    """Rows ``exp(i m angles)`` for ``m = lo .. hi``, ``lo <= 0 <= hi``: row
+    ``m >= 0`` is the ``m``-th power of the rounded unit ``u = exp(i angles)``
+    (:func:`_power_rows`), the same bits whatever range the table spans, and
+    row ``-m`` its exact conjugate."""
+    table = np.empty((max(hi, -lo) - lo + 1, angles.size), dtype=complex)
+    _power_rows(1.0, np.exp(1j * angles), table[-lo:])
+    np.conj(table[-2 * lo: -lo: -1], out=table[:-lo])
+    return table[: hi - lo + 1]
 
 
 def _angular_matrix(f, table, lo, buf):
@@ -267,20 +265,19 @@ def block_evaluators(fs, grid):
 
 def _angular_moments(angles, weights, lags):
     """``mu[k + lags] = sum_l weights_l exp(i k angles_l)``, ``k = -lags ..
-    lags``: rows of powers of ``exp(i angles)`` by repeated multiplication,
-    at most :data:`~polyspace.quadrature.BLOCK_VALUES` values at a time,
-    summed pairwise; ``mu[0]`` exactly rounded (``math.fsum``) and
-    ``mu[-k] = conj(mu[k])``."""
+    lags``: the rows ``k >= 0`` of :func:`_harmonic_table`, at most
+    :data:`~polyspace.quadrature.BLOCK_VALUES` values at a time, each block
+    carrying on from the last, summed pairwise; ``mu[0]`` exactly rounded
+    (``math.fsum``) and ``mu[-k] = conj(mu[k])``."""
     mu = np.empty(2 * lags + 1, dtype=complex)
     u = np.exp(1j * angles)
-    step = max(1, BLOCK_VALUES // u.size)
-    powers = np.ones((step + 1, u.size), dtype=complex)
-    for start in range(lags, 2 * lags + 1, step):
-        powers[0] = powers[step]   # exp(i (start - lags) angles)
-        rows = min(step, 2 * lags + 1 - start)
-        for r in range(rows):
-            np.multiply(powers[r], u, out=powers[r + 1])
-        mu[start: start + rows] = (powers[:rows] * weights).sum(axis=1)
+    block = np.empty((max(1, BLOCK_VALUES // u.size), u.size), dtype=complex)
+    row = np.ones(u.size, dtype=complex)
+    for start in range(lags, 2 * lags + 1, len(block)):
+        rows = block[: 2 * lags + 1 - start]
+        _power_rows(row, u, rows)
+        mu[start: start + len(rows)] = (rows * weights).sum(axis=1)
+        np.multiply(rows[-1], u, out=row)
     try:
         mu[lags] = math.fsum(weights)
     except OverflowError:   # finite weights whose sum overflows

@@ -18,9 +18,12 @@ measure, so that it converges spectrally on integrands that carry them:
 
 A Gauss-Jacobi rule's weights are divided by its power at its nodes, so it
 integrates ``g`` exactly when ``g`` is the power times a polynomial of degree
-below ``2n``.  The exponents lie in ``[0, 1)``.  Every Gauss rule comes from
-:func:`gauss_jacobi` (Newton's method on the three-term recurrence, O(n)
-memory) and is cached, so grids that share a rule do not build it again.
+below ``2n``.  The exponents lie in ``[0, 1)``.  Every Gauss rule is the
+reference rule of :func:`gauss_jacobi` on ``(-1, 1)`` (Newton's method on
+the three-term recurrence, O(n) memory) mapped to its interval.  The
+reference rules are cached, so a radial and an angular rule of one size and
+one set of exponents, on any interval, share one solve.  Both grid builders
+assemble their rules in one place, :func:`_polar_grid`.
 
 The half-plane is truncated to the half-disk ``{|z| <= R, Im z > 0}``; with the
 Gaussian factor ``exp(-beta |z|^2)`` in the measure, ``R`` from
@@ -163,9 +166,11 @@ def _frozen(arr):
     return arr
 
 
+@functools.lru_cache(maxsize=64)
 def gauss_jacobi(n, a=0.0, b=0.0):
     """Gauss-Jacobi rule of ``n`` points for the weight ``(1 - x)^a (1 + x)^b``
-    on ``(-1, 1)``, ``a, b >= 0``: nodes in increasing order and their weights.
+    on ``(-1, 1)``, ``a, b >= 0``: nodes in increasing order and their
+    weights, as read-only arrays kept for every interval that maps them.
 
     The nodes are the zeros of the orthonormal Jacobi polynomial ``p_n``,
     found by Newton's method from the asymptotic guesses
@@ -230,8 +235,10 @@ def gauss_jacobi(n, a=0.0, b=0.0):
     w = 1.0 / recurrence(x, christoffel=True)
     if symmetric:
         half = n // 2
-        return np.concatenate([-x, x[:half][::-1]]), np.concatenate([w, w[:half][::-1]])
-    return x[::-1].copy(), w[::-1].copy()
+        x, w = np.concatenate([-x, x[:half][::-1]]), np.concatenate([w, w[:half][::-1]])
+    else:
+        x, w = x[::-1].copy(), w[::-1].copy()
+    return _frozen(x), _frozen(w)
 
 
 # Newton converges quadratically from the asymptotic guesses: a step below
@@ -246,40 +253,16 @@ def _log_jacobi_mass(a, b):
             - math.lgamma(a + b + 2.0))
 
 
-@functools.lru_cache(maxsize=64)
 def _rule(n, end, exponents):
     """Gauss-Jacobi on ``(0, end)`` for ``x^e0 (end - x)^e1``, its weights
-    divided by that power so that it integrates ``dx``: read-only arrays."""
+    divided by that power so that it integrates ``dx``: the reference rule
+    mapped to the interval."""
     e0, e1 = exponents
     x, w = gauss_jacobi(n, e1, e0)
     nodes = (x + 1.0) / 2.0 * end
     weights = w * (end / 2.0) ** (1.0 + e0 + e1)
     weights /= nodes**e0 * (end - nodes) ** e1
-    return _frozen(nodes), _frozen(weights)
-
-
-def _radial_rule(n_r, radius, exponents):
-    """Radii on ``(0, radius)`` and their weights times the area Jacobian
-    ``s``; a radius whose weights are not finite is refused."""
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            s, ws = _rule(n_r, radius, exponents)
-            weights = ws * s
-    except OverflowError:   # the rule's float power of the radius
-        weights = np.array([math.inf])
-    if not np.isfinite(weights).all():
-        raise ValueError(f"R is {radius!r}, too large for finite grid weights")
-    return s, weights
-
-
-def _angular_rule(n_theta, span, exponents):
-    """Angles on ``(0, span)`` and their weights: uniform midpoints for
-    ``exponents=None``, else Gauss-Jacobi."""
-    if exponents is not None:
-        return _rule(n_theta, span, exponents)
-    dtheta = span / n_theta
-    return (_frozen((np.arange(n_theta) + 0.5) * dtheta),
-            _frozen(np.full(n_theta, dtheta)))
+    return nodes, weights
 
 
 def _exponents(pair):
@@ -289,6 +272,30 @@ def _exponents(pair):
     if not (0.0 <= e0 < 1.0 and 0.0 <= e1 < 1.0):
         raise ValueError(f"folded exponents must lie in [0, 1), got {pair!r}")
     return (e0, e1)
+
+
+def _polar_grid(domain, R, n_r, n_theta, radial, angular):
+    """The grid of the radii on ``(0, R)`` that ``radial`` places, their
+    weights times the area Jacobian ``s``, and the angles on ``(0,
+    domain.angle_span)`` that ``angular`` places, uniform midpoints for
+    ``angular=None``.  A radius whose weights are not finite is refused."""
+    radial, angular = _exponents(radial), _exponents(angular)
+    if angular is None and domain is Domain.HALFPLANE:
+        raise ValueError("half-plane grids have no periodic angular rule")
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            s, ws = _rule(n_r, R, radial)
+            weights = ws * s
+    except OverflowError:   # the rule's float power of the radius
+        weights = np.array([math.inf])
+    if not np.isfinite(weights).all():
+        raise ValueError(f"R is {R!r}, too large for finite grid weights")
+    if angular is None:
+        dtheta = domain.angle_span / n_theta
+        theta, wtheta = (np.arange(n_theta) + 0.5) * dtheta, np.full(n_theta, dtheta)
+    else:
+        theta, wtheta = _rule(n_theta, domain.angle_span, angular)
+    return QuadratureGrid(domain, n_r, n_theta, R, s, theta, weights, wtheta, radial, angular)
 
 
 @functools.lru_cache(maxsize=32)
@@ -301,11 +308,7 @@ def disk_grid(n_r=DEFAULT_N_R, n_theta=DEFAULT_N_THETA, radial=(0.0, 0.0), angul
     ``m <= n_r - 1``, and the node weights sum to the disk area pi up to
     roundoff.
     """
-    radial, angular = _exponents(radial), _exponents(angular)
-    s, ws = _radial_rule(n_r, 1.0, radial)
-    theta, wtheta = _angular_rule(n_theta, Domain.DISK.angle_span, angular)
-    return QuadratureGrid(Domain.DISK, n_r, n_theta, 1.0, s, theta, ws, wtheta,
-                          radial, angular)
+    return _polar_grid(Domain.DISK, 1.0, n_r, n_theta, radial, angular)
 
 
 @functools.lru_cache(maxsize=32)
@@ -317,13 +320,7 @@ def halfplane_grid(R, n_r=DEFAULT_N_R, n_theta=DEFAULT_N_THETA, radial=(0.0, 0.0
     ``pi R^2 / 2``."""
     if not R > 0:
         raise ValueError("truncation radius R must be positive")
-    radial, angular = _exponents(radial), _exponents(angular)
-    if angular is None:
-        raise ValueError("half-plane grids have no periodic angular rule")
-    s, ws = _radial_rule(n_r, float(R), radial)
-    theta, wtheta = _angular_rule(n_theta, Domain.HALFPLANE.angle_span, angular)
-    return QuadratureGrid(Domain.HALFPLANE, n_r, n_theta, float(R), s, theta, ws,
-                          wtheta, radial, angular)
+    return _polar_grid(Domain.HALFPLANE, float(R), n_r, n_theta, radial, angular)
 
 
 def grid_family(domain, n_r=DEFAULT_N_R, n_theta=DEFAULT_N_THETA, R=None, **rules):

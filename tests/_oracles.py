@@ -25,6 +25,12 @@ function is a tuple of :class:`PowerSeries` rows of any lengths, the
 coefficients of ``conj(z)^k``, and each operation is the row-by-row formula
 the library used before it stored one ``(q, degree_z + 1)`` array, with the
 same floating-point operations in the same order.
+
+:func:`loop_harmonic_table`, :func:`loop_angular_moments` and
+:func:`powerseries_horner` are the loops the library used before one power
+recurrence fed its harmonic table and its angular moments and
+:meth:`PowerSeries.__call__` went through :func:`evaluate`, kept as
+references for those, bit for bit.
 """
 
 import math
@@ -242,3 +248,49 @@ def series_array(rows, width):
     for k, h in enumerate(rows):
         out[k, : h.coeffs.size] = h.coeffs
     return out
+
+
+def loop_harmonic_table(angles, lo, hi):
+    """Rows ``exp(i m angles)``, ``m = lo .. hi``: powers of ``u = exp(i
+    angles)`` upward from row 0, and powers of ``conj(u)`` downward."""
+    u = np.exp(1j * angles)
+    table = np.empty((hi - lo + 1, angles.size), dtype=complex)
+    table[-lo] = 1.0
+    for m in range(1, hi + 1):
+        np.multiply(table[m - 1 - lo], u, out=table[m - lo])
+    np.conj(u, out=u)
+    for m in range(-1, lo - 1, -1):
+        np.multiply(table[m + 1 - lo], u, out=table[m - lo])
+    return table
+
+
+def loop_angular_moments(angles, weights, lags, block_values):
+    """``mu[k + lags] = sum_l weights_l exp(i k angles_l)``: rows of powers of
+    ``exp(i angles)`` at most ``block_values`` values at a time, the last
+    power of a block kept as the first of the next, summed pairwise;
+    ``mu[0]`` by ``math.fsum`` and ``mu[-k] = conj(mu[k])``."""
+    mu = np.empty(2 * lags + 1, dtype=complex)
+    u = np.exp(1j * angles)
+    step = max(1, block_values // u.size)
+    powers = np.ones((step + 1, u.size), dtype=complex)
+    for start in range(lags, 2 * lags + 1, step):
+        powers[0] = powers[step]
+        rows = min(step, 2 * lags + 1 - start)
+        for r in range(rows):
+            np.multiply(powers[r], u, out=powers[r + 1])
+        mu[start: start + rows] = (powers[:rows] * weights).sum(axis=1)
+    try:
+        mu[lags] = math.fsum(weights)
+    except OverflowError:
+        mu[lags] = math.nan
+    mu[:lags] = np.conj(mu[:lags:-1])
+    return mu
+
+
+def powerseries_horner(coeffs, z):
+    """``sum_j coeffs[j] z^j`` by Horner's scheme on a scalar or an array."""
+    z = np.asarray(z, dtype=complex)
+    out = np.zeros_like(z)
+    for c in np.asarray(coeffs, dtype=complex)[::-1]:
+        out = out * z + c
+    return out if out.ndim else complex(out)

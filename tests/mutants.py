@@ -119,6 +119,16 @@ MUTANTS = [
     ("angular-matrix-harmonic-row-j-plus-k", "polyfun.py",
      "table[j - k - lo: j - k - lo + len(term)]",
      "table[j + k - lo: j + k - lo + len(term)]"),
+    # the one power recurrence; killed by
+    # test_polyfun.py::test_grid_evaluation_matches_horner and by
+    # test_polyfun.py::test_power_recurrence_matches_the_loops_bit_for_bit
+    ("harmonic-rows-not-conjugated", "polyfun.py",
+     "np.conj(table[-2 * lo: -lo: -1], out=table[:-lo])",
+     "np.copyto(table[:-lo], table[-2 * lo: -lo: -1])"),
+    # killed by test_polyfun.py::test_power_recurrence_matches_the_loops_bit_for_bit
+    ("moments-carried-row-dropped", "polyfun.py",
+     "        np.multiply(rows[-1], u, out=row)\n",
+     ""),
     ("radius-powers-shifted-by-one", "polyfun.py",
      "radial = powers[rows, :width]",
      "radial = powers[rows, 1:width + 1]"),
@@ -141,15 +151,15 @@ MUTANTS = [
     ("moments-for-the-wrong-width", "norms.py",
      "*rule, max(f.degree_z + f.q for f in halves))",
      "*rule, max(f.degree_z + f.q for f in halves) + 1)"),
+    # killed by test_polyfun.py::test_power_recurrence_matches_the_loops_bit_for_bit,
+    # whose reference sums mu[0] with math.fsum
     ("mu0-summed-pairwise", "polyfun.py",
      "mu[lags] = math.fsum(weights)",
      "mu[lags] = mu[lags]"),
 ]
 
 # mutants the tier-1 tests are not meant to kill, and what sees them instead
-LEFT_TO = {
-    "mu0-summed-pairwise": "the benchmark's correct_digits (an accuracy loss of ~1e-16)",
-}
+LEFT_TO = {}
 
 
 def _copy(dest):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import _oracles
@@ -163,6 +163,53 @@ def test_block_rows_are_the_grid_rows_bit_for_bit():
         rows = slice(start, start + 16)
         assert evaluate_block(rows, out=out) is out
         assert np.array_equal(out, full[rows])
+
+
+# ---------------------------------------------------------------------------
+# one power recurrence and one Horner scheme, against the loops they replaced
+
+_ANGLES = {
+    "random": lambda n: np.random.default_rng(n).uniform(0.0, 2.0 * np.pi, n),
+    "disk": lambda n: disk_grid(1, n).angles,
+    "halfplane": lambda n: halfplane_grid(1.0, 1, n, angular=(0.25, 0.5)).angles,
+}
+
+
+@settings(max_examples=120, deadline=None)
+@example(kind="disk", n=7, lo=-3, hi=1, moment_n=1000, blocks=3, offset=1)
+@given(kind=st.sampled_from(sorted(_ANGLES)), n=st.sampled_from([1, 7, 16, 256, 512, 1000]),
+       lo=st.integers(-3, 0), hi=st.sampled_from([0, 1, 2, 5, 33]),
+       moment_n=st.sampled_from([7, 16, 256, 1000, 4096]), blocks=st.integers(0, 3),
+       offset=st.integers(-1, 1))
+def test_power_recurrence_matches_the_loops_bit_for_bit(kind, n, lo, hi, moment_n, blocks,
+                                                         offset):
+    from polyspace import polyfun
+    from polyspace.quadrature import BLOCK_VALUES
+
+    angles = _ANGLES[kind](n)
+    table = polyfun._harmonic_table(angles, lo, hi)
+    assert table.shape == (hi - lo + 1, n)
+    assert np.array_equal(table, _oracles.loop_harmonic_table(angles, lo, hi))
+    for m in range(max(lo, -hi), 0):
+        assert np.array_equal(table[m - lo], np.conj(table[-m - lo]))
+    # up to three blocks of BLOCK_VALUES // n rows, ending on either side of a
+    # block boundary
+    angles = _ANGLES[kind](moment_n)
+    weights = np.random.default_rng(moment_n + blocks).uniform(0.5, 2.0, moment_n)
+    lags = max(0, blocks * (BLOCK_VALUES // moment_n) + offset)
+    assert np.array_equal(polyfun._angular_moments(angles, weights, lags),
+                          _oracles.loop_angular_moments(angles, weights, lags, BLOCK_VALUES))
+
+
+@settings(max_examples=100, deadline=None)
+@given(coeffs=_float_series, seed=st.integers(0, 40))
+def test_powerseries_call_is_evaluate_bit_for_bit(coeffs, seed):
+    z = _rng_points(9, radius=0.99, seed=seed)
+    h = PowerSeries(coeffs)
+    want = _oracles.powerseries_horner(coeffs, z)
+    assert np.array_equal(h(z), want) and np.array_equal(h(z), evaluate(PolyFunction([h]), z))
+    assert isinstance(h(z[0]), complex)
+    assert h(z[0]) == want[0] == evaluate(PolyFunction([h]), z[0])
 
 
 def test_powerseries_equality_strips_trailing_zeros():

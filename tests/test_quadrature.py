@@ -415,9 +415,25 @@ def test_folded_exponents_are_checked():
         halfplane_grid(2.0, 8, 8, angular=None)
 
 
+def test_a_radial_and_an_angular_rule_share_one_reference_solve():
+    gauss_jacobi = quadrature.gauss_jacobi
+    gauss_jacobi.cache_clear()
+    # x^e0 (end - x)^e1 on (0, end) is the reference weight (1 - x)^e1 (1 + x)^e0
+    grid = halfplane_grid.__wrapped__(2.0, 24, 24, radial=(0.25, 0.5), angular=(0.25, 0.5))
+    info = gauss_jacobi.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    x, _ = gauss_jacobi(24, 0.5, 0.25)
+    assert np.array_equal(grid.radii, (x + 1.0) / 2.0 * 2.0)
+    assert np.array_equal(grid.angles, (x + 1.0) / 2.0 * np.pi)
+    # a disk grid of that size maps the same solve again
+    disk_grid.__wrapped__(24, 24, radial=(0.25, 0.5), angular=(0.25, 0.5))
+    assert gauss_jacobi.cache_info().misses == 1
+    assert not x.flags.writeable
+
+
 def test_import_builds_no_rule_and_needs_only_numpy():
     code = ("import sys, polyspace.cli; from polyspace import norms, quadrature; "
-            "print(quadrature._rule.cache_info().currsize, "
+            "print(quadrature.gauss_jacobi.cache_info().currsize, "
             "norms._level_rule.cache_info().currsize, "
             "norms._level_moments.cache_info().currsize, "
             "sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'mpmath'}))")
