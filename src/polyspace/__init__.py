@@ -6,7 +6,6 @@ polynomial-density experiments."""
 from .domain import Domain
 from .polyfun import (
     PolyFunction,
-    PowerSeries,
     add,
     block_evaluators,
     d_z,

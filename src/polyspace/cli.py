@@ -32,7 +32,8 @@ import numpy as np
 
 from . import experiments, polyfun, quadrature
 from .domain import Domain
-from .norms import SpaceKind, SpaceSpec, norm_of_difference, space_norm
+from .norms import (SpaceKind, SpaceSpec, norm_of_difference, space_norm,
+                    weighted_p_integral)
 from .weights import (AngularPoly, ExpAbs, ExpAbsPow, ExpRePow, PowerLaw, Product,
                       Uniform, check_condition, find_min_k)
 
@@ -329,11 +330,11 @@ def _dispatch(args, sink):
     if args.command == "suite":
         report = experiments.run_theorem_suite(
             r_grid=args.r_grid, threshold=args.threshold, settings=args.settings)
-        # the half-plane measure at alpha = beta = 1, integrated on the suite's
-        # grid over the half-disk its cells truncate to, against its closed form
-        R, settings = quadrature.default_radius(1.0), args.settings
-        quad = quadrature.integrate(lambda z: z.imag * np.exp(-np.abs(z) ** 2),
-                                    quadrature.halfplane_grid(R, settings.n_r, settings.n_theta))
+        # the half-plane measure at alpha = beta = 1, integrated on its level
+        # rule over the half-disk its cells truncate to, against its closed form
+        spec = SpaceSpec(Domain.HALFPLANE, SpaceKind.BERGMAN, 1, Uniform(), alpha=1, beta=1)
+        R, settings = spec.truncation_radius, args.settings
+        quad = weighted_p_integral(polyfun.monomial(0, 0), spec, settings).value
         exact = math.sqrt(math.pi) / 2.0 * math.erf(R) - R * math.exp(-R * R)
         if not abs(quad - exact) <= args.threshold * exact:
             print(f"half-plane quadrature self-check failed: quad={quad!r} "

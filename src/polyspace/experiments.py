@@ -293,7 +293,7 @@ def poly_approx(f, spec, r, m_grid=DEFAULT_M_GRID, slack=0.1, settings=None,
 def standard_functions():
     """The three canonical test functions: analytic, purely antiholomorphic,
     and genuinely mixed (q = 3)."""
-    analytic = polyfun.PolyFunction([polyfun.exp_taylor(30)])
+    analytic = polyfun.exp_taylor(30)
     pure_zbar = polyfun.from_monomials({(1, 0): 1.0, (2, 0): 0.5}, q=3)
     mixed = polyfun.from_monomials(
         {(0, 2): 1.0, (1, 1): 1.0, (2, 2): 0.25}, q=3

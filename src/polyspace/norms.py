@@ -38,12 +38,13 @@ measure weights are all finite is worth exactly ``0.0`` without a node; at
 any other level one zero part stays on the nodes, where a measure weight or
 planar factor that is not finite is refused by its node.
 
-At an even ``p = 2k`` on a separable measure, when each ``part^k`` (the
-exact product :func:`polyfun.mul`) has at most ``n_theta`` harmonics, the
-integral of ``sum_part |part^k|^2`` is a quadratic form in the coefficients
-of ``part^k`` and the moments of the measure-weighted radial and angular
-rules (:func:`polyfun.gram_sum`): the same quadrature value, without a value
-on any node.  Otherwise, and at a level whose moment sum is not finite or
+At an even ``p = 2k`` on a separable measure, at each level whose
+``n_theta`` resolves the band of each ``part^k`` (the exact product
+:func:`polyfun.mul`, formed once per integral), the integral of
+``sum_part |part^k|^2`` is a quadratic form in the coefficients of
+``part^k`` and the moments of the measure-weighted radial and angular rules
+(:func:`polyfun.gram_sum`): the same quadrature value, without a value on
+any node.  At other levels, and at a level whose moment sum is not finite or
 could have lost digits to cancellation, the integrand is formed on the nodes
 one block of radii at a time, in reused block buffers: each part as one
 real product ``powers[rows] @ B`` of the radius powers and the float view of
@@ -305,8 +306,8 @@ def _block_integrand(parts, spec, grid):
 def _half_powers(parts, spec, n_theta):
     """``part^(p/2)``, whose ``|.|^2`` is ``|part|^p``, of each part when ``p``
     is even and below ``2 n_theta``, the measure separates and each power has
-    at most ``n_theta`` harmonics; ``None`` otherwise, and when a product
-    overflows."""
+    at most ``n_theta`` harmonics, ``n_theta`` being the finest level's;
+    ``None`` otherwise, and when a product overflows."""
     k = int(spec.p) // 2
     if (spec.p % 2 or k >= n_theta or spec.weight.planar_factor is not None
             or any(k * (f.degree_z + f.q - 1) >= n_theta for f in parts)):
@@ -336,9 +337,11 @@ def _level_rule(spec, n_r, n_theta, level):
 def _level_moments(spec, n_r, n_theta, level, width):
     """:func:`polyfun.gram_moments` of :func:`_level_rule` for ``width``.
 
-    An even-``p`` integral takes it only for ``width <= n_theta``
-    (:func:`_half_powers`), so at the default ``n_theta = 256`` an entry is
-    at most 12 KiB and the 256 kept at most 3 MiB.
+    An even-``p`` integral takes it only for ``width <= n_theta << level``
+    (:func:`_integrate`).  An entry holds ``2 width - 1`` radial and angular
+    moments, 48 bytes per unit of width: at the default ``n_theta = 256`` at
+    most 12 KiB at level 0 and 384 KiB at level 5, so the 256 kept reach
+    96 MiB only after 256 integrals of high degree; a suite's take under 1 MiB.
     """
     return polyfun.gram_moments(_level_rule(spec, n_r, n_theta, level), width)
 
@@ -351,7 +354,10 @@ def _integrate(parts, spec, settings):
     # a part that is identically zero adds nothing
     nonzero = [f for f in parts if f.coeffs.any()]
     zero = not nonzero and spec.weight.planar_factor is None
-    halves = _half_powers(nonzero, spec, settings.n_theta)
+    finest = settings.max_level if settings.refine else 0
+    halves = _half_powers(nonzero, spec, settings.n_theta << finest)
+    # the band of |part^k|^2, width - 1, is resolved by more angles than that
+    width = max(f.degree_z + f.q for f in halves) if halves else None
 
     def value_at(level):
         rule = (spec, settings.n_r, settings.n_theta, level)
@@ -360,8 +366,8 @@ def _integrate(parts, spec, settings):
         if zero and np.isfinite(grid.radial_weights).all() and np.isfinite(
                 grid.angle_weights).all():
             return 0.0
-        if halves and (value := polyfun.gram_sum(halves, _level_moments(
-                *rule, max(f.degree_z + f.q for f in halves)))) is not None:
+        if halves and width <= grid.n_theta and (
+                value := polyfun.gram_sum(halves, _level_moments(*rule, width))) is not None:
             return value
         # a zero integrand keeps one part on the nodes, where a measure weight
         # or planar factor that is not finite is refused by its node

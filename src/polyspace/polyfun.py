@@ -8,7 +8,8 @@ and scales column ``j`` by ``j``, ``d_zbar`` shifts the rows and scales row
 ``r^(k+j)``, truncation drops columns, and sums pad both arrays to one
 shape.  So the only floating-point error anywhere is the rounding of
 individual scalar products.  Transcendental test functions enter as Taylor
-truncations (see :func:`exp_taylor`).
+truncations (see :func:`exp_taylor`).  :class:`PolyFunction` is the one
+polynomial type the library builds or accepts.
 
 Values come two ways.  On a polar tensor grid of radii ``s_i`` and angles
 ``theta_l``, ``conj(z)^k z^j = s^(k+j) exp(i (j-k) theta)``, so
@@ -42,7 +43,6 @@ import numpy as np
 from .quadrature import BLOCK_VALUES, block_rows, scratch
 
 __all__ = [
-    "PowerSeries",
     "PolyFunction",
     "evaluate",
     "block_evaluators",
@@ -78,7 +78,8 @@ def _stripped(c):
 
 @dataclass(frozen=True, eq=False)
 class PowerSeries:
-    """A finite power series ``sum_j coeffs[j] z^j``.
+    """A finite power series ``sum_j coeffs[j] z^j``, kept only for callers
+    outside the package; the library itself uses :class:`PolyFunction`.
 
     Trailing zero coefficients are legal and preserved; two series compare
     equal exactly when their stripped coefficient vectors are identical.
@@ -87,20 +88,12 @@ class PowerSeries:
     coeffs: np.ndarray
 
     def __init__(self, coeffs):
-        c = np.atleast_1d(np.array(coeffs, dtype=complex))
-        if c.ndim != 1:
-            raise ValueError("coefficients must form a one-dimensional sequence")
-        object.__setattr__(self, "coeffs", _frozen(c if c.size else np.zeros(1, dtype=complex)))
-
-    @property
-    def degree(self):
-        """Index of the last stored coefficient (trailing zeros included)."""
-        return self.coeffs.size - 1
+        object.__setattr__(self, "coeffs", PolyFunction([coeffs]).coeffs[0])
 
     def __call__(self, z):
-        """Value at ``z`` (scalar or array): :func:`evaluate` of the series as
-        a function of order 1."""
-        return evaluate(PolyFunction([self]), z)
+        """Value at ``z`` (scalar or array): :func:`evaluate` of its
+        coefficients as a ``(1, size)`` array."""
+        return evaluate(PolyFunction(self.coeffs[None]), z)
 
     def __eq__(self, other):
         if not isinstance(other, PowerSeries):
@@ -109,39 +102,37 @@ class PowerSeries:
 
     __hash__ = None
 
-    def __repr__(self):
-        return f"PowerSeries({np.array2string(self.coeffs, separator=', ')})"
-
 
 @dataclass(frozen=True, eq=False)
 class PolyFunction:
     """Polyanalytic function of order ``q``: ``coeffs[k, j]`` is the
     coefficient of ``conj(z)^k z^j`` in one read-only ``(q, degree_z + 1)``
-    array, built from a 2-D array or from ``q`` rows (sequences or
-    :class:`PowerSeries`, the shorter ones padded with zeros).  Trailing zero
-    rows are kept: they record the declared order.
+    array, built from a 2-D array or from ``q`` rows (sequences or 1-D arrays
+    of numbers, the shorter ones padded with zeros).  Trailing zero rows are
+    kept: they record the declared order.
     """
 
     coeffs: np.ndarray
 
-    def __init__(self, components):
-        if isinstance(components, np.ndarray) and components.ndim == 2 and components.size:
-            c = components.astype(complex)
+    def __init__(self, rows):
+        if isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.size:
+            c = rows.astype(complex)
         else:
-            rows = [(h if isinstance(h, PowerSeries) else PowerSeries(h)).coeffs
-                    for h in components]
-            c = np.zeros((len(rows), max((r.size for r in rows), default=1)), dtype=complex)
-            for k, r in enumerate(rows):
-                c[k, : r.size] = r
+            rows = [np.atleast_1d(np.asarray(h, dtype=complex)) for h in rows]
+            if any(h.ndim != 1 for h in rows):
+                raise ValueError("each row of coefficients must be one-dimensional")
+            c = np.zeros((len(rows), max([1] + [h.size for h in rows])), dtype=complex)
+            for k, h in enumerate(rows):
+                c[k, : h.size] = h
         if not c.shape[0]:
             raise ValueError("a polyanalytic function needs at least one component")
         object.__setattr__(self, "coeffs", _frozen(c))
 
     @property
     def components(self):
-        """The rows of :attr:`coeffs` as :class:`PowerSeries`: ``components[k]``
-        is the analytic coefficient series of ``conj(z)^k``."""
-        return tuple(PowerSeries(h) for h in self.coeffs)
+        """Row ``k`` of :attr:`coeffs`, the analytic coefficient of
+        ``conj(z)^k``, as a function of order 1, for each ``k``."""
+        return tuple(PolyFunction(h[None]) for h in self.coeffs)
 
     @property
     def q(self):
@@ -438,6 +429,6 @@ def scale(f, c):
 
 
 def exp_taylor(degree=30):
-    """Taylor truncation of ``exp(z)`` — the standard stand-in for transcendental
-    test functions."""
-    return PowerSeries([1.0 / math.factorial(j) for j in range(degree + 1)])
+    """Taylor truncation of ``exp(z)``, a function of order 1 — the standard
+    stand-in for transcendental test functions."""
+    return PolyFunction([[1.0 / math.factorial(j) for j in range(degree + 1)]])

@@ -21,8 +21,8 @@ coefficient dictionaries and pairs monomials of equal harmonic with the same
 closed-form moments, sharing nothing with the library's moment sums.
 
 The ``series_*`` functions are a reference for the coefficient calculus: a
-function is a tuple of :class:`PowerSeries` rows of any lengths, the
-coefficients of ``conj(z)^k``, and each operation is the row-by-row formula
+function is a tuple of 1-D complex arrays of any lengths, the coefficient
+rows of ``conj(z)^k``, and each operation is the row-by-row formula
 the library used before it stored one ``(q, degree_z + 1)`` array, with the
 same floating-point operations in the same order.
 
@@ -37,8 +37,8 @@ import math
 
 import numpy as np
 
-from polyspace import (AngularPoly, Domain, PowerLaw, PowerSeries, Product, SpaceKind,
-                       Uniform, eval_weight, evaluate)
+from polyspace import (AngularPoly, Domain, PowerLaw, Product, SpaceKind, Uniform,
+                       eval_weight, evaluate)
 
 
 def midpoint_disk(g, n_s=2000, n_t=2000):
@@ -181,52 +181,51 @@ def even_p_integral(parts, spec):
 
 def series_d_z(rows):
     """Each row differentiated: ``c_j z^j -> j c_j z^(j-1)``."""
-    return tuple(PowerSeries(h.coeffs[1:] * np.arange(1, h.coeffs.size)) for h in rows)
+    return tuple(h[1:] * np.arange(1, h.size) for h in rows)
 
 
 def series_d_zbar(rows):
     """Row ``k + 1`` times ``k + 1`` becomes row ``k``; a single row gives zero."""
     if len(rows) == 1:
-        return (PowerSeries([0.0]),)
-    return tuple(PowerSeries(rows[k + 1].coeffs * (k + 1)) for k in range(len(rows) - 1))
+        return (np.zeros(1, dtype=complex),)
+    return tuple(rows[k + 1] * (k + 1) for k in range(len(rows) - 1))
 
 
 def series_dilate(rows, r):
     """Coefficient ``(k, j)`` times ``r^(k + j)``."""
-    return tuple(PowerSeries(h.coeffs * float(r) ** (k + np.arange(h.coeffs.size)))
-                 for k, h in enumerate(rows))
+    return tuple(h * float(r) ** (k + np.arange(h.size)) for k, h in enumerate(rows))
 
 
 def series_truncate(rows, m):
-    return tuple(PowerSeries(h.coeffs[: m + 1]) for h in rows)
+    return tuple(h[: m + 1] for h in rows)
 
 
 def _series_padded(a, b):
     """Row pairs of ``a`` and ``b``, each pair zero-padded to one length, a
     missing row taken as zero."""
     for k in range(max(len(a), len(b))):
-        ha = a[k].coeffs if k < len(a) else np.zeros(1, dtype=complex)
-        hb = b[k].coeffs if k < len(b) else np.zeros(1, dtype=complex)
+        ha = a[k] if k < len(a) else np.zeros(1, dtype=complex)
+        hb = b[k] if k < len(b) else np.zeros(1, dtype=complex)
         n = max(ha.size, hb.size)
         yield np.pad(ha, (0, n - ha.size)), np.pad(hb, (0, n - hb.size))
 
 
 def series_sub(a, b):
-    return tuple(PowerSeries(ca - cb) for ca, cb in _series_padded(a, b))
+    return tuple(ca - cb for ca, cb in _series_padded(a, b))
 
 
 def series_add(a, b):
-    return tuple(PowerSeries(ca + cb) for ca, cb in _series_padded(a, b))
+    return tuple(ca + cb for ca, cb in _series_padded(a, b))
 
 
 def series_mul(a, b):
     """Row ``k + k'`` of the product accumulates ``np.convolve`` of rows ``k``
     and ``k'``, in the order of ``(k, k')``; the rows as one array."""
     out = np.zeros((len(a) + len(b) - 1,
-                    max(h.degree for h in a) + max(h.degree for h in b) + 1), dtype=complex)
+                    max(h.size for h in a) + max(h.size for h in b) - 1), dtype=complex)
     for k, h in enumerate(a):
         for k2, h2 in enumerate(b):
-            out[k + k2, : h.degree + h2.degree + 1] += np.convolve(h.coeffs, h2.coeffs)
+            out[k + k2, : h.size + h2.size - 1] += np.convolve(h, h2)
     return out
 
 
@@ -236,7 +235,7 @@ def series_evaluate(rows, z):
     out = np.zeros_like(z)
     for h in rows[::-1]:
         row = np.zeros_like(z)
-        for c in h.coeffs[::-1]:
+        for c in h[::-1]:
             row = row * z + c
         out = out * np.conj(z) + row
     return out
@@ -246,7 +245,7 @@ def series_array(rows, width):
     """The rows zero-padded to ``width`` columns, as one array."""
     out = np.zeros((len(rows), width), dtype=complex)
     for k, h in enumerate(rows):
-        out[k, : h.coeffs.size] = h.coeffs
+        out[k, : h.size] = h
     return out
 
 

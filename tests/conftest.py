@@ -14,8 +14,8 @@ def corpus():
         ("z", from_monomials({(0, 1): 1.0}, q=1)),
         ("zbar", from_monomials({(1, 0): 1.0}, q=2)),
         ("zbar*z", from_monomials({(1, 1): 1.0}, q=2)),
-        ("exp", PolyFunction([exp_taylor(30)])),
-        ("zbar*exp", PolyFunction([[0.0], exp_taylor(30).coeffs])),
+        ("exp", exp_taylor(30)),
+        ("zbar*exp", PolyFunction([[0.0], exp_taylor(30).coeffs[0]])),
         ("pure-zbar", from_monomials({(1, 0): 1.0, (2, 0): 0.5}, q=3)),
         ("mixed-q3", from_monomials({(0, 2): 1.0, (1, 1): 1.0, (2, 2): 0.25}, q=3)),
         ("complex-q2", from_monomials(

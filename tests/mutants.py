@@ -149,8 +149,21 @@ MUTANTS = [
      "rule = (spec, settings.n_r, settings.n_theta, 0)"),
     # killed by test_norms.py::test_an_even_p_norm_takes_the_moments_of_its_widest_half
     ("moments-for-the-wrong-width", "norms.py",
-     "*rule, max(f.degree_z + f.q for f in halves))",
-     "*rule, max(f.degree_z + f.q for f in halves) + 1)"),
+     "width = max(f.degree_z + f.q for f in halves) if halves",
+     "width = max(f.degree_z + f.q for f in halves) + 1 if halves"),
+    # the moments at every level that resolves the band; each is killed by
+    # test_norms.py::test_an_even_p_norm_takes_the_moments_at_every_level_that_resolves_its_band
+    ("moments-band-against-level-0", "norms.py",
+     "if halves and width <= grid.n_theta and (",
+     "if halves and width <= settings.n_theta and ("),
+    ("half-powers-band-against-level-0", "norms.py",
+     "halves = _half_powers(nonzero, spec, settings.n_theta << finest)",
+     "halves = _half_powers(nonzero, spec, settings.n_theta)"),
+    # the suite's half-plane self-check; killed by test_cli.py::test_suite_allocates_little,
+    # whose suite must print its CSV
+    ("suite-self-check-wrong-spec", "cli.py",
+     "Uniform(), alpha=1, beta=1)",
+     "Uniform(), alpha=2, beta=1)"),
     # killed by test_polyfun.py::test_power_recurrence_matches_the_loops_bit_for_bit,
     # whose reference sums mu[0] with math.fsum
     ("mu0-summed-pairwise", "polyfun.py",

@@ -393,6 +393,37 @@ def test_suite_self_check_fails_on_a_coarse_grid(capsys):
     assert err.startswith("half-plane quadrature self-check failed: quad=")
 
 
+def test_suite_half_plane_self_check_fails_on_a_broken_measure(monkeypatch, capsys):
+    import dataclasses
+
+    from polyspace import norms
+
+    measure_density = norms._measure_density
+
+    def without_sin_power(spec, grid):
+        # for a uniform weight the half-plane rule loses sin^a theta, its only
+        # angular factor: integral_0^pi sin theta = 2 becomes pi
+        rule = measure_density(spec, grid)
+        if spec.domain is Domain.HALFPLANE:
+            rule = dataclasses.replace(rule, angle_weights=grid.angle_weights)
+        return rule
+
+    monkeypatch.setattr(norms, "_measure_density", without_sin_power)
+    # rules kept from earlier tests would hide the patch, and the broken ones
+    # must not outlive it
+    for cache in (norms._level_rule, norms._level_moments):
+        cache.cache_clear()
+    try:
+        code = main(["suite", "--quad-nr", "16", "--quad-ntheta", "32"])
+    finally:
+        for cache in (norms._level_rule, norms._level_moments):
+            cache.cache_clear()
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("half-plane quadrature self-check failed: quad=")
+
+
 def test_suite_dilatation_self_check_fails_on_a_broken_dilate(monkeypatch, capsys):
     from polyspace import polyfun
 

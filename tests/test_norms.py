@@ -14,7 +14,6 @@ from polyspace import (
     ExpRePow,
     PolyFunction,
     PowerLaw,
-    PowerSeries,
     Product,
     QuadSettings,
     RefineResult,
@@ -37,6 +36,7 @@ from polyspace import (
     limsup_check,
     monomial,
     norm_of_difference,
+    norms,
     polyfun,
     quadrature,
     run_theorem_suite,
@@ -143,7 +143,7 @@ def test_bergman_norm_matches_midpoint_oracle():
 
 def test_analytic_dirichlet_reduces_to_classical_form():
     # for q = 1 the zbar-derivative vanishes, leaving |f(0)|^p + int |f'|^p w
-    f = PolyFunction((PowerSeries([0.3, 1.0, 0.5j]),))
+    f = PolyFunction([[0.3, 1.0, 0.5j]])
     spec = disk_spec(SpaceKind.DIRICHLET, 2)
     res = dirichlet_norm(f, spec)
     fp = d_z(f)
@@ -323,18 +323,13 @@ def test_norm_integrals_evaluate_point_values_only(monkeypatch):
     from polyspace import polyfun
 
     sizes = []
-    evaluate, call = polyfun.evaluate, polyfun.PowerSeries.__call__
+    evaluate = polyfun.evaluate
 
     def traced_evaluate(f, z):
         sizes.append(np.size(z))
         return evaluate(f, z)
 
-    def traced_call(h, z):
-        sizes.append(np.size(z))
-        return call(h, z)
-
     monkeypatch.setattr(polyfun, "evaluate", traced_evaluate)
-    monkeypatch.setattr(polyfun.PowerSeries, "__call__", traced_call)
     f = from_monomials({(0, 3): 1.0, (1, 1): 0.5j, (2, 0): 0.25}, q=3)
     for spec in (disk_spec(SpaceKind.DIRICHLET, 3), hp_spec(SpaceKind.BESOV, 2)):
         space_norm(f, spec, QuadSettings(max_level=1))
@@ -557,7 +552,7 @@ def test_a_zero_integrand_forms_no_node_values(monkeypatch):
         raise _NodeEvaluation
 
     monkeypatch.setattr(polyfun, "block_evaluators", refuse)
-    zero = d_zbar(PolyFunction([exp_taylor(30)]))
+    zero = d_zbar(exp_taylor(30))
     for spec in (disk_spec(SpaceKind.BESOV, 2.5), disk_spec(SpaceKind.DIRICHLET, 3),
                  disk_spec(SpaceKind.DIRICHLET, 2), hp_spec(SpaceKind.BERGMAN, 2.25, alpha=0.5)):
         assert weighted_p_integral(zero, spec) == RefineResult(0.0, 0.0, True, 1)
@@ -673,6 +668,25 @@ def test_an_even_p_norm_takes_the_moments_of_its_widest_half():
     info = _level_moments.cache_info()
     assert (info.hits, info.misses) == (1, 1)
     assert res.flags.value == polyfun.gram_sum([half], moments)
+
+
+def test_an_even_p_norm_takes_the_moments_at_every_level_that_resolves_its_band(monkeypatch):
+    # the band of |f|^2 is 400: 256 angles alias it, 512 and more resolve it
+    rng = np.random.default_rng(400)
+    c = rng.standard_normal(401) + 1j * rng.standard_normal(401)
+    node_angles = []
+
+    def traced(parts, spec, grid):
+        node_angles.append(grid.n_theta)
+        return block_integrand(parts, spec, grid)
+
+    block_integrand = _block_integrand
+    monkeypatch.setattr(norms, "_block_integrand", traced)
+    res = space_norm(PolyFunction([c]), disk_spec(SpaceKind.BERGMAN, 2))
+    exact = math.fsum(abs(cj) ** 2 * math.pi / (j + 1) for j, cj in enumerate(c))
+    assert res.flags.converged and res.flags.level >= 2
+    assert res.flags.value == pytest.approx(exact, rel=1e-12)
+    assert node_angles == [256]
 
 
 def test_level_rules_and_moments_are_read_only():
