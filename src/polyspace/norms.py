@@ -38,13 +38,21 @@ measure weights are all finite is worth exactly ``0.0`` without a node; at
 any other level one zero part stays on the nodes, where a measure weight or
 planar factor that is not finite is refused by its node.
 
-At an even ``p = 2k`` on a separable measure, at each level whose
-``n_theta`` resolves the band of each ``part^k`` (the exact product
+Refinement starts at the first level whose ``n_theta`` exceeds the angular
+band of the integrand: ``k (degree_z + q - 1)`` for ``|part^k|^2`` on the
+moments and ``degree_z + q - 1`` for ``|part|^2`` on the nodes, the largest
+over the parts.  Coarser levels alias it (periodic midpoints sum harmonic
+``m`` to ``n_theta (-1)^(m / n_theta)`` when ``n_theta`` divides ``m``), so
+they are skipped, and a band that the finest level allowed does not resolve
+is refused with a ``ValueError`` naming ``n_theta``.
+
+At an even ``p = 2k`` on a separable measure whose finest allowed level
+resolves the band of each ``part^k`` (the exact product
 :func:`polyfun.mul`, formed once per integral), the integral of
 ``sum_part |part^k|^2`` is a quadratic form in the coefficients of
 ``part^k`` and the moments of the measure-weighted radial and angular rules
 (:func:`polyfun.gram_sum`): the same quadrature value, without a value on
-any node.  At other levels, and at a level whose moment sum is not finite or
+any node.  Otherwise, and at a level whose moment sum is not finite or
 could have lost digits to cancellation, the integrand is formed on the nodes
 one block of radii at a time, in reused block buffers: each part as one
 real product ``powers[rows] @ B`` of the radius powers and the float view of
@@ -306,8 +314,9 @@ def _block_integrand(parts, spec, grid):
 def _half_powers(parts, spec, n_theta):
     """``part^(p/2)``, whose ``|.|^2`` is ``|part|^p``, of each part when ``p``
     is even and below ``2 n_theta``, the measure separates and each power has
-    at most ``n_theta`` harmonics, ``n_theta`` being the finest level's;
-    ``None`` otherwise, and when a product overflows."""
+    at most ``n_theta`` harmonics, ``n_theta`` being the finest allowed level's
+    (:func:`_integrate` starts at the first level that resolves the powers'
+    band); ``None`` otherwise, and when a product overflows."""
     k = int(spec.p) // 2
     if (spec.p % 2 or k >= n_theta or spec.weight.planar_factor is not None
             or any(k * (f.degree_z + f.q - 1) >= n_theta for f in parts)):
@@ -337,8 +346,9 @@ def _level_rule(spec, n_r, n_theta, level):
 def _level_moments(spec, n_r, n_theta, level, width):
     """:func:`polyfun.gram_moments` of :func:`_level_rule` for ``width``.
 
-    An even-``p`` integral takes it only for ``width <= n_theta << level``
-    (:func:`_integrate`).  An entry holds ``2 width - 1`` radial and angular
+    An even-``p`` integral takes it only at levels with ``width <= n_theta <<
+    level``, the levels it starts at and refines to (:func:`_integrate`).  An
+    entry holds ``2 width - 1`` radial and angular
     moments, 48 bytes per unit of width: at the default ``n_theta = 256`` at
     most 12 KiB at level 0 and 384 KiB at level 5, so the 256 kept reach
     96 MiB only after 256 integrals of high degree; a suite's take under 1 MiB.
@@ -349,33 +359,46 @@ def _level_moments(spec, n_r, n_theta, level, width):
 def _integrate(parts, spec, settings):
     """:class:`~polyspace.quadrature.RefineResult` of ``integral sum_part
     |part|^p`` against the measure of ``spec``, on the level rules of
-    ``spec``, flagged truncated when ``spec`` is."""
+    ``spec``, flagged truncated when ``spec`` is.
+
+    Refinement starts at the first level whose ``n_theta`` exceeds the
+    integrand's angular band and reports absolute levels; a band that the
+    finest level allowed does not resolve raises ``ValueError`` naming
+    ``n_theta``."""
     settings = settings or quadrature.QuadSettings()
     # a part that is identically zero adds nothing
     nonzero = [f for f in parts if f.coeffs.any()]
     zero = not nonzero and spec.weight.planar_factor is None
-    finest = settings.max_level if settings.refine else 0
-    halves = _half_powers(nonzero, spec, settings.n_theta << finest)
-    # the band of |part^k|^2, width - 1, is resolved by more angles than that
-    width = max(f.degree_z + f.q for f in halves) if halves else None
+    last = settings.max_level if settings.refine else 0
+    halves = _half_powers(nonzero, spec, settings.n_theta << last)
+    # the angular harmonics of |part^k|^2 on the moments, and of |part|^2 on
+    # the nodes, lie within the band; a level resolves it when its n_theta
+    # exceeds it (periodic midpoints alias a harmonic that n_theta divides)
+    band = max((f.degree_z + f.q - 1 for f in halves or nonzero), default=0)
+    first = (band // settings.n_theta).bit_length()
+    if first > last:
+        raise ValueError(f"n_theta is {settings.n_theta}, but the integrand's angular band "
+                         f"{band} needs more than {band} angles, and the finest level "
+                         f"allowed, {last}, has {settings.n_theta << last}")
 
-    def value_at(level):
-        rule = (spec, settings.n_r, settings.n_theta, level)
+    def value_at(step):
+        rule = (spec, settings.n_r, settings.n_theta, first + step)
         grid = _level_rule(*rule)
         # blocked_sum of zeros against finite 1-D weights is exactly 0.0
         if zero and np.isfinite(grid.radial_weights).all() and np.isfinite(
                 grid.angle_weights).all():
             return 0.0
-        if halves and width <= grid.n_theta and (
-                value := polyfun.gram_sum(halves, _level_moments(*rule, width))) is not None:
+        if halves and (value := polyfun.gram_sum(
+                halves, _level_moments(*rule, band + 1))) is not None:
             return value
         # a zero integrand keeps one part on the nodes, where a measure weight
         # or planar factor that is not finite is refused by its node
         return quadrature.blocked_sum(_block_integrand(nonzero or parts[:1], spec, grid),
                                       grid)
 
-    res = quadrature.refine_levels(value_at, settings)
-    return dataclasses.replace(res, truncated=spec.truncated)
+    steps = dataclasses.replace(settings, max_level=last - first) if first else settings
+    res = quadrature.refine_levels(value_at, steps)
+    return dataclasses.replace(res, level=first + res.level, truncated=spec.truncated)
 
 
 def space_norm(f, spec, settings=None):

@@ -145,20 +145,24 @@ MUTANTS = [
     # the level rules kept per space; killed by
     # test_norms.py::test_a_refined_norm_builds_one_rule_per_level_and_the_next_norm_none
     ("level-rule-at-level-0", "norms.py",
-     "rule = (spec, settings.n_r, settings.n_theta, level)",
+     "rule = (spec, settings.n_r, settings.n_theta, first + step)",
      "rule = (spec, settings.n_r, settings.n_theta, 0)"),
     # killed by test_norms.py::test_an_even_p_norm_takes_the_moments_of_its_widest_half
     ("moments-for-the-wrong-width", "norms.py",
-     "width = max(f.degree_z + f.q for f in halves) if halves",
-     "width = max(f.degree_z + f.q for f in halves) + 1 if halves"),
-    # the moments at every level that resolves the band; each is killed by
-    # test_norms.py::test_an_even_p_norm_takes_the_moments_at_every_level_that_resolves_its_band
-    ("moments-band-against-level-0", "norms.py",
-     "if halves and width <= grid.n_theta and (",
-     "if halves and width <= settings.n_theta and ("),
+     "_level_moments(*rule, band + 1)",
+     "_level_moments(*rule, band + 2)"),
+    # killed by test_norms.py::test_an_even_p_norm_takes_the_moments_at_every_level_that_resolves_its_band
     ("half-powers-band-against-level-0", "norms.py",
-     "halves = _half_powers(nonzero, spec, settings.n_theta << finest)",
+     "halves = _half_powers(nonzero, spec, settings.n_theta << last)",
      "halves = _half_powers(nonzero, spec, settings.n_theta)"),
+    # the first level resolves the band; each is killed by
+    # test_norms.py::test_a_grid_whose_finest_level_aliases_the_band_is_refused
+    ("first-level-one-doubling-too-low", "norms.py",
+     "first = (band // settings.n_theta).bit_length()",
+     "first = (band // (2 * settings.n_theta)).bit_length()"),
+    ("refusal-off-by-one", "norms.py",
+     "if first > last:",
+     "if first > last + 1:"),
     # the suite's half-plane self-check; killed by test_cli.py::test_suite_allocates_little,
     # whose suite must print its CSV
     ("suite-self-check-wrong-spec", "cli.py",

@@ -385,12 +385,24 @@ def test_a_zero_function_is_refused_by_its_measure_weight(tmp_path, capsys, argv
     assert not caught
 
 
-def test_suite_self_check_fails_on_a_coarse_grid(capsys):
-    # on 4 x 4 the half-plane grid misses the closed form by 25 %
-    assert main(["suite", "--quad-nr", "4", "--quad-ntheta", "4"]) == 2
+def test_suite_refuses_a_grid_whose_angles_alias_its_bands(capsys):
+    # 4 angles resolve no cell's band; the self-checks are never reached
+    assert main(["suite", "--quad-nr", "4", "--quad-ntheta", "4"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("half-plane quadrature self-check failed: quad=")
+    assert err.startswith("error: --quad-ntheta: n_theta is 4, but ")
+
+
+def test_a_fixed_grid_norm_that_would_alias_exits_1(tmp_path, capsys):
+    # 1 + z^256: on 256 periodic midpoint angles harmonic 256 aliases
+    path = _function_file(tmp_path, "q 1\n0 0 1 0\n0 256 1 0\n")
+    code = main(["norm", "--space", "bergman", "--domain", "disk", "--p", "2",
+                 "--function", path, "--no-refine"])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: --quad-ntheta: n_theta is 256, but the integrand's "
+                          "angular band 256 ")
 
 
 def test_suite_half_plane_self_check_fails_on_a_broken_measure(monkeypatch, capsys):

@@ -671,7 +671,8 @@ def test_an_even_p_norm_takes_the_moments_of_its_widest_half():
 
 
 def test_an_even_p_norm_takes_the_moments_at_every_level_that_resolves_its_band(monkeypatch):
-    # the band of |f|^2 is 400: 256 angles alias it, 512 and more resolve it
+    # the band of |f|^2 is 400: 256 angles alias it, so the moments start at
+    # level 1 with 512, and no level sums its nodes
     rng = np.random.default_rng(400)
     c = rng.standard_normal(401) + 1j * rng.standard_normal(401)
     node_angles = []
@@ -686,7 +687,55 @@ def test_an_even_p_norm_takes_the_moments_at_every_level_that_resolves_its_band(
     exact = math.fsum(abs(cj) ** 2 * math.pi / (j + 1) for j, cj in enumerate(c))
     assert res.flags.converged and res.flags.level >= 2
     assert res.flags.value == pytest.approx(exact, rel=1e-12)
-    assert node_angles == [256]
+    assert node_angles == []
+
+
+# the first level is the first whose angles resolve the integrand's band; a
+# periodic midpoint rule of n angles sums harmonic m to n (-1)^(m/n) when n
+# divides m, so on 256 and 512 angles 1 + z^1024 aliases with one sign
+
+
+def _one_plus_z_to(n):
+    return from_monomials({(0, 0): 1.0, (0, n): 1.0}, q=1)
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+def test_a_refined_even_p_norm_starts_where_its_band_is_resolved(monkeypatch, n):
+    levels = []
+
+    def traced(spec, n_r, n_theta, level, width):
+        levels.append(level)
+        return level_moments(spec, n_r, n_theta, level, width)
+
+    level_moments = _level_moments
+    monkeypatch.setattr(norms, "_level_moments", traced)
+    res = space_norm(_one_plus_z_to(n), disk_spec(SpaceKind.BERGMAN, 2))
+    assert res.flags.converged
+    assert res.full_norm == pytest.approx(math.sqrt(math.pi * (1 + 1 / (n + 1))),
+                                          rel=0, abs=1e-12)
+    # band n: 256 angles first resolve it at level (n // 256).bit_length()
+    first = (n // 256).bit_length()
+    assert levels == [first, first + 1] and res.flags.level == first + 1
+
+
+@pytest.mark.parametrize("n, settings", [
+    (256, QuadSettings(refine=False)),
+    (1024, QuadSettings(refine=False)),
+    (1024, QuadSettings(max_level=2)),
+], ids=["256-fixed", "1024-fixed", "1024-max-level-2"])
+def test_a_grid_whose_finest_level_aliases_the_band_is_refused(n, settings):
+    with pytest.raises(ValueError, match=f"^n_theta is 256, but the integrand's angular "
+                                         f"band {n} "):
+        space_norm(_one_plus_z_to(n), disk_spec(SpaceKind.BERGMAN, 2), settings)
+
+
+@pytest.mark.parametrize("p, rel_change", [(1, 8.5e-5), (3, 4.8e-5)])
+def test_an_odd_p_norm_of_a_high_band_ends_unconverged_from_its_first_level(p, rel_change):
+    res = space_norm(_one_plus_z_to(256), disk_spec(SpaceKind.BERGMAN, p),
+                     QuadSettings(max_level=3))
+    assert not res.flags.converged and res.flags.level == 3
+    assert res.flags.describe().endswith(":NOT-CONVERGED")
+    assert res.flags.rel_change == pytest.approx(rel_change, rel=0.05)
 
 
 def test_level_rules_and_moments_are_read_only():
