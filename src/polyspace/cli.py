@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import io
 import math
 import os
@@ -391,6 +392,12 @@ def _dispatch(args, sink):
 
 
 def main(argv=None):
+    if argv is None:
+        # run as the program: what the imports left alive (modules, functions,
+        # numpy's tables) lives until exit, so move it to the permanent
+        # generation, which no later collection traverses, nor the one at
+        # interpreter shutdown; callers that pass argv keep their collector
+        gc.freeze()
     try:
         args = parse_args(argv)
         flags = _CHECK_WEIGHT_FLAGS if args.command == "check-weight" else _RUN_FLAGS

@@ -39,12 +39,14 @@ any other level one zero part stays on the nodes, where a measure weight or
 planar factor that is not finite is refused by its node.
 
 Refinement starts at the first level whose ``n_theta`` exceeds the angular
-band of the integrand: ``k (degree_z + q - 1)`` for ``|part^k|^2`` on the
-moments and ``degree_z + q - 1`` for ``|part|^2`` on the nodes, the largest
-over the parts.  Coarser levels alias it (periodic midpoints sum harmonic
-``m`` to ``n_theta (-1)^(m / n_theta)`` when ``n_theta`` divides ``m``), so
-they are skipped, and a band that the finest level allowed does not resolve
-is refused with a ``ValueError`` naming ``n_theta``.
+band of the integrand, the largest over the parts: ``k (degree_z + q - 1)``
+for ``|part|^p = |part^k|^2`` at an even ``p = 2k``, on the moments and the
+nodes alike, and ``degree_z + q - 1``, the band of ``|part|^2``, for other
+``p`` and for an even ``p`` whose ``k`` no level allowed reaches.  Coarser
+levels alias it (periodic midpoints sum harmonic ``m`` to
+``n_theta (-1)^(m / n_theta)`` when ``n_theta`` divides ``m``), so they are
+skipped, and a band that the finest level allowed does not resolve is
+refused with a ``ValueError`` naming ``n_theta``.
 
 At an even ``p = 2k`` on a separable measure whose finest allowed level
 resolves the band of each ``part^k`` (the exact product
@@ -311,15 +313,11 @@ def _block_integrand(parts, spec, grid):
     return values
 
 
-def _half_powers(parts, spec, n_theta):
-    """``part^(p/2)``, whose ``|.|^2`` is ``|part|^p``, of each part when ``p``
-    is even and below ``2 n_theta``, the measure separates and each power has
-    at most ``n_theta`` harmonics, ``n_theta`` being the finest allowed level's
-    (:func:`_integrate` starts at the first level that resolves the powers'
-    band); ``None`` otherwise, and when a product overflows."""
-    k = int(spec.p) // 2
-    if (spec.p % 2 or k >= n_theta or spec.weight.planar_factor is not None
-            or any(k * (f.degree_z + f.q - 1) >= n_theta for f in parts)):
+def _half_powers(parts, k, spec):
+    """``part^k``, whose ``|.|^2`` is ``|part|^(2k)``, of each part when the
+    measure of ``spec`` separates; ``None`` otherwise, and when a product
+    overflows."""
+    if spec.weight.planar_factor is not None:
         return None
     try:
         return [functools.reduce(polyfun.mul, [f] * k) for f in parts]
@@ -370,16 +368,22 @@ def _integrate(parts, spec, settings):
     nonzero = [f for f in parts if f.coeffs.any()]
     zero = not nonzero and spec.weight.planar_factor is None
     last = settings.max_level if settings.refine else 0
-    halves = _half_powers(nonzero, spec, settings.n_theta << last)
-    # the angular harmonics of |part^k|^2 on the moments, and of |part|^2 on
-    # the nodes, lie within the band; a level resolves it when its n_theta
-    # exceeds it (periodic midpoints alias a harmonic that n_theta divides)
-    band = max((f.degree_z + f.q - 1 for f in halves or nonzero), default=0)
+    finest = settings.n_theta << last
+    # the angular harmonics of |part|^2 lie within D + q - 1, and those of
+    # |part|^p = |part^k|^2 at p = 2k within k times that, on the moments and
+    # the nodes alike; a level resolves the band when its n_theta exceeds it
+    # (periodic midpoints alias a harmonic that n_theta divides).  An even p
+    # whose k no level reaches (p = 1e300 is even) keeps the band of |part|^2,
+    # as odd and fractional p do
+    even = spec.p % 2 == 0 and spec.p < 2 * finest
+    k = int(spec.p) // 2 if even else 1
+    band = k * max((f.degree_z + f.q - 1 for f in nonzero), default=0)
     first = (band // settings.n_theta).bit_length()
     if first > last:
         raise ValueError(f"n_theta is {settings.n_theta}, but the integrand's angular band "
                          f"{band} needs more than {band} angles, and the finest level "
-                         f"allowed, {last}, has {settings.n_theta << last}")
+                         f"allowed, {last}, has {finest}")
+    halves = _half_powers(nonzero, k, spec) if even else None
 
     def value_at(step):
         rule = (spec, settings.n_r, settings.n_theta, first + step)

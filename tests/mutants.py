@@ -153,8 +153,18 @@ MUTANTS = [
      "_level_moments(*rule, band + 2)"),
     # killed by test_norms.py::test_an_even_p_norm_takes_the_moments_at_every_level_that_resolves_its_band
     ("half-powers-band-against-level-0", "norms.py",
-     "halves = _half_powers(nonzero, spec, settings.n_theta << last)",
-     "halves = _half_powers(nonzero, spec, settings.n_theta)"),
+     "halves = _half_powers(nonzero, k, spec) if even else None",
+     "halves = _half_powers(nonzero, k, spec) if even and band < settings.n_theta else None"),
+    # |part|^p = |part^k|^2 has band k (D + q - 1) on the nodes too; killed by
+    # test_norms.py::test_a_fixed_grid_even_p_norm_is_refused_on_the_band_of_its_powers
+    ("node-band-without-k", "norms.py",
+     "band = k * max(",
+     "band = (k if spec.weight.planar_factor is None else 1) * max("),
+    # killed by test_cli.py::test_out_of_range_numbers_exit_1_without_a_warning[besov-p-1e300],
+    # whose p has no level that resolves k (D + q - 1)
+    ("huge-even-p-takes-the-k-band", "norms.py",
+     "even = spec.p % 2 == 0 and spec.p < 2 * finest",
+     "even = spec.p % 2 == 0"),
     # the first level resolves the band; each is killed by
     # test_norms.py::test_a_grid_whose_finest_level_aliases_the_band_is_refused
     ("first-level-one-doubling-too-low", "norms.py",
@@ -168,6 +178,11 @@ MUTANTS = [
     ("suite-self-check-wrong-spec", "cli.py",
      "Uniform(), alpha=1, beta=1)",
      "Uniform(), alpha=2, beta=1)"),
+    # killed by
+    # test_cli.py::test_a_cold_process_freezes_its_imports_and_prints_what_main_prints
+    ("gc-freeze-dropped", "cli.py",
+     "        gc.freeze()\n",
+     "        pass\n"),
     # killed by test_polyfun.py::test_power_recurrence_matches_the_loops_bit_for_bit,
     # whose reference sums mu[0] with math.fsum
     ("mu0-summed-pairwise", "polyfun.py",

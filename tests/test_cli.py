@@ -1,7 +1,11 @@
+import gc
 import math
+import os
 import pathlib
 import re
 import shlex
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -405,6 +409,47 @@ def test_a_fixed_grid_norm_that_would_alias_exits_1(tmp_path, capsys):
                           "angular band 256 ")
 
 
+@pytest.mark.parametrize("weight", [
+    [],
+    ["--weight", "exprepow", "--weight-beta", "1", "--weight-n", "2"],
+], ids=["uniform", "exprepow"])
+def test_a_fixed_grid_even_p_norm_that_would_alias_on_the_nodes_exits_1(tmp_path, capsys,
+                                                                       weight):
+    # |1 + z^128|^4 = |1 + 2 z^128 + z^256|^2 has harmonic 256, which 256
+    # angles alias on the moments and on the nodes alike
+    path = _function_file(tmp_path, "q 1\n0 0 1 0\n0 128 1 0\n")
+    code = main(["norm", "--space", "bergman", "--domain", "disk", "--p", "4",
+                 "--function", path, "--no-refine", *weight])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: --quad-ntheta: n_theta is 256, but the integrand's "
+                          "angular band 256 ")
+
+
+def test_a_cold_process_freezes_its_imports_and_prints_what_main_prints(z_file, capsys):
+    argv = ["norm", "--space", "dirichlet", "--domain", "disk", "--p", "3",
+            "--function", z_file]
+    frozen = gc.get_freeze_count()
+    code = main(argv)
+    out, err = capsys.readouterr()
+    # a caller that passes argv keeps its collector as it was
+    assert gc.get_freeze_count() == frozen
+    script = ("import gc, sys\n"
+              "from polyspace.cli import main\n"
+              "code = main()\n"
+              "print(gc.get_freeze_count(), file=sys.stderr)\n"
+              "sys.exit(code)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    child = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                           env=env, timeout=120)
+    assert (child.returncode, child.stdout) == (code, out.encode())
+    *child_err, count = child.stderr.decode().splitlines()
+    assert child_err == err.splitlines()
+    # run as the program, main froze what the imports left alive
+    assert int(count) > 0
+
+
 def test_suite_half_plane_self_check_fails_on_a_broken_measure(monkeypatch, capsys):
     import dataclasses
 
@@ -426,7 +471,7 @@ def test_suite_half_plane_self_check_fails_on_a_broken_measure(monkeypatch, caps
     for cache in (norms._level_rule, norms._level_moments):
         cache.cache_clear()
     try:
-        code = main(["suite", "--quad-nr", "16", "--quad-ntheta", "32"])
+        code = main(["suite", "--quad-nr", "16", "--quad-ntheta", "64"])
     finally:
         for cache in (norms._level_rule, norms._level_moments):
             cache.cache_clear()
@@ -441,7 +486,7 @@ def test_suite_dilatation_self_check_fails_on_a_broken_dilate(monkeypatch, capsy
 
     # f_r = f makes every dilatation error 0 instead of (1 - r^2) sqrt(pi)
     monkeypatch.setattr(polyfun, "dilate", lambda f, r: f)
-    assert main(["suite", "--quad-nr", "16", "--quad-ntheta", "32"]) == 2
+    assert main(["suite", "--quad-nr", "16", "--quad-ntheta", "64"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("dilatation self-check failed: err=0.0 ")
@@ -452,7 +497,7 @@ def test_suite_negative_control_fails_on_a_broken_verdict_rule(monkeypatch, caps
 
     # a rule that passes every error lets the cell cut to r = 0.5 converge
     monkeypatch.setattr(experiments, "_errors_converge", lambda rows, limit: True)
-    assert main(["suite", "--quad-nr", "16", "--quad-ntheta", "32"]) == 2
+    assert main(["suite", "--quad-nr", "16", "--quad-ntheta", "64"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("negative control failed: besov:disk:p=2:")
@@ -464,7 +509,7 @@ def test_suite_allocates_little(capsys):
 
     tracemalloc.start()
     try:
-        main(["suite", "--quad-nr", "16", "--quad-ntheta", "32"])
+        main(["suite", "--quad-nr", "16", "--quad-ntheta", "64"])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

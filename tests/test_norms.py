@@ -729,6 +729,34 @@ def test_a_grid_whose_finest_level_aliases_the_band_is_refused(n, settings):
         space_norm(_one_plus_z_to(n), disk_spec(SpaceKind.BERGMAN, 2), settings)
 
 
+# |1 + z^128|^4 = |1 + 2 z^128 + z^256|^2 has band 256 whether it is formed on
+# the moments (uniform) or on the nodes (ExpRePow's planar factor)
+_P4_WEIGHTS = pytest.mark.parametrize("weight", [UNI, ExpRePow(beta=1.0, n=2)],
+                                      ids=["uniform", "exprepow"])
+
+
+@_P4_WEIGHTS
+def test_a_fixed_grid_even_p_norm_is_refused_on_the_band_of_its_powers(weight):
+    with pytest.raises(ValueError, match="^n_theta is 256, but the integrand's angular "
+                                         "band 256 "):
+        space_norm(_one_plus_z_to(128), disk_spec(SpaceKind.BERGMAN, 4, weight),
+                   QuadSettings(refine=False))
+
+
+@_P4_WEIGHTS
+def test_a_refined_even_p_norm_starts_where_the_band_of_its_powers_is_resolved(weight):
+    spec = disk_spec(SpaceKind.BERGMAN, 4, weight)
+    res = space_norm(_one_plus_z_to(128), spec)
+    reference = space_norm(_one_plus_z_to(128), spec,
+                           QuadSettings(n_r=1024, n_theta=2048, refine=False))
+    assert res.flags.converged and res.flags.level == 2
+    assert res.full_norm == pytest.approx(reference.full_norm, rel=0, abs=1e-12)
+    if weight is UNI:
+        exact = (math.pi * (1 + 4 / 129 + 1 / 257)) ** 0.25
+        assert res.full_norm == pytest.approx(exact, rel=0, abs=1e-12)
+        assert reference.full_norm == pytest.approx(exact, rel=0, abs=1e-12)
+
+
 @pytest.mark.parametrize("p, rel_change", [(1, 8.5e-5), (3, 4.8e-5)])
 def test_an_odd_p_norm_of_a_high_band_ends_unconverged_from_its_first_level(p, rel_change):
     res = space_norm(_one_plus_z_to(256), disk_spec(SpaceKind.BERGMAN, p),
