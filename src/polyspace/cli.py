@@ -377,18 +377,15 @@ def _dispatch(args, sink):
     if args.command == "converge":
         report = experiments.dilatation_convergence(
             f, args.spec, r_grid=args.r_grid, threshold=args.threshold, **common)
-        ok = report.converged
     elif args.command == "limsup-check":
         report = experiments.limsup_check(f, args.spec, r_grid=args.r_grid, **common)
-        ok = report.certified
     else:
         report = experiments.poly_approx(f, args.spec, args.r, m_grid=args.m_grid,
                                          **common)
-        ok = report.converged
     emit_csv(report.csv_header(), report.csv_rows(), sink)
     if report.unresolved:
         print("no verdict: an integral behind it did not converge", file=sys.stderr)
-    return 0 if ok else 2
+    return 0 if report.converged else 2
 
 
 def main(argv=None):

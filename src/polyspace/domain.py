@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 
+__all__ = ["Domain"]
+
 
 class Domain(enum.Enum):
     DISK = "disk"

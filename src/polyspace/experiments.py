@@ -39,15 +39,9 @@ from .weights import (
 )
 
 __all__ = [
-    "DEFAULT_R_GRID",
-    "DEFAULT_M_GRID",
-    "ConvergenceRow",
     "ConvergenceReport",
-    "LimsupRow",
     "LimsupReport",
-    "ApproxRow",
     "ApproxReport",
-    "SuiteCell",
     "SuiteReport",
     "dilatation_convergence",
     "limsup_check",
@@ -65,14 +59,20 @@ VERDICT_NOT_CONVERGED = "not_converged"
 VERDICT_UNRESOLVED = "unresolved"
 
 
-def _verdict(ok, results):
-    """A report's verdict; none rests on a norm whose quadrature did not converge."""
-    if not all(res.flags.converged for res in results):
+def _verdict(ok, flags):
+    """A report's verdict from its rule's outcome ``ok`` and the
+    :class:`~polyspace.quadrature.RefineResult` of every integral behind it;
+    none rests on an integral whose quadrature did not converge."""
+    if not all(res.converged for res in flags):
         return VERDICT_UNRESOLVED
     return VERDICT_CONVERGED if ok else VERDICT_NOT_CONVERGED
 
 
-class _Verdict:
+class _Report:
+    """A theorem report: its ``verdict`` (:func:`_verdict`), and a CSV with
+    one column per name in ``COLUMNS``, read from each row, or from the
+    report when the row has no such field."""
+
     @property
     def converged(self):
         return self.verdict == VERDICT_CONVERGED
@@ -80,6 +80,13 @@ class _Verdict:
     @property
     def unresolved(self):
         return self.verdict == VERDICT_UNRESOLVED
+
+    def csv_header(self):
+        return self.COLUMNS
+
+    def csv_rows(self):
+        return [tuple(getattr(row if hasattr(row, name) else self, name)
+                      for name in self.COLUMNS) for row in self.rows]
 
 
 def _checked_r_grid(r_grid):
@@ -100,7 +107,7 @@ class ConvergenceRow:
 
 
 @dataclass(frozen=True)
-class ConvergenceReport(_Verdict):
+class ConvergenceReport(_Report):
     """Dilatation errors along an r-grid plus the convergence verdict.
 
     The verdict is ``converged`` when the final full-norm error is below
@@ -116,11 +123,7 @@ class ConvergenceReport(_Verdict):
     threshold: float
     verdict: str
 
-    def csv_header(self):
-        return ("r", "err_seminorm", "err_fullnorm")
-
-    def csv_rows(self):
-        return [(row.r, row.err_seminorm, row.err_fullnorm) for row in self.rows]
+    COLUMNS = ("r", "err_seminorm", "err_fullnorm")
 
 
 def dilatation_convergence(
@@ -143,7 +146,8 @@ def dilatation_convergence(
         rows=tuple(rows),
         ref_norm=ref.full_norm,
         threshold=threshold,
-        verdict=_verdict(_errors_converge(rows, threshold * ref.full_norm), [ref] + errs),
+        verdict=_verdict(_errors_converge(rows, threshold * ref.full_norm),
+                         [res.flags for res in [ref, *errs]]),
     )
 
 
@@ -161,13 +165,14 @@ class LimsupRow:
 
 
 @dataclass(frozen=True)
-class LimsupReport:
+class LimsupReport(_Report):
     """Dilated part integrals against their fixed right-hand sides.
 
-    ``margin_dz = max_r LHS_dz(r) - RHS_dz`` (same for the ``d_zbar`` part); a
-    nonpositive margin — up to the certificate tolerance — realizes the
-    limsup inequality on the grid.  Nothing is certified when ``unresolved``:
-    the quadrature of some integral did not converge.
+    ``margin_dz = max_r LHS_dz(r) - RHS_dz`` (same for the ``d_zbar`` part).
+    The report is ``certified`` (its verdict is ``converged``) when neither
+    margin exceeds ``tol`` times its right-hand side: the limsup inequality
+    holds on the grid up to the certificate tolerance.  Nothing is certified
+    when ``unresolved``: the quadrature of some integral did not converge.
     """
 
     spec: SpaceSpec
@@ -176,7 +181,10 @@ class LimsupReport:
     rhs_dz: float
     rhs_dzbar: float
     tol: float
-    unresolved: bool = False
+    verdict: str
+
+    COLUMNS = ("r", "lhs_dz", "lhs_dzbar", "rhs_dz", "rhs_dzbar")
+    certified = _Report.converged
 
     @property
     def margin_dz(self):
@@ -185,23 +193,6 @@ class LimsupReport:
     @property
     def margin_dzbar(self):
         return max(row.lhs_dzbar for row in self.rows) - self.rhs_dzbar
-
-    @property
-    def certified(self):
-        return (
-            not self.unresolved
-            and self.margin_dz <= self.tol * self.rhs_dz
-            and self.margin_dzbar <= self.tol * self.rhs_dzbar
-        )
-
-    def csv_header(self):
-        return ("r", "lhs_dz", "lhs_dzbar", "rhs_dz", "rhs_dzbar")
-
-    def csv_rows(self):
-        return [
-            (row.r, row.lhs_dz, row.lhs_dzbar, self.rhs_dz, self.rhs_dzbar)
-            for row in self.rows
-        ]
 
 
 def limsup_check(f, spec, r_grid=DEFAULT_R_GRID, tol=1e-3, settings=None,
@@ -220,14 +211,16 @@ def limsup_check(f, spec, r_grid=DEFAULT_R_GRID, tol=1e-3, settings=None,
                for g in [f] + [polyfun.dilate(f, r) for r in rs]
                for d in (polyfun.d_z, polyfun.d_zbar)]
     rhs_dz, rhs_dzbar, *lhs = (res.value for res in results)
+    dz, dzbar = lhs[::2], lhs[1::2]
+    ok = max(dz) - rhs_dz <= tol * rhs_dz and max(dzbar) - rhs_dzbar <= tol * rhs_dzbar
     return LimsupReport(
         spec=spec,
         function_label=function_label,
-        rows=tuple(map(LimsupRow, rs, lhs[::2], lhs[1::2])),
+        rows=tuple(map(LimsupRow, rs, dz, dzbar)),
         rhs_dz=rhs_dz,
         rhs_dzbar=rhs_dzbar,
         tol=tol,
-        unresolved=not all(res.converged for res in results),
+        verdict=_verdict(ok, results),
     )
 
 
@@ -239,7 +232,7 @@ class ApproxRow:
 
 
 @dataclass(frozen=True)
-class ApproxReport(_Verdict):
+class ApproxReport(_Report):
     """Errors of polynomial truncations of ``f_r`` against ``f``.
 
     Verdict ``converged`` when the error at the largest truncation degree is
@@ -255,11 +248,7 @@ class ApproxReport(_Verdict):
     slack: float
     verdict: str
 
-    def csv_header(self):
-        return ("r", "m", "error")
-
-    def csv_rows(self):
-        return [(row.r, row.m, row.error) for row in self.rows]
+    COLUMNS = ("r", "m", "error")
 
 
 def poly_approx(f, spec, r, m_grid=DEFAULT_M_GRID, slack=0.1, settings=None,
@@ -283,7 +272,7 @@ def poly_approx(f, spec, r, m_grid=DEFAULT_M_GRID, slack=0.1, settings=None,
         rows=tuple(rows),
         dilation_error=dil.full_norm,
         slack=slack,
-        verdict=_verdict(ok, [dil] + errs),
+        verdict=_verdict(ok, [res.flags for res in [dil, *errs]]),
     )
 
 

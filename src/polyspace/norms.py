@@ -90,6 +90,7 @@ __all__ = [
     "dirichlet_norm",
     "besov_norm",
     "norm_of_difference",
+    "weighted_p_integral",
 ]
 
 
@@ -316,11 +317,24 @@ def _block_integrand(parts, spec, grid):
 def _half_powers(parts, k, spec):
     """``part^k``, whose ``|.|^2`` is ``|part|^(2k)``, of each part when the
     measure of ``spec`` separates; ``None`` otherwise, and when a product
-    overflows."""
+    overflows.
+
+    Left-to-right binary powering takes at most ``2 log2 k`` products per
+    part: ``f f`` at ``k = 2`` and ``(f f) f`` at ``k = 3``, as sequential
+    products would."""
     if spec.weight.planar_factor is not None:
         return None
+
+    def power(f):
+        acc = f
+        for bit in bin(k)[3:]:
+            acc = polyfun.mul(acc, acc)
+            if bit == "1":
+                acc = polyfun.mul(acc, f)
+        return acc
+
     try:
-        return [functools.reduce(polyfun.mul, [f] * k) for f in parts]
+        return [power(f) for f in parts]
     except ValueError:   # coefficients that overflow
         return None
 

@@ -46,8 +46,6 @@ __all__ = [
     "PolyFunction",
     "evaluate",
     "block_evaluators",
-    "gram_moments",
-    "gram_sum",
     "d_z",
     "d_zbar",
     "dilate",

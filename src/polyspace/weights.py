@@ -44,7 +44,6 @@ __all__ = [
     "eval_weight",
     "check_condition",
     "find_min_k",
-    "DIVERGENCE_CAP",
 ]
 
 DIVERGENCE_CAP = 1e6

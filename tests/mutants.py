@@ -31,15 +31,14 @@ MUTANTS = [
     ("dilatation-threshold-10x", "experiments.py",
      "_errors_converge(rows, threshold * ref.full_norm)",
      "_errors_converge(rows, threshold * ref.full_norm * 10)"),
+    # killed by test_experiments.py::test_a_limsup_margin_is_certified_up_to_its_tolerance
     ("limsup-tolerance-100x", "experiments.py",
-     "and self.margin_dz <= self.tol * self.rhs_dz",
-     "and self.margin_dz <= 100 * self.tol * self.rhs_dz"),
+     "ok = max(dz) - rhs_dz <= tol * rhs_dz",
+     "ok = max(dz) - rhs_dz <= 100 * tol * rhs_dz"),
+    # the one verdict rule of the three reports; the limsup test above kills it too
     ("verdict-ignores-flags", "experiments.py",
-     "if not all(res.flags.converged for res in results):",
+     "if not all(res.converged for res in flags):",
      "if False:"),
-    ("limsup-ignores-unresolved", "experiments.py",
-     "unresolved=not all(res.converged for res in results),",
-     "unresolved=False,"),
     ("approx-slack-loosened", "experiments.py",
      "ok = rows[-1].error <= (1.0 + slack) * dil.full_norm",
      "ok = rows[-1].error <= (1.0 + 10 * slack) * dil.full_norm"),
@@ -96,6 +95,10 @@ MUTANTS = [
     ("d-zbar-factor-changed", "polyfun.py",
      "f.coeffs[1:] * np.arange(1, f.q)[:, None]",
      "f.coeffs[1:] * np.arange(2, f.q + 1)[:, None]"),
+    # killed by test_norms.py::test_half_powers_take_few_products_and_keep_k_2_and_3_bit_for_bit
+    ("half-power-skips-a-set-bit", "norms.py",
+     "                acc = polyfun.mul(acc, f)\n",
+     "                pass\n"),
     ("mul-drops-a-cross-term", "polyfun.py",
      "            out[k + k2, : h.size + h2.size - 1] += np.convolve(h, h2)\n",
      "            if k <= k2:\n"

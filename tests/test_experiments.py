@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -8,6 +7,7 @@ from polyspace import (
     ExpAbsPow,
     LimsupReport,
     QuadSettings,
+    RefineResult,
     SpaceKind,
     SpaceSpec,
     Uniform,
@@ -82,19 +82,30 @@ def test_errors_that_grow_are_not_convergence():
 
 
 @pytest.mark.parametrize("part", ["dz", "dzbar"])
-def test_a_limsup_margin_is_certified_up_to_its_tolerance(part):
-    from polyspace.experiments import LimsupRow
+def test_a_limsup_margin_is_certified_up_to_its_tolerance(part, monkeypatch):
+    from polyspace import experiments
 
     spec, tol, rhs = disk_spec(SpaceKind.DIRICHLET, 2), 1e-3, 2.0
 
-    def report(margin):
+    def report(margin, last_converged=True):
+        # limsup_check integrates (d_z, d_zbar) of f, then of f_r at the one r
         lhs = (rhs + margin, rhs / 2) if part == "dz" else (rhs / 2, rhs + margin)
-        return LimsupReport(spec=spec, function_label="f", rows=(LimsupRow(0.9, *lhs),),
-                            rhs_dz=rhs, rhs_dzbar=rhs, tol=tol)
+        results = iter([RefineResult(rhs, 0.0, True, 0), RefineResult(rhs, 0.0, True, 0),
+                        RefineResult(lhs[0], 0.0, True, 0),
+                        RefineResult(lhs[1], 0.0, last_converged, 0)])
+        monkeypatch.setattr(experiments, "weighted_p_integral",
+                            lambda g, spec, settings: next(results))
+        rep = limsup_check(monomial(0, 1), spec, r_grid=(0.9,), tol=tol)
+        assert isinstance(rep, LimsupReport) and next(results, None) is None
+        assert (rep.margin_dz, rep.margin_dzbar)[part == "dzbar"] == pytest.approx(
+            margin, abs=1e-15)
+        return rep
 
     assert report(tol * rhs - 1e-12).certified
     assert not report(tol * rhs + 1e-12).certified
-    assert not dataclasses.replace(report(0.0), unresolved=True).certified
+    assert report(tol * rhs + 1e-12).verdict == "not_converged"
+    blocked = report(0.0, last_converged=False)
+    assert blocked.unresolved and not blocked.certified and blocked.verdict == "unresolved"
 
 
 def test_zbar_exp_converges_in_weighted_dirichlet():

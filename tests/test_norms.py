@@ -690,6 +690,31 @@ def test_an_even_p_norm_takes_the_moments_at_every_level_that_resolves_its_band(
     assert node_angles == []
 
 
+def test_half_powers_take_few_products_and_keep_k_2_and_3_bit_for_bit(monkeypatch):
+    from polyspace.norms import _half_powers
+
+    f = from_monomials({(0, 0): 0.3 - 0.2j, (0, 2): 1.1, (1, 1): 0.7j}, q=2)
+    spec = disk_spec(SpaceKind.BERGMAN, 2)
+    mul, calls = polyfun.mul, []
+    monkeypatch.setattr(polyfun, "mul", lambda a, b: calls.append(1) or mul(a, b))
+    for k in range(1, 40):
+        calls.clear()
+        sequential = f
+        for _ in range(k - 1):
+            sequential = mul(sequential, f)
+        (power,) = _half_powers([f], k, spec)
+        assert len(calls) <= 2 * math.floor(math.log2(k))
+        if k <= 3:
+            assert np.array_equal(power.coeffs, sequential.coeffs)
+        np.testing.assert_allclose(power.coeffs, sequential.coeffs, rtol=1e-12,
+                                   atol=1e-14 * np.abs(sequential.coeffs).max())
+    # 8191 has 13 set bits: 12 squarings and 12 products a part
+    calls.clear()
+    one, z = _half_powers([monomial(0, 0), monomial(0, 1)], 8191, spec)
+    assert one.coeffs.tolist() == [[1.0]] and z.coeffs.tolist() == [[0.0] * 8191 + [1.0]]
+    assert len(calls) == 2 * 24
+
+
 # the first level is the first whose angles resolve the integrand's band; a
 # periodic midpoint rule of n angles sums harmonic m to n (-1)^(m/n) when n
 # divides m, so on 256 and 512 angles 1 + z^1024 aliases with one sign
