@@ -38,15 +38,21 @@ measure weights are all finite is worth exactly ``0.0`` without a node; at
 any other level one zero part stays on the nodes, where a measure weight or
 planar factor that is not finite is refused by its node.
 
-Refinement starts at the first level whose ``n_theta`` exceeds the angular
-band of the integrand, the largest over the parts: ``k (degree_z + q - 1)``
-for ``|part|^p = |part^k|^2`` at an even ``p = 2k``, on the moments and the
-nodes alike, and ``degree_z + q - 1``, the band of ``|part|^2``, for other
-``p`` and for an even ``p`` whose ``k`` no level allowed reaches.  Coarser
-levels alias it (periodic midpoints sum harmonic ``m`` to
+Refinement starts at the coarsest level whose ``n_theta`` exceeds the
+angular band of the integrand, the largest over the parts: ``k (degree_z +
+q - 1)`` for ``|part|^p = |part^k|^2`` at an even ``p = 2k``, on the moments
+and the nodes alike, and ``degree_z + q - 1``, the band of ``|part|^2``, for
+other ``p`` and for an even ``p`` whose ``k`` no level allowed reaches.
+Coarser levels alias it (periodic midpoints sum harmonic ``m`` to
 ``n_theta (-1)^(m / n_theta)`` when ``n_theta`` divides ``m``), so they are
 skipped, and a band that the finest level allowed does not resolve is
-refused with a ``ValueError`` naming ``n_theta``.
+refused with a ``ValueError`` naming ``n_theta``.  Levels are absolute: level
+0 is the ``n_r x n_theta`` grid of the settings, the only one a fixed-grid
+integral uses, and ``max_level`` names the finest.  A refined integral may
+start up to two levels below 0, where level ``-j`` has ``(n_r >> j) x
+(n_theta >> j)`` nodes and exists when both sizes halve ``j`` times, so a
+value that the default 128 x 256 grid already resolves is confirmed on
+32 x 64 and 64 x 128 before 128 x 256 and 256 x 512 are built.
 
 At an even ``p = 2k`` on a separable measure whose finest allowed level
 resolves the band of each ``part^k`` (the exact product
@@ -349,7 +355,9 @@ def _level_rule(spec, n_r, n_theta, level):
     built once and kept for the next integral and the next call.  At most
     128 are kept; at default settings a level-5 rule holds 4096 radii and
     8192 angles with their weights, 192 KiB, so the cache holds at most
-    24 MiB, and a suite's rules (level 0, 6 KiB each) fit.
+    24 MiB, and a suite's rules (level 0, 6 KiB each) fit.  The levels below
+    0 that refinement starts at add at most two entries per spec, 3 KiB at
+    level -1 and 1.5 KiB at level -2.
     """
     return _measure_density(spec, spec.grid_family(n_r, n_theta)(level))
 
@@ -358,12 +366,13 @@ def _level_rule(spec, n_r, n_theta, level):
 def _level_moments(spec, n_r, n_theta, level, width):
     """:func:`polyfun.gram_moments` of :func:`_level_rule` for ``width``.
 
-    An even-``p`` integral takes it only at levels with ``width <= n_theta <<
-    level``, the levels it starts at and refines to (:func:`_integrate`).  An
-    entry holds ``2 width - 1`` radial and angular
-    moments, 48 bytes per unit of width: at the default ``n_theta = 256`` at
-    most 12 KiB at level 0 and 384 KiB at level 5, so the 256 kept reach
-    96 MiB only after 256 integrals of high degree; a suite's take under 1 MiB.
+    An even-``p`` integral takes it only at levels whose ``n_theta`` (``n_theta
+    << level``, or ``>> -level`` below 0) is at least ``width``, the levels it
+    starts at and refines to (:func:`_integrate`).  An entry holds ``2 width -
+    1`` radial and angular moments, 48 bytes per unit of width: at the default
+    ``n_theta = 256`` at most 3 KiB at level -2, 6 KiB at level -1, 12 KiB at
+    level 0 and 384 KiB at level 5, so the 256 kept reach 96 MiB only after
+    256 integrals of high degree; a suite's take under 1 MiB.
     """
     return polyfun.gram_moments(_level_rule(spec, n_r, n_theta, level), width)
 
@@ -373,10 +382,12 @@ def _integrate(parts, spec, settings):
     |part|^p`` against the measure of ``spec``, on the level rules of
     ``spec``, flagged truncated when ``spec`` is.
 
-    Refinement starts at the first level whose ``n_theta`` exceeds the
-    integrand's angular band and reports absolute levels; a band that the
-    finest level allowed does not resolve raises ``ValueError`` naming
-    ``n_theta``."""
+    Refinement starts at the coarsest level whose ``n_theta`` exceeds the
+    integrand's angular band, but no lower than two levels below the fixed
+    grid (level 0) and no lower than both sizes halve to; a fixed-grid
+    integral stays at level 0.  The result reports absolute levels, which
+    may be negative.  A band that the finest level allowed does not resolve
+    raises ``ValueError`` naming ``n_theta``."""
     settings = settings or quadrature.QuadSettings()
     # a part that is identically zero adds nothing
     nonzero = [f for f in parts if f.coeffs.any()]
@@ -392,7 +403,12 @@ def _integrate(parts, spec, settings):
     even = spec.p % 2 == 0 and spec.p < 2 * finest
     k = int(spec.p) // 2 if even else 1
     band = k * max((f.degree_z + f.q - 1 for f in nonzero), default=0)
-    first = (band // settings.n_theta).bit_length()
+    # refinement may start up to two levels below the fixed grid, at a level
+    # whose halved sizes are whole; level lowest + m has base << m angles
+    halvings = min(2, _halvings(settings.n_r), _halvings(settings.n_theta))
+    lowest = -halvings if settings.refine else 0
+    base = settings.n_theta >> -lowest
+    first = lowest + (band // base).bit_length()
     if first > last:
         raise ValueError(f"n_theta is {settings.n_theta}, but the integrand's angular band "
                          f"{band} needs more than {band} angles, and the finest level "
@@ -417,6 +433,11 @@ def _integrate(parts, spec, settings):
     steps = dataclasses.replace(settings, max_level=last - first) if first else settings
     res = quadrature.refine_levels(value_at, steps)
     return dataclasses.replace(res, level=first + res.level, truncated=spec.truncated)
+
+
+def _halvings(n):
+    """How often ``n`` halves to a whole number: its trailing zero bits."""
+    return (n & -n).bit_length() - 1
 
 
 def space_norm(f, spec, settings=None):

@@ -321,16 +321,31 @@ def halfplane_grid(R, n_r=DEFAULT_N_R, n_theta=DEFAULT_N_THETA, radial=(0.0, 0.0
     return _polar_grid(Domain.HALFPLANE, float(R), n_r, n_theta, radial, angular)
 
 
+def _at_level(n, level):
+    """``n`` nodes scaled to ``level``: ``n << level``, or ``n >> -level``
+    below 0, where ``2^-level`` must divide ``n``."""
+    if level >= 0:
+        return n << level
+    if n % (1 << -level):
+        raise ValueError(f"level {level} halves {n} nodes {-level} times, "
+                         "which leaves a fraction")
+    return n >> -level
+
+
 def grid_family(domain, n_r=DEFAULT_N_R, n_theta=DEFAULT_N_THETA, R=None, **rules):
-    """Return ``level -> grid`` with both resolutions doubled per level;
-    ``rules`` (``radial``, ``angular``) go to :func:`disk_grid` or
-    :func:`halfplane_grid`."""
+    """Return ``level -> grid`` of ``(n_r << level) x (n_theta << level)``
+    nodes: both resolutions doubled per level above 0 and halved per level
+    below it, where a level that would halve an odd size raises
+    ``ValueError``.  ``rules`` (``radial``, ``angular``) go to
+    :func:`disk_grid` or :func:`halfplane_grid`."""
     if domain is Domain.DISK:
-        return lambda level: disk_grid(n_r << level, n_theta << level, **rules)
+        return lambda level: disk_grid(_at_level(n_r, level), _at_level(n_theta, level),
+                                       **rules)
     if R is None:
         raise ValueError("half-plane grids need a truncation radius R")
 
-    return lambda level: halfplane_grid(R, n_r << level, n_theta << level, **rules)
+    return lambda level: halfplane_grid(R, _at_level(n_r, level), _at_level(n_theta, level),
+                                        **rules)
 
 
 def default_radius(beta):
@@ -435,7 +450,11 @@ class RefineResult:
     """An integral and how it was obtained: the last value, the final relative
     change between levels (``nan`` on a fixed grid), whether it met the
     tolerance, the level at which iteration stopped, whether the grid was
-    refined, and whether the domain was truncated."""
+    refined, and whether the domain was truncated.
+
+    A norm's ``level`` is absolute: 0 is the ``n_r x n_theta`` grid of its
+    :class:`QuadSettings`, and a level below 0, where a refined norm may
+    stop, has both sizes halved once per level (:func:`grid_family`)."""
 
     value: float
     rel_change: float

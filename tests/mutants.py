@@ -171,8 +171,14 @@ MUTANTS = [
     # the first level resolves the band; each is killed by
     # test_norms.py::test_a_grid_whose_finest_level_aliases_the_band_is_refused
     ("first-level-one-doubling-too-low", "norms.py",
-     "first = (band // settings.n_theta).bit_length()",
-     "first = (band // (2 * settings.n_theta)).bit_length()"),
+     "first = lowest + (band // base).bit_length()",
+     "first = lowest + (band // (2 * base)).bit_length()"),
+    # refinement starts below the fixed grid; killed by
+    # test_norms.py::test_a_default_refined_norm_confirms_below_the_fixed_grid and by
+    # test_norms.py::test_refinement_starts_no_lower_than_both_sizes_halve
+    ("coarse-start-at-level-0", "norms.py",
+     "lowest = -halvings if settings.refine else 0",
+     "lowest = 0"),
     ("refusal-off-by-one", "norms.py",
      "if first > last:",
      "if first > last + 1:"),

@@ -555,7 +555,8 @@ def test_a_zero_integrand_forms_no_node_values(monkeypatch):
     zero = d_zbar(exp_taylor(30))
     for spec in (disk_spec(SpaceKind.BESOV, 2.5), disk_spec(SpaceKind.DIRICHLET, 3),
                  disk_spec(SpaceKind.DIRICHLET, 2), hp_spec(SpaceKind.BERGMAN, 2.25, alpha=0.5)):
-        assert weighted_p_integral(zero, spec) == RefineResult(0.0, 0.0, True, 1)
+        # refinement starts two levels below the fixed grid and confirms one up
+        assert weighted_p_integral(zero, spec) == RefineResult(0.0, 0.0, True, -1)
     # 0 times a planar factor is refused where that factor is not finite, so
     # the nodes stay the only way
     with pytest.raises(_NodeEvaluation):
@@ -635,11 +636,98 @@ def test_a_refined_norm_builds_one_rule_per_level_and_the_next_norm_none():
     spec = disk_spec(SpaceKind.BESOV, 2.5, Product(radial=PowerLaw(gamma=0.5), angular=UNI))
     settings = QuadSettings(n_r=8, n_theta=16, max_level=3)
     res = space_norm(_CACHE_F, spec, settings)
+    # the band 4 of d_z f needs more than the 16 >> 2 = 4 angles of level -2,
+    # so refinement starts at level -1
+    first = -1
     assert res.flags.level >= 1
-    assert _level_rule.cache_info().currsize == res.flags.level + 1
-    space_norm(monomial(1, 2), spec, settings)
+    assert _level_rule.cache_info().currsize == res.flags.level - first + 1
+    # conj(z) z^4 has the same band, so it starts at the same level
+    space_norm(monomial(1, 4), spec, settings)
     weighted_p_integral(_CACHE_F, spec, settings)
-    assert _level_rule.cache_info().misses == res.flags.level + 1
+    assert _level_rule.cache_info().misses == res.flags.level - first + 1
+
+
+# refinement starts up to two levels below the fixed grid: level -j has
+# (n_r >> j) x (n_theta >> j) nodes, and exists when both sizes halve j times
+
+_POOL_F = PolyFunction([[0.5, 1.0 - 0.5j, 0.25j, -0.125, 0.0625, 0.03j, -0.015, 0.008, 0.004]])
+
+
+@pytest.mark.parametrize("spec", [
+    disk_spec(SpaceKind.DIRICHLET, 2, Product(radial=PowerLaw(gamma=0.5), angular=UNI)),
+    hp_spec(SpaceKind.DIRICHLET, 2, alpha=0.5),
+], ids=["disk-powerlaw", "halfplane-alpha"])
+def test_a_default_refined_norm_confirms_below_the_fixed_grid(spec):
+    _clear_level_rules()
+    settings = QuadSettings(max_level=1)
+    res = space_norm(_POOL_F, spec, settings)
+    # the band 9 of d_z f is far below the 64 angles of level -2
+    assert res.flags.converged and res.flags.level in (-2, -1)
+    visited = range(-2, res.flags.level + 1)
+    assert _level_rule.cache_info().misses == len(visited)
+    for level in visited:
+        _level_rule(spec, 128, 256, level)
+    # every rule asked for was built by the norm, and no other
+    assert _level_rule.cache_info().misses == len(visited)
+    assert _level_rule.cache_info().currsize == len(visited)
+
+
+@pytest.mark.parametrize("n_r, n_theta, lowest", [
+    (3, 6, 0), (1, 256, 0), (4, 6, -1), (8, 16, -2), (128, 256, -2),
+])
+def test_refinement_starts_no_lower_than_both_sizes_halve(monkeypatch, n_r, n_theta, lowest):
+    requested = []
+
+    def traced(n_r, n_theta, **rules):
+        requested.append((n_r, n_theta))
+        return disk_grid_(n_r, n_theta, **rules)
+
+    disk_grid_ = quadrature.disk_grid
+    monkeypatch.setattr(quadrature, "disk_grid", traced)
+    _clear_level_rules()
+    # a constant has band 0, so it starts at the lowest level there is
+    res = space_norm(monomial(0, 0), disk_spec(SpaceKind.BERGMAN, 2.5),
+                     QuadSettings(n_r=n_r, n_theta=n_theta, max_level=2))
+    assert res.flags.converged
+    assert requested[0] == (n_r >> -lowest, n_theta >> -lowest)
+    assert len(requested) == res.flags.level - lowest + 1
+    assert all(n >= 1 and m >= 1 for n, m in requested)
+
+
+def test_coarse_start_norms_of_the_corpus_match_the_finest_grid_and_closed_forms(
+        corpus_functions):
+    settings = QuadSettings(max_level=1)
+    finest = QuadSettings(n_r=256, n_theta=512, refine=False)
+    specs = [disk_spec(kind, p, weight)
+             for kind in SpaceKind for p in (2, 2.5, 3, 4)
+             for weight in (UNI, Product(radial=PowerLaw(gamma=0.5), angular=UNI),
+                            AngularPoly(alpha=1.0, theta_max=2 * math.pi))]
+    specs += [hp_spec(kind, p, alpha=alpha)
+              for kind in SpaceKind for p in (2, 2.5, 3) for alpha in (0.0, 0.5)]
+    coarse = closed = 0
+    for spec in specs:
+        for _, f in corpus_functions:
+            res = space_norm(f, spec, settings).flags
+            if not res.converged:
+                continue
+            coarse += res.level < 0
+            reference = space_norm(f, spec, finest).flags.value
+            assert res.value == pytest.approx(reference, rel=settings.rel_tol, abs=0)
+            # the exact even-p integrals need a rotation-invariant disk measure
+            if spec.domain is HALF or spec.p not in (2, 4) or isinstance(spec.weight,
+                                                                        AngularPoly):
+                continue
+            coeffs = {(k, j): c for (k, j), c in np.ndenumerate(f.coeffs) if c}
+            parts = ([coeffs] if spec.kind is SpaceKind.BERGMAN
+                     else list(_oracles.wirtinger_parts(coeffs)))
+            try:
+                exact = _oracles.even_p_integral(parts, spec)
+            except ValueError:   # no closed form for a Besov power law
+                continue
+            closed += 1
+            assert res.value == pytest.approx(exact, rel=settings.rel_tol, abs=1e-300)
+    assert coarse > len(specs) * len(corpus_functions) // 2
+    assert closed > 0
 
 
 def test_equal_specs_share_a_level_rule_and_each_key_field_misses():

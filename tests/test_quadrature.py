@@ -143,6 +143,18 @@ def test_refinement_errors_shrink_monotonically():
         assert fine <= coarse + 1e-14
 
 
+def test_grid_family_halves_both_sizes_per_level_below_0():
+    disk = grid_family(Domain.DISK, 8, 12)
+    assert disk(-2) is disk_grid(2, 3)
+    assert disk(0) is disk_grid(8, 12) and disk(1) is disk_grid(16, 24)
+    half = grid_family(Domain.HALFPLANE, 8, 12, R=8.0)
+    assert (half(-1).n_r, half(-1).n_theta) == (4, 6)
+    # 12 halves twice, 8 three times: level -3 would leave a fraction
+    for family in (disk, half):
+        with pytest.raises(ValueError, match="^level -3 halves 12 nodes 3 times"):
+            family(-3)
+
+
 def test_refine_until_flags_non_convergence():
     g = lambda z: np.sqrt(1 - np.abs(z) ** 2)
     family = grid_family(Domain.DISK)
