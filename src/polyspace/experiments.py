@@ -256,9 +256,11 @@ def poly_approx(f, spec, r, m_grid=DEFAULT_M_GRID, slack=0.1, settings=None,
     """Error of approximating ``f`` by the degree-``m`` truncations of ``f_r``."""
     if not 0.0 < r < 1.0:
         raise ValueError(f"r must lie in (0, 1), got {r}")
-    ms = tuple(sorted(int(m) for m in m_grid))
-    if not ms or ms[0] < 0:
-        raise ValueError("m_grid must hold nonnegative degrees")
+    ms = tuple(m_grid)
+    bad = [m for m in ms if not (m >= 0 and m % 1 == 0)] if ms else ["none"]
+    if bad:
+        raise ValueError(f"m_grid must hold nonnegative degrees, got {bad[0]}")
+    ms = tuple(sorted(int(m) for m in ms))
     check_positive("slack", slack)
     fr = polyfun.dilate(f, r)
     dil = norm_of_difference(f, fr, spec, settings)

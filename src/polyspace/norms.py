@@ -21,9 +21,10 @@ for ``Im(z)^a`` and ``exp(-beta s^2)`` on the half-plane — as one vector on th
 grid's radii and one on its angles, which multiply the grid's 1-D weights
 (:func:`_measure_density`).  Only :class:`~polyspace.weights.ExpRePow` adds a
 factor that does not separate; it is evaluated on each block's nodes.  The
-grid with its measure-weighted 1-D weights is a space's rule at a level
-(:func:`_level_rule`); it is built once and kept for every later integral in
-that space, and so are the rule's moments for a width (:func:`_level_moments`).
+grid with its measure-weighted 1-D weights is a space's rule on a grid of
+one size (:func:`_level_rule`); it is built once and kept for every later
+integral in that space, and so are the rule's moments for a width
+(:func:`_level_moments`).
 
 The measure's endpoint powers — the weight's declared exponents plus Besov
 ``(1-s)^(p-2)``, ``s^a`` and ``sin^a theta ~ [theta (pi - theta)]^a`` — pick
@@ -38,21 +39,12 @@ measure weights are all finite is worth exactly ``0.0`` without a node; at
 any other level one zero part stays on the nodes, where a measure weight or
 planar factor that is not finite is refused by its node.
 
-Refinement starts at the coarsest level whose ``n_theta`` exceeds the
-angular band of the integrand, the largest over the parts: ``k (degree_z +
+An integral's angular band is the largest over its parts: ``k (degree_z +
 q - 1)`` for ``|part|^p = |part^k|^2`` at an even ``p = 2k``, on the moments
 and the nodes alike, and ``degree_z + q - 1``, the band of ``|part|^2``, for
-other ``p`` and for an even ``p`` whose ``k`` no level allowed reaches.
-Coarser levels alias it (periodic midpoints sum harmonic ``m`` to
-``n_theta (-1)^(m / n_theta)`` when ``n_theta`` divides ``m``), so they are
-skipped, and a band that the finest level allowed does not resolve is
-refused with a ``ValueError`` naming ``n_theta``.  Levels are absolute: level
-0 is the ``n_r x n_theta`` grid of the settings, the only one a fixed-grid
-integral uses, and ``max_level`` names the finest.  A refined integral may
-start up to two levels below 0, where level ``-j`` has ``(n_r >> j) x
-(n_theta >> j)`` nodes and exists when both sizes halve ``j`` times, so a
-value that the default 128 x 256 grid already resolves is confirmed on
-32 x 64 and 64 x 128 before 128 x 256 and 256 x 512 are built.
+other ``p`` and for an even ``p`` whose ``k`` no level allowed reaches.  The
+band picks the level at which the integral starts on the ladder of grids of
+its :class:`~polyspace.quadrature.QuadSettings`, which states the rule.
 
 At an even ``p = 2k`` on a separable measure whose finest allowed level
 resolves the band of each ``part^k`` (the exact product
@@ -346,77 +338,51 @@ def _half_powers(parts, k, spec):
 
 
 @functools.lru_cache(maxsize=128)
-def _level_rule(spec, n_r, n_theta, level):
-    """The measure rule of ``spec`` at ``level``: its grid at ``n_r x
-    n_theta`` resolution with the measure folded into the 1-D weights
-    (:func:`_measure_density`), read-only like every grid.
-
-    Every integral in one space takes the same rule at a level, so each is
-    built once and kept for the next integral and the next call.  At most
-    128 are kept; at default settings a level-5 rule holds 4096 radii and
-    8192 angles with their weights, 192 KiB, so the cache holds at most
-    24 MiB, and a suite's rules (level 0, 6 KiB each) fit.  The levels below
-    0 that refinement starts at add at most two entries per spec, 3 KiB at
-    level -1 and 1.5 KiB at level -2.
+def _level_rule(spec, n_r, n_theta):
+    """The measure rule of ``spec`` on its ``n_r x n_theta`` grid, with the
+    measure folded into the 1-D weights (:func:`_measure_density`), read-only
+    like every grid.  It is built once and kept for every later integral in
+    the space, whichever settings reach the grid.  At most 128 are kept, at
+    6 KiB each at 128 x 256 and 192 KiB at 4096 x 8192, the finest default
+    level, so the cache holds at most 24 MiB.
     """
-    return _measure_density(spec, spec.grid_family(n_r, n_theta)(level))
+    return _measure_density(spec, spec.grid_family(n_r, n_theta)(0))
 
 
 @functools.lru_cache(maxsize=256)
-def _level_moments(spec, n_r, n_theta, level, width):
-    """:func:`polyfun.gram_moments` of :func:`_level_rule` for ``width``.
-
-    An even-``p`` integral takes it only at levels whose ``n_theta`` (``n_theta
-    << level``, or ``>> -level`` below 0) is at least ``width``, the levels it
-    starts at and refines to (:func:`_integrate`).  An entry holds ``2 width -
-    1`` radial and angular moments, 48 bytes per unit of width: at the default
-    ``n_theta = 256`` at most 3 KiB at level -2, 6 KiB at level -1, 12 KiB at
-    level 0 and 384 KiB at level 5, so the 256 kept reach 96 MiB only after
-    256 integrals of high degree; a suite's take under 1 MiB.
+def _level_moments(spec, n_r, n_theta, width):
+    """:func:`polyfun.gram_moments` of :func:`_level_rule` for ``width``, at
+    most the grid's ``n_theta`` (:func:`_integrate`).  An entry holds ``2
+    width - 1`` radial and angular moments, 48 bytes per unit of width: at
+    most 12 KiB at 128 x 256 and 384 KiB at 4096 x 8192, so the 256 kept
+    reach 96 MiB only after 256 integrals of high degree; a suite's take
+    under 1 MiB.
     """
-    return polyfun.gram_moments(_level_rule(spec, n_r, n_theta, level), width)
+    return polyfun.gram_moments(_level_rule(spec, n_r, n_theta), width)
 
 
 def _integrate(parts, spec, settings):
     """:class:`~polyspace.quadrature.RefineResult` of ``integral sum_part
-    |part|^p`` against the measure of ``spec``, on the level rules of
-    ``spec``, flagged truncated when ``spec`` is.
-
-    Refinement starts at the coarsest level whose ``n_theta`` exceeds the
-    integrand's angular band, but no lower than two levels below the fixed
-    grid (level 0) and no lower than both sizes halve to; a fixed-grid
-    integral stays at level 0.  The result reports absolute levels, which
-    may be negative.  A band that the finest level allowed does not resolve
-    raises ``ValueError`` naming ``n_theta``."""
+    |part|^p`` against the measure of ``spec``, flagged truncated when
+    ``spec`` is, on its rules at the levels of ``settings`` from the
+    :meth:`~polyspace.quadrature.QuadSettings.first_level` of its band up."""
     settings = settings or quadrature.QuadSettings()
     # a part that is identically zero adds nothing
     nonzero = [f for f in parts if f.coeffs.any()]
     zero = not nonzero and spec.weight.planar_factor is None
-    last = settings.max_level if settings.refine else 0
-    finest = settings.n_theta << last
+    finest = settings.sizes(settings.last_level)[1]
     # the angular harmonics of |part|^2 lie within D + q - 1, and those of
     # |part|^p = |part^k|^2 at p = 2k within k times that, on the moments and
-    # the nodes alike; a level resolves the band when its n_theta exceeds it
-    # (periodic midpoints alias a harmonic that n_theta divides).  An even p
-    # whose k no level reaches (p = 1e300 is even) keeps the band of |part|^2,
-    # as odd and fractional p do
+    # the nodes alike.  An even p whose k no level reaches (p = 1e300 is
+    # even) keeps the band of |part|^2, as odd and fractional p do
     even = spec.p % 2 == 0 and spec.p < 2 * finest
     k = int(spec.p) // 2 if even else 1
     band = k * max((f.degree_z + f.q - 1 for f in nonzero), default=0)
-    # refinement may start up to two levels below the fixed grid, at a level
-    # whose halved sizes are whole; level lowest + m has base << m angles
-    halvings = min(2, _halvings(settings.n_r), _halvings(settings.n_theta))
-    lowest = -halvings if settings.refine else 0
-    base = settings.n_theta >> -lowest
-    first = lowest + (band // base).bit_length()
-    if first > last:
-        raise ValueError(f"n_theta is {settings.n_theta}, but the integrand's angular band "
-                         f"{band} needs more than {band} angles, and the finest level "
-                         f"allowed, {last}, has {finest}")
+    first = settings.first_level(band)
     halves = _half_powers(nonzero, k, spec) if even else None
 
-    def value_at(step):
-        rule = (spec, settings.n_r, settings.n_theta, first + step)
+    def value_at(level):
+        rule = (spec, *settings.sizes(level))
         grid = _level_rule(*rule)
         # blocked_sum of zeros against finite 1-D weights is exactly 0.0
         if zero and np.isfinite(grid.radial_weights).all() and np.isfinite(
@@ -430,14 +396,8 @@ def _integrate(parts, spec, settings):
         return quadrature.blocked_sum(_block_integrand(nonzero or parts[:1], spec, grid),
                                       grid)
 
-    steps = dataclasses.replace(settings, max_level=last - first) if first else settings
-    res = quadrature.refine_levels(value_at, steps)
-    return dataclasses.replace(res, level=first + res.level, truncated=spec.truncated)
-
-
-def _halvings(n):
-    """How often ``n`` halves to a whole number: its trailing zero bits."""
-    return (n & -n).bit_length() - 1
+    res = quadrature.refine_levels(value_at, settings, first)
+    return dataclasses.replace(res, truncated=spec.truncated)
 
 
 def space_norm(f, spec, settings=None):

@@ -48,9 +48,9 @@ Every integral of node values is blockwise.  :func:`blocked_sum` is the one
 reduction: it asks for the integrand one block of radii at a time (at most
 :data:`BLOCK_VALUES` nodes), sums it through the two 1-D rules, refuses a
 non-finite value by naming its node and an overflowing sum as such, and adds
-the block sums exactly rounded.  :func:`refine_levels` runs
-``level -> value`` under a :class:`QuadSettings` policy, fixed or refined,
-and returns one :class:`RefineResult`, the value with its flags.
+the block sums exactly rounded.  :class:`QuadSettings` holds the ladder of
+grid levels, and :func:`refine_levels` runs ``level -> value`` up it, fixed
+or refined, and returns one :class:`RefineResult`, the value with its flags.
 :func:`integrate` and :func:`refine_until` are these pieces applied to a
 callable of one block of nodes.  Block arrays live in per-thread buffers
 from :func:`scratch`, reused from call to call, so no call allocates memory
@@ -96,7 +96,12 @@ BLOCK_VALUES = 16384
 
 @dataclass(frozen=True)
 class QuadSettings:
-    """Grid resolution and refinement policy for norm evaluation.
+    """Grid resolution and refinement policy for norm evaluation: the ladder
+    of grids that an integral climbs from :meth:`first_level` to at most
+    :attr:`last_level`.  Level 0 is the ``n_r x n_theta`` grid, the only one
+    on a fixed grid (``refine=False``); each level above doubles both sizes
+    and each below halves them (:meth:`sizes`).  Levels are absolute
+    wherever they are reported.
 
     Out-of-range values raise ``ValueError`` with a message that starts with
     the field's name.
@@ -113,6 +118,42 @@ class QuadSettings:
         check_integer("n_theta", self.n_theta, 1)
         check_positive("rel_tol", self.rel_tol)
         check_integer("max_level", self.max_level, 0)
+
+    def sizes(self, level):
+        """``(n_r, n_theta)`` at ``level``: both doubled per level above 0 and
+        halved per level below it.  A level that would halve a size to a
+        fraction raises ``ValueError`` naming ``level``."""
+        if level >= 0:
+            return self.n_r << level, self.n_theta << level
+        if (self.n_r | self.n_theta) % (1 << -level):
+            raise ValueError(f"level {level} halves {self.n_r} x {self.n_theta} to a fraction")
+        return self.n_r >> -level, self.n_theta >> -level
+
+    @property
+    def last_level(self):
+        """The finest level allowed: ``max_level``, or 0 on a fixed grid."""
+        return self.max_level if self.refine else 0
+
+    def first_level(self, band):
+        """The level at which an integral whose angular harmonics lie within
+        ``band`` starts: the coarsest whose ``n_theta`` exceeds ``band``, as
+        periodic midpoints on ``n`` angles sum harmonic ``m`` to ``n
+        (-1)^(m / n)`` when ``n`` divides ``m``, so two coarser levels could
+        agree on a wrong value.  It is 0 on a fixed grid, and never more than
+        two levels below 0 nor below what both sizes halve to: a value that
+        the default 128 x 256 grid resolves is confirmed on 32 x 64 and
+        64 x 128 before 128 x 256 and 256 x 512 are built.  A band that the
+        finest level allowed does not resolve raises ``ValueError`` starting
+        with ``n_theta``."""
+        # n_r | n_theta has the trailing zero bits that both sizes share
+        both = self.n_r | self.n_theta
+        lowest = -min(2, (both & -both).bit_length() - 1) if self.refine else 0
+        first = lowest + (band // self.sizes(lowest)[1]).bit_length()
+        if first > (last := self.last_level):
+            raise ValueError(f"n_theta is {self.n_theta}, but the integrand's angular band "
+                             f"{band} needs more than {band} angles, and the finest level "
+                             f"allowed, {last}, has {self.sizes(last)[1]}")
+        return first
 
 
 @dataclass(frozen=True)
@@ -276,7 +317,10 @@ def _polar_grid(domain, R, n_r, n_theta, radial, angular):
     """The grid of the radii on ``(0, R)`` that ``radial`` places, their
     weights times the area Jacobian ``s``, and the angles on ``(0,
     domain.angle_span)`` that ``angular`` places, uniform midpoints for
-    ``angular=None``.  A radius whose weights are not finite is refused."""
+    ``angular=None``.  Sizes below 1, and a radius whose weights are not
+    finite, are refused."""
+    check_integer("n_r", n_r, 1)
+    check_integer("n_theta", n_theta, 1)
     radial, angular = _exponents(radial), _exponents(angular)
     if angular is None and domain is Domain.HALFPLANE:
         raise ValueError("half-plane grids have no periodic angular rule")
@@ -321,31 +365,22 @@ def halfplane_grid(R, n_r=DEFAULT_N_R, n_theta=DEFAULT_N_THETA, radial=(0.0, 0.0
     return _polar_grid(Domain.HALFPLANE, float(R), n_r, n_theta, radial, angular)
 
 
-def _at_level(n, level):
-    """``n`` nodes scaled to ``level``: ``n << level``, or ``n >> -level``
-    below 0, where ``2^-level`` must divide ``n``."""
-    if level >= 0:
-        return n << level
-    if n % (1 << -level):
-        raise ValueError(f"level {level} halves {n} nodes {-level} times, "
-                         "which leaves a fraction")
-    return n >> -level
-
-
 def grid_family(domain, n_r=DEFAULT_N_R, n_theta=DEFAULT_N_THETA, R=None, **rules):
     """Return ``level -> grid`` of ``(n_r << level) x (n_theta << level)``
-    nodes: both resolutions doubled per level above 0 and halved per level
-    below it, where a level that would halve an odd size raises
-    ``ValueError``.  ``rules`` (``radial``, ``angular``) go to
-    :func:`disk_grid` or :func:`halfplane_grid`."""
-    if domain is Domain.DISK:
-        return lambda level: disk_grid(_at_level(n_r, level), _at_level(n_theta, level),
-                                       **rules)
-    if R is None:
+    nodes, the levels from 0 up of :class:`QuadSettings`; a negative level
+    raises ``ValueError`` naming ``level``.  ``rules`` (``radial``,
+    ``angular``) go to :func:`disk_grid` or :func:`halfplane_grid`."""
+    if domain is not Domain.DISK and R is None:
         raise ValueError("half-plane grids need a truncation radius R")
 
-    return lambda level: halfplane_grid(R, _at_level(n_r, level), _at_level(n_theta, level),
-                                        **rules)
+    def family(level):
+        if level < 0:
+            raise ValueError(f"level is {level}, but a grid family starts at level 0")
+        if domain is Domain.DISK:
+            return disk_grid(n_r << level, n_theta << level, **rules)
+        return halfplane_grid(R, n_r << level, n_theta << level, **rules)
+
+    return family
 
 
 def default_radius(beta):
@@ -450,11 +485,8 @@ class RefineResult:
     """An integral and how it was obtained: the last value, the final relative
     change between levels (``nan`` on a fixed grid), whether it met the
     tolerance, the level at which iteration stopped, whether the grid was
-    refined, and whether the domain was truncated.
-
-    A norm's ``level`` is absolute: 0 is the ``n_r x n_theta`` grid of its
-    :class:`QuadSettings`, and a level below 0, where a refined norm may
-    stop, has both sizes halved once per level (:func:`grid_family`)."""
+    refined, and whether the domain was truncated.  ``level`` is absolute on
+    the ladder of :class:`QuadSettings`, and may be negative."""
 
     value: float
     rel_change: float
@@ -473,18 +505,19 @@ class RefineResult:
         return out
 
 
-def refine_levels(value_at, settings=None):
-    """Compute ``value_at(0), value_at(1), ...`` until successive values agree
-    to ``settings.rel_tol`` relative, or ``settings.max_level`` is hit — then
-    the result is flagged as not converged.  With ``settings.refine`` false
-    only ``value_at(0)`` is computed.  ``settings`` defaults to
-    ``QuadSettings()``."""
+def refine_levels(value_at, settings=None, first=0):
+    """Compute ``value_at(first), value_at(first + 1), ...`` until successive
+    values agree to ``settings.rel_tol`` relative, or ``settings.max_level``
+    is hit — then the result is flagged as not converged.  With
+    ``settings.refine`` false only ``value_at(first)`` is computed.
+    ``settings`` defaults to ``QuadSettings()``; ``first`` is usually its
+    :meth:`~QuadSettings.first_level`."""
     settings = settings or QuadSettings()
-    prev = value_at(0)
+    prev = value_at(first)
     if not settings.refine:
-        return RefineResult(prev, math.nan, True, 0, refined=False)
+        return RefineResult(prev, math.nan, True, first, refined=False)
     change = np.inf
-    for level in range(1, settings.max_level + 1):
+    for level in range(first + 1, settings.max_level + 1):
         cur = value_at(level)
         denom = max(abs(cur), abs(prev))
         change = 0.0 if denom == 0.0 else abs(cur - prev) / denom
@@ -495,9 +528,9 @@ def refine_levels(value_at, settings=None):
 
 
 def refine_until(g, family, rel_tol=DEFAULT_REL_TOL, max_level=DEFAULT_MAX_LEVEL):
-    """Integrate ``g`` on ``family(0), family(1), ...`` (each level doubles both
-    grid resolutions) through :func:`refine_levels`.  An out-of-range
-    ``rel_tol`` or ``max_level`` raises ``ValueError`` naming it."""
+    """Integrate ``g`` on ``family(0), family(1), ...`` (:func:`grid_family`)
+    through :func:`refine_levels`.  An out-of-range ``rel_tol`` or
+    ``max_level`` raises ``ValueError`` naming it."""
     settings = QuadSettings(rel_tol=rel_tol, max_level=max_level)
     return refine_levels(lambda level: integrate(g, family(level)), settings)
 

@@ -86,8 +86,12 @@ MUTANTS = [
      "return RefineResult(prev, change, False, settings.max_level)",
      "return RefineResult(prev, change, True, settings.max_level)"),
     ("refinement-stops-at-level-1", "quadrature.py",
-     "for level in range(1, settings.max_level + 1):",
-     "for level in range(1, 2):"),
+     "for level in range(first + 1, settings.max_level + 1):",
+     "for level in range(first + 1, 2):"),
+    # killed by test_quadrature.py::test_refine_levels_walks_absolute_levels_from_first
+    ("refine-levels-ignores-first", "quadrature.py",
+     "    prev = value_at(first)\n",
+     "    first = 0\n    prev = value_at(first)\n"),
     # coefficient calculus
     ("dilate-uses-r-to-the-j", "polyfun.py",
      "powers = float(r) ** np.add.outer(np.arange(f.q), np.arange(f.degree_z + 1))",
@@ -148,8 +152,8 @@ MUTANTS = [
     # the level rules kept per space; killed by
     # test_norms.py::test_a_refined_norm_builds_one_rule_per_level_and_the_next_norm_none
     ("level-rule-at-level-0", "norms.py",
-     "rule = (spec, settings.n_r, settings.n_theta, first + step)",
-     "rule = (spec, settings.n_r, settings.n_theta, 0)"),
+     "rule = (spec, *settings.sizes(level))",
+     "rule = (spec, *settings.sizes(0))"),
     # killed by test_norms.py::test_an_even_p_norm_takes_the_moments_of_its_widest_half
     ("moments-for-the-wrong-width", "norms.py",
      "_level_moments(*rule, band + 1)",
@@ -169,19 +173,22 @@ MUTANTS = [
      "even = spec.p % 2 == 0 and spec.p < 2 * finest",
      "even = spec.p % 2 == 0"),
     # the first level resolves the band; each is killed by
+    # test_quadrature.py::test_the_first_level_is_the_coarsest_whose_angles_exceed_the_band,
+    # by test_quadrature.py::test_a_band_beyond_the_finest_level_is_refused and by
     # test_norms.py::test_a_grid_whose_finest_level_aliases_the_band_is_refused
-    ("first-level-one-doubling-too-low", "norms.py",
-     "first = lowest + (band // base).bit_length()",
-     "first = lowest + (band // (2 * base)).bit_length()"),
+    ("first-level-one-doubling-too-low", "quadrature.py",
+     "first = lowest + (band // self.sizes(lowest)[1]).bit_length()",
+     "first = lowest + (band // (2 * self.sizes(lowest)[1])).bit_length()"),
     # refinement starts below the fixed grid; killed by
-    # test_norms.py::test_a_default_refined_norm_confirms_below_the_fixed_grid and by
-    # test_norms.py::test_refinement_starts_no_lower_than_both_sizes_halve
-    ("coarse-start-at-level-0", "norms.py",
-     "lowest = -halvings if settings.refine else 0",
+    # test_quadrature.py::test_the_first_level_is_no_lower_than_both_sizes_halve and by
+    # test_norms.py::test_a_default_refined_norm_confirms_below_the_fixed_grid
+    ("coarse-start-at-level-0", "quadrature.py",
+     "lowest = -min(2, (both & -both).bit_length() - 1) if self.refine else 0",
      "lowest = 0"),
-    ("refusal-off-by-one", "norms.py",
-     "if first > last:",
-     "if first > last + 1:"),
+    # killed by test_quadrature.py::test_a_band_beyond_the_finest_level_is_refused
+    ("refusal-off-by-one", "quadrature.py",
+     "if first > (last := self.last_level):",
+     "if first > (last := self.last_level) + 1:"),
     # the suite's half-plane self-check; killed by test_cli.py::test_suite_allocates_little,
     # whose suite must print its CSV
     ("suite-self-check-wrong-spec", "cli.py",

@@ -643,7 +643,7 @@ def test_bad_input_exits_1_naming_the_flag(z_file, capsys, argv, flag):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (_APPROX + ["--m-grid", "-1,2"], "--m-grid: m_grid must hold nonnegative degrees"),
+    (_APPROX + ["--m-grid", "-1,2"], "--m-grid: m_grid must hold nonnegative degrees, got -1"),
     (_CONVERGE + ["--r-grid", "-0.5,0.9"],
      "--r-grid: r_grid values must lie in (0, 1), got -0.5"),
 ])

@@ -267,13 +267,22 @@ def test_poly_approx_validation():
     spec = disk_spec(SpaceKind.DIRICHLET, 2)
     with pytest.raises(ValueError):
         poly_approx(f, spec, r=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^m_grid must hold nonnegative degrees, got -1$"):
         poly_approx(f, spec, r=0.9, m_grid=(-1, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^m_grid must hold nonnegative degrees, got none$"):
         poly_approx(f, spec, r=0.9, m_grid=())
     # out-of-order degrees are tolerated and come back sorted
     report = poly_approx(f, spec, r=0.9, m_grid=(5, 2))
     assert [row.m for row in report.rows] == [2, 5]
+
+
+@pytest.mark.parametrize("bad", [2.7, 0.9, -0.5, math.nan, math.inf])
+def test_poly_approx_refuses_a_degree_that_is_not_a_whole_number(bad):
+    # 2.7 would otherwise report a row for m = 2
+    with pytest.raises(ValueError, match=f"^m_grid must hold nonnegative degrees, "
+                                         f"got {bad!r}$"):
+        poly_approx(monomial(0, 1), disk_spec(SpaceKind.DIRICHLET, 2), r=0.9,
+                    m_grid=(1, bad))
 
 
 # ---------------------------------------------------------------------------

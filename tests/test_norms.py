@@ -601,7 +601,7 @@ def test_node_and_moment_sums_of_the_square_agree(spec, grid, seed):
 
 
 # ---------------------------------------------------------------------------
-# the level rules: one measure grid and one set of moments per space and level
+# the level rules: one measure grid and one set of moments per space and grid
 
 
 def _clear_level_rules():
@@ -666,7 +666,7 @@ def test_a_default_refined_norm_confirms_below_the_fixed_grid(spec):
     visited = range(-2, res.flags.level + 1)
     assert _level_rule.cache_info().misses == len(visited)
     for level in visited:
-        _level_rule(spec, 128, 256, level)
+        _level_rule(spec, 128 >> -level, 256 >> -level)
     # every rule asked for was built by the norm, and no other
     assert _level_rule.cache_info().misses == len(visited)
     assert _level_rule.cache_info().currsize == len(visited)
@@ -735,14 +735,15 @@ def test_equal_specs_share_a_level_rule_and_each_key_field_misses():
     a, b = (hp_spec(SpaceKind.BESOV, 2.5, Product(radial=PowerLaw(gamma=0.5), angular=UNI),
                     alpha=0.25) for _ in range(2))
     assert a is not b and a == b
-    rule = _level_rule(a, 8, 16, 0)
-    assert _level_rule(b, 8, 16, 0) is rule
-    for key in [(a, 16, 16, 0), (a, 8, 32, 0), (a, 8, 16, 1)]:
+    rule = _level_rule(a, 8, 16)
+    assert _level_rule(b, 8, 16) is rule
+    # each size misses alone, and so does the next level's grid, both doubled
+    for key in [(a, 16, 16), (a, 8, 32), (a, 16, 32)]:
         assert _level_rule(*key) is not rule
     assert _level_rule.cache_info().currsize == 4
-    moments = _level_moments(a, 8, 16, 0, 5)
-    assert _level_moments(b, 8, 16, 0, 5) is moments
-    for key in [(a, 16, 16, 0, 5), (a, 8, 32, 0, 5), (a, 8, 16, 1, 5), (a, 8, 16, 0, 6)]:
+    moments = _level_moments(a, 8, 16, 5)
+    assert _level_moments(b, 8, 16, 5) is moments
+    for key in [(a, 16, 16, 5), (a, 8, 32, 5), (a, 16, 32, 5), (a, 8, 16, 6)]:
         assert _level_moments(*key) is not moments
     assert _level_moments.cache_info().currsize == 5
 
@@ -752,7 +753,7 @@ def test_an_even_p_norm_takes_the_moments_of_its_widest_half():
     spec = hp_spec(SpaceKind.BERGMAN, 4, alpha=0.5)
     res = space_norm(_CACHE_F, spec, QuadSettings(n_r=16, n_theta=32, refine=False))
     half = polyfun.mul(_CACHE_F, _CACHE_F)
-    moments = _level_moments(spec, 16, 32, 0, half.degree_z + half.q)
+    moments = _level_moments(spec, 16, 32, half.degree_z + half.q)
     info = _level_moments.cache_info()
     assert (info.hits, info.misses) == (1, 1)
     assert res.flags.value == polyfun.gram_sum([half], moments)
@@ -814,11 +815,11 @@ def _one_plus_z_to(n):
 
 @pytest.mark.parametrize("n", [256, 1024])
 def test_a_refined_even_p_norm_starts_where_its_band_is_resolved(monkeypatch, n):
-    levels = []
+    sizes = []
 
-    def traced(spec, n_r, n_theta, level, width):
-        levels.append(level)
-        return level_moments(spec, n_r, n_theta, level, width)
+    def traced(spec, n_r, n_theta, width):
+        sizes.append((n_r, n_theta))
+        return level_moments(spec, n_r, n_theta, width)
 
     level_moments = _level_moments
     monkeypatch.setattr(norms, "_level_moments", traced)
@@ -826,9 +827,26 @@ def test_a_refined_even_p_norm_starts_where_its_band_is_resolved(monkeypatch, n)
     assert res.flags.converged
     assert res.full_norm == pytest.approx(math.sqrt(math.pi * (1 + 1 / (n + 1))),
                                           rel=0, abs=1e-12)
-    # band n: 256 angles first resolve it at level (n // 256).bit_length()
+    # band n: 256 angles first resolve it at level (n // 256).bit_length(),
+    # whose grid is 128 x 256 doubled once per level
     first = (n // 256).bit_length()
-    assert levels == [first, first + 1] and res.flags.level == first + 1
+    assert sizes == [(128 << first, 256 << first), (256 << first, 512 << first)]
+    assert res.flags.level == first + 1
+
+
+def test_one_grid_is_one_rule_whichever_settings_reach_it():
+    _clear_level_rules()
+    spec, f = disk_spec(SpaceKind.BERGMAN, 2), _one_plus_z_to(256)
+    # band 256: level 1 of 128 x 256 is the first to resolve it, the 256 x 512
+    # grid that is level 0 of the second settings
+    refined = space_norm(f, spec, QuadSettings(max_level=1))
+    fixed = space_norm(f, spec, QuadSettings(n_r=256, n_theta=512, refine=False))
+    assert refined.flags.level == 1 and fixed.flags.level == 0
+    assert refined.flags.value == fixed.flags.value
+    for cache in (_level_rule, _level_moments):
+        assert cache.cache_info().currsize == cache.cache_info().misses == 1
+    assert _level_rule(spec, 256, 512).n_theta == 512
+    assert _level_rule.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("n, settings", [
@@ -882,8 +900,8 @@ def test_an_odd_p_norm_of_a_high_band_ends_unconverged_from_its_first_level(p, r
 def test_level_rules_and_moments_are_read_only():
     spec = hp_spec(SpaceKind.DIRICHLET, 2.5, AngularPoly(alpha=0.5, theta_max=math.pi),
                    alpha=0.5)
-    grid = _level_rule(spec, 8, 16, 0)
-    radial, mu = _level_moments(spec, 8, 16, 0, 4)
+    grid = _level_rule(spec, 8, 16)
+    radial, mu = _level_moments(spec, 8, 16, 4)
     for arr in (grid.radii, grid.angles, grid.radial_weights, grid.angle_weights, radial, mu):
         assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -895,7 +913,7 @@ def test_the_level_caches_stay_within_their_bounds():
     rules, moments = _level_rule.cache_info().maxsize, _level_moments.cache_info().maxsize
     for i in range(max(rules, moments) + 8):
         spec = disk_spec(SpaceKind.BESOV, 2.0 + i / 64)
-        _level_moments(spec, 4, 4, 0, 2)
+        _level_moments(spec, 4, 4, 2)
         assert _level_rule.cache_info().currsize <= rules
         assert _level_moments.cache_info().currsize <= moments
     assert _level_rule.cache_info().currsize == rules

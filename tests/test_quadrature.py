@@ -143,16 +143,84 @@ def test_refinement_errors_shrink_monotonically():
         assert fine <= coarse + 1e-14
 
 
-def test_grid_family_halves_both_sizes_per_level_below_0():
+def test_quad_settings_sizes_halve_both_sizes_per_level_below_0():
+    ladder = QuadSettings(n_r=8, n_theta=12)
+    assert ladder.sizes(-2) == (2, 3) and ladder.sizes(-1) == (4, 6)
+    assert ladder.sizes(0) == (8, 12) and ladder.sizes(1) == (16, 24)
+    # 12 halves twice, 8 three times: level -3 would leave a fraction
+    for n_r, n_theta in [(8, 12), (12, 8)]:
+        with pytest.raises(ValueError, match=f"^level -3 halves {n_r} x {n_theta} to a "
+                                             "fraction$"):
+            QuadSettings(n_r=n_r, n_theta=n_theta).sizes(-3)
+
+
+def test_grid_family_doubles_both_sizes_per_level_and_refuses_a_negative_level():
     disk = grid_family(Domain.DISK, 8, 12)
-    assert disk(-2) is disk_grid(2, 3)
     assert disk(0) is disk_grid(8, 12) and disk(1) is disk_grid(16, 24)
     half = grid_family(Domain.HALFPLANE, 8, 12, R=8.0)
-    assert (half(-1).n_r, half(-1).n_theta) == (4, 6)
-    # 12 halves twice, 8 three times: level -3 would leave a fraction
+    assert (half(2).n_r, half(2).n_theta) == (32, 48)
     for family in (disk, half):
-        with pytest.raises(ValueError, match="^level -3 halves 12 nodes 3 times"):
-            family(-3)
+        with pytest.raises(ValueError, match="^level is -1"):
+            family(-1)
+
+
+# the ladder: where an integral of a given angular band starts and stops
+
+
+@pytest.mark.parametrize("band, first", [(0, -2), (63, -2), (64, -1), (255, 0), (256, 1)])
+def test_the_first_level_is_the_coarsest_whose_angles_exceed_the_band(band, first):
+    assert QuadSettings().first_level(band) == first
+    # each level doubles the angles of the one below
+    assert QuadSettings().sizes(first)[1] > band
+    if first > -2:
+        assert QuadSettings().sizes(first - 1)[1] <= band
+
+
+@pytest.mark.parametrize("n_r, n_theta, lowest", [(3, 6, 0), (6, 12, -1), (8, 6, -1)])
+def test_the_first_level_is_no_lower_than_both_sizes_halve(n_r, n_theta, lowest):
+    ladder = QuadSettings(n_r=n_r, n_theta=n_theta, max_level=3)
+    assert ladder.first_level(0) == lowest
+    assert min(ladder.first_level(band) for band in range(n_theta << 3)) == lowest
+
+
+def test_a_fixed_grid_starts_at_level_0_for_any_band_it_resolves():
+    fixed = QuadSettings(refine=False)
+    assert fixed.last_level == 0 and QuadSettings(max_level=3).last_level == 3
+    assert {fixed.first_level(band) for band in range(DEFAULT_N_THETA)} == {0}
+
+
+@pytest.mark.parametrize("settings, finest", [
+    (QuadSettings(refine=False), 256),
+    (QuadSettings(max_level=2), 1024),
+    (QuadSettings(n_r=3, n_theta=6, max_level=0), 6),
+])
+def test_a_band_beyond_the_finest_level_is_refused(settings, finest):
+    assert settings.first_level(finest - 1) == settings.last_level
+    for band in (finest, 2 * finest):
+        with pytest.raises(ValueError, match=f"^n_theta is {settings.n_theta}, but the "
+                                             f"integrand's angular band {band} needs more "
+                                             f"than {band} angles, and the finest level "
+                                             f"allowed, {settings.last_level}, has {finest}$"):
+            settings.first_level(band)
+
+
+def test_refine_levels_walks_absolute_levels_from_first():
+    visited = []
+
+    def value_at(level):
+        visited.append(level)
+        return 1.0 + 2.0 ** -(level + 3)
+
+    res = refine_levels(value_at, QuadSettings(rel_tol=1e-3, max_level=3), first=-2)
+    assert visited == [-2, -1, 0, 1, 2, 3]
+    assert res == RefineResult(1.0 + 2.0 ** -6, 2.0 ** -6 / (1.0 + 2.0 ** -5), False, 3)
+    visited.clear()
+    res = refine_levels(value_at, QuadSettings(rel_tol=0.2), first=-2)
+    assert visited == [-2, -1] and res.converged and res.level == -1
+    visited.clear()
+    res = refine_levels(value_at, QuadSettings(refine=False), first=-1)
+    assert visited == [-1]
+    assert (res.value, res.level, res.refined) == (1.25, -1, False)
 
 
 def test_refine_until_flags_non_convergence():
@@ -205,6 +273,18 @@ def test_integrate_names_bad_node():
         integrate(g, disk_grid(8, 8))
     assert "nan" in str(err.value)
     assert "node" in str(err.value)
+
+
+@pytest.mark.parametrize("build, args, name", [
+    (disk_grid, (4, 0), "n_theta"),
+    (disk_grid, (0, 4), "n_r"),
+    (disk_grid, (2.5, 4), "n_r"),
+    (halfplane_grid, (8.0, 4, 0), "n_theta"),
+    (halfplane_grid, (8.0, 0, 4), "n_r"),
+])
+def test_grid_builders_name_a_bad_size(build, args, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1, got "):
+        build(*args)
 
 
 def test_grid_family_requires_radius_off_the_disk():
