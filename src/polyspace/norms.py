@@ -56,13 +56,15 @@ any node.  Otherwise, and at a level whose moment sum is not finite or
 could have lost digits to cancellation, the integrand is formed on the nodes
 one block of radii at a time, in reused block buffers: each part as one
 real product ``powers[rows] @ B`` of the radius powers and the float view of
-its complex angular matrix (:func:`polyfun.block_evaluators`, which builds
-both once per level), then ``|.|^p`` (:func:`_power`):
+its complex angular matrix (:func:`polyfun.block_evaluators`, which reads
+the powers from the tables the grid's rules keep and builds each matrix once
+per level), then ``|.|^p`` (:func:`_power`):
 for ``p = n + k/4 <= 4`` from products and one or two square roots, which
 cost a fraction of ``pow``, for any other ``p`` by ``**``.
 :func:`quadrature.blocked_sum` sums the blocks through the grid's 1-D rules,
 and its refusals name a node.  No array the size of the grid is ever built.
-Horner's scheme is used only for the point term.
+The point term at the disk's base point 0 is ``|C[0, 0]|``, the value
+Horner's scheme gives there; at the half-plane's ``i`` it is Horner's value.
 """
 
 from __future__ import annotations
@@ -407,8 +409,10 @@ def space_norm(f, spec, settings=None):
         point_term = 0.0
     else:
         parts = [polyfun.d_z(f), polyfun.d_zbar(f)]
+        # at 0 every term but C[0, 0] vanishes, so Horner's value is C[0, 0]
+        base = f.coeffs[0, 0] if spec.domain is Domain.DISK else f(spec.base_point)
         with np.errstate(over="ignore"):
-            point_term = float(np.float64(abs(f(spec.base_point))) ** spec.p)
+            point_term = float(np.float64(abs(base)) ** spec.p)
         if not math.isfinite(point_term):
             raise ValueError(f"point term |f(z0)|^p at the base point "
                              f"z0 = {spec.base_point} is {point_term}")

@@ -17,19 +17,21 @@ Values come two ways.  On a polar tensor grid of radii ``s_i`` and angles
 product ``powers[rows] @ B``: the radius powers ``powers[i, n] = s_i^n``
 times the float view of the complex angular matrix
 ``B[n, l] = sum_k C[k, n-k] exp(i (n-2k) theta_l)``,
-``n = 0 .. degree_z + q - 1``, which is summed from one harmonic table built
-once per call for all the functions passed.
+``n = 0 .. degree_z + q - 1``, which is summed from one harmonic table for
+all the functions passed.
 :func:`gram_sum` forms the grid's sum of ``|f|^2`` from the moments of its
 two rules instead (:func:`gram_moments`), without a value on any node; with
 the exact product :func:`mul`, ``|f|^(2k) = |f^k|^2`` brings every even
-power to it.  Both read the powers of ``u = exp(i theta)`` from one
-recurrence (:func:`_power_rows`), negative harmonics as exact conjugates.
-The harmonic table and the radius powers are built per call; the moments
+power to it.  Both only read the powers of the grid's rules: the rows
+``u^m`` of ``u = exp(i theta)``, negative harmonics as exact conjugates,
+and the columns ``s^n``, from the tables that each rule keeps
+(:meth:`~polyspace.quadrature.QuadratureGrid.harmonics`,
+:meth:`~polyspace.quadrature.QuadratureGrid.radius_powers`).  The moments
 are kept by :mod:`polyspace.norms`, keyed by space, resolution, level and
 width (at most 256), with the measure-weighted grid they come from (keyed
-by space, resolution and level, at most 128).  Point values (the base-point
-term of a norm) use one Horner scheme, :func:`evaluate`, in ``z`` along
-every row at once and then in ``conj(z)``.
+by space, resolution and level, at most 128).  Point values use one Horner
+scheme, :func:`evaluate`, in ``z`` along every row at once and then in
+``conj(z)``.
 """
 
 from __future__ import annotations
@@ -173,25 +175,6 @@ def evaluate(f, z):
     return out if out.ndim else complex(out)
 
 
-def _power_rows(row, u, out):
-    """Fill ``out[m] = row * u^m`` by repeated multiplication from ``out[0] =
-    row``: the factors Horner's scheme multiplies on grid nodes ``s * u``."""
-    out[0] = row
-    for m in range(1, len(out)):
-        np.multiply(out[m - 1], u, out=out[m])
-
-
-def _harmonic_table(angles, lo, hi):
-    """Rows ``exp(i m angles)`` for ``m = lo .. hi``, ``lo <= 0 <= hi``: row
-    ``m >= 0`` is the ``m``-th power of the rounded unit ``u = exp(i angles)``
-    (:func:`_power_rows`), the same bits whatever range the table spans, and
-    row ``-m`` its exact conjugate."""
-    table = np.empty((max(hi, -lo) - lo + 1, angles.size), dtype=complex)
-    _power_rows(1.0, np.exp(1j * angles), table[-lo:])
-    np.conj(table[-2 * lo: -lo: -1], out=table[:-lo])
-    return table[: hi - lo + 1]
-
-
 def _angular_matrix(f, table, lo, buf):
     """``B[n] = sum_k C[k, n-k] table[n - 2k - lo]``, ``n = 0 .. degree_z +
     q - 1``: the angular factor of ``s^n`` in ``f``.  Row ``k = 0`` is written
@@ -224,18 +207,19 @@ def block_evaluators(fs, grid):
     and ``B`` (:func:`_angular_matrix`) has one complex row per power
     ``n = 0 .. degree_z + q - 1``, summed from one harmonic table for all of
     ``fs``, so a block is one real product of ``powers`` with the float view
-    of ``B``, half the arithmetic of a complex one.  The radius powers and
-    each ``B`` are built once per call, through the ``"part"`` block buffer
-    of :func:`~polyspace.quadrature.scratch`, and the table is dropped before
-    the powers are built.  A value does not depend on the other functions or
-    on the block its row is in.
+    of ``B``, half the arithmetic of a complex one.  The harmonic table and
+    ``powers`` are read from the grid's rules
+    (:meth:`~polyspace.quadrature.QuadratureGrid.harmonics`,
+    :meth:`~polyspace.quadrature.QuadratureGrid.radius_powers`); each ``B``
+    is built once per call, through the ``"part"`` block buffer of
+    :func:`~polyspace.quadrature.scratch`.  A value does not depend on the
+    other functions or on the block its row is in.
     """
     lo = min(1 - f.q for f in fs)
-    table = _harmonic_table(grid.angles, lo, max(f.degree_z for f in fs))
+    table = grid.harmonics(lo, max(f.degree_z for f in fs))
     buf = scratch("part", (block_rows(grid.n_theta), grid.n_theta), complex)
     angular = [_angular_matrix(f, table, lo, buf) for f in fs]
-    del table
-    powers = grid.radii[:, None] ** np.arange(max(b.shape[0] for b in angular))
+    powers = grid.radius_powers(max(b.shape[0] for b in angular))
 
     def evaluator(b):
         width, real = b.shape[0], b.view(float)
@@ -252,21 +236,16 @@ def block_evaluators(fs, grid):
     return [evaluator(b) for b in angular]
 
 
-def _angular_moments(angles, weights, lags):
-    """``mu[k + lags] = sum_l weights_l exp(i k angles_l)``, ``k = -lags ..
-    lags``: the rows ``k >= 0`` of :func:`_harmonic_table`, at most
-    :data:`~polyspace.quadrature.BLOCK_VALUES` values at a time, each block
-    carrying on from the last, summed pairwise; ``mu[0]`` exactly rounded
-    (``math.fsum``) and ``mu[-k] = conj(mu[k])``."""
+def _angular_moments(powers, weights):
+    """``mu[k + lags] = sum_l weights_l powers[k, l]``, ``k = -lags .. lags``,
+    from the rows ``powers[k] = exp(i k angles)``, ``k = 0 .. lags``, at
+    most :data:`~polyspace.quadrature.BLOCK_VALUES` values at a time, summed
+    pairwise; ``mu[0]`` exactly rounded (``math.fsum``) and ``mu[-k] =
+    conj(mu[k])``."""
+    lags, step = len(powers) - 1, max(1, BLOCK_VALUES // powers.shape[1])
     mu = np.empty(2 * lags + 1, dtype=complex)
-    u = np.exp(1j * angles)
-    block = np.empty((max(1, BLOCK_VALUES // u.size), u.size), dtype=complex)
-    row = np.ones(u.size, dtype=complex)
-    for start in range(lags, 2 * lags + 1, len(block)):
-        rows = block[: 2 * lags + 1 - start]
-        _power_rows(row, u, rows)
-        mu[start: start + len(rows)] = (rows * weights).sum(axis=1)
-        np.multiply(rows[-1], u, out=row)
+    for start in range(0, lags + 1, step):
+        mu[lags + start: lags + start + step] = (powers[start: start + step] * weights).sum(axis=1)
     try:
         mu[lags] = math.fsum(weights)
     except OverflowError:   # finite weights whose sum overflows
@@ -281,14 +260,15 @@ def gram_moments(grid, width):
     through, as read-only arrays.  ``R[n] = radial_weights @ s^n``,
     ``n < 2 width - 1``, is summed in chunks of radii of at most
     :data:`~polyspace.quadrature.BLOCK_VALUES` powers, so its bits depend on
-    ``width``; ``mu`` is :func:`_angular_moments` with ``width - 1`` lags.  An
-    overflow leaves inf or nan, which fails :func:`gram_sum`'s bound."""
+    ``width``; ``mu`` is :func:`_angular_moments` of the harmonics ``0 ..
+    width - 1``.  Both read the rules' power tables.  An overflow leaves inf
+    or nan, which fails :func:`gram_sum`'s bound."""
     with np.errstate(over="ignore", invalid="ignore"):
-        step = max(1, BLOCK_VALUES // (2 * width))
-        radial = sum(grid.radial_weights[i: i + step]
-                     @ grid.radii[i: i + step, None] ** np.arange(2 * width - 1)
+        step, powers = max(1, BLOCK_VALUES // (2 * width)), grid.radius_powers(2 * width - 1)
+        # a product with a few contiguous columns rounds unlike one with a slice
+        radial = sum(grid.radial_weights[i: i + step] @ np.ascontiguousarray(powers[i: i + step])
                      for i in range(0, grid.n_r, step))
-        mu = _angular_moments(grid.angles, grid.angle_weights, width - 1)
+        mu = _angular_moments(grid.harmonics(0, width - 1), grid.angle_weights)
     radial.flags.writeable = mu.flags.writeable = False
     return radial, mu
 

@@ -44,6 +44,18 @@ nodes: :func:`polyspace.polyfun.block_evaluators` forms a polynomial on a
 block as ``powers[rows] @ B``, real powers of the block's radii times an
 angular matrix on ``angles``.
 
+Each 1-D rule is built once (:func:`_rule`) and shared by every grid that
+uses it, and it keeps one table of the powers of its nodes, built on first
+use: ``u^m = exp(i m theta)`` of an angular rule
+(:meth:`QuadratureGrid.harmonics`, row 1 is what :meth:`block_nodes`
+multiplies) and ``s^n`` of a radial one
+(:meth:`QuadratureGrid.radius_powers`).  A table grows to the widest range
+asked for and is handed out as read-only slices; a row of ``u^m`` and a
+column of ``s^n`` have the same bits whatever the table's width.  Tables
+are keyed by what placed the rule's nodes and serve only grids whose nodes
+are the rule's.  The tables kept in one thread hold at most
+:data:`POWER_TABLE_BYTES`, and a table beyond it is built per call.
+
 Every integral of node values is blockwise.  :func:`blocked_sum` is the one
 reduction: it asks for the integrand one block of radii at a time (at most
 :data:`BLOCK_VALUES` nodes), sums it through the two 1-D rules, refuses a
@@ -193,7 +205,21 @@ class QuadratureGrid:
 
     def block_nodes(self, rows):
         """Nodes at ``radii[rows]`` x ``angles``, shape ``(len, n_theta)``."""
-        return self.radii[rows, None] * np.exp(1j * self.angles)[None, :]
+        return self.radii[rows, None] * self.harmonics(0, 1)[1]
+
+    def harmonics(self, lo, hi):
+        """Rows ``exp(i m angles)``, ``m = lo .. hi`` with ``lo <= 0 <= hi``
+        (:func:`_harmonic_table`), read-only, from the angular rule's power
+        table (:func:`_rule_table`)."""
+        key = ("angle", self.n_theta, self.domain.angle_span, self.angular_exponents)
+        low, table = _rule_table(key, self.angles, lo, hi, _harmonic_table)
+        return table[lo - low: hi - low + 1]
+
+    def radius_powers(self, width):
+        """``radii[:, None] ** arange(width)``, read-only, from the radial
+        rule's power table (:func:`_rule_table`); an overflow leaves inf."""
+        key = ("radius", self.n_r, self.radius, self.radial_exponents)
+        return _rule_table(key, self.radii, 0, width - 1, _radius_powers)[1][:, :width]
 
     def block_weights(self, rows):
         """Node weights at ``radii[rows]`` x ``angles``, shape ``(len, n_theta)``."""
@@ -292,16 +318,71 @@ def _log_jacobi_mass(a, b):
             - math.lgamma(a + b + 2.0))
 
 
+@functools.lru_cache(maxsize=256)
 def _rule(n, end, exponents):
-    """Gauss-Jacobi on ``(0, end)`` for ``x^e0 (end - x)^e1``, its weights
-    divided by that power so that it integrates ``dx``: the reference rule
-    mapped to the interval."""
+    """The 1-D rule of ``n`` nodes on ``(0, end)`` that integrates ``dx``, as
+    read-only ``(nodes, weights)`` kept for every grid that uses it: uniform
+    midpoints for ``exponents=None``, else Gauss-Jacobi for ``x^e0 (end -
+    x)^e1``, its weights divided by that power, the reference rule mapped to
+    the interval."""
+    if exponents is None:
+        return _frozen((np.arange(n) + 0.5) * (end / n)), _frozen(np.full(n, end / n))
     e0, e1 = exponents
     x, w = gauss_jacobi(n, e1, e0)
     nodes = (x + 1.0) / 2.0 * end
     weights = w * (end / 2.0) ** (1.0 + e0 + e1)
     weights /= nodes**e0 * (end - nodes) ** e1
-    return nodes, weights
+    return _frozen(nodes), _frozen(weights)
+
+
+def _harmonic_table(angles, lo, hi):
+    """Rows ``exp(i m angles)`` for ``m = lo .. hi``, ``lo <= 0 <= hi``: row
+    ``m >= 0`` is ``u^m`` by repeated multiplication from ``u^0 = 1``, the
+    factors Horner's scheme multiplies on grid nodes ``s * u``, with ``u =
+    exp(i angles)`` rounded once, so a row has the same bits whatever range
+    the table spans; row ``-m`` is its exact conjugate."""
+    table, u = np.empty((max(hi, -lo) - lo + 1, angles.size), dtype=complex), np.exp(1j * angles)
+    table[-lo] = 1.0
+    for m in range(1 - lo, len(table)):
+        np.multiply(table[m - 1], u, out=table[m])
+    np.conj(table[-2 * lo: -lo: -1], out=table[:-lo])
+    return table[: hi - lo + 1]
+
+
+def _radius_powers(radii, lo, hi):
+    """Columns ``radii^n``, ``n = lo .. hi``, each the same bits whatever range
+    the table spans; an overflow leaves inf."""
+    with np.errstate(over="ignore"):
+        return radii[:, None] ** np.arange(lo, hi + 1)
+
+
+# bytes that the kept power tables of all rules hold at most in one thread;
+# a table that alone would exceed it is built per call
+POWER_TABLE_BYTES = 2 << 20
+_TABLES = threading.local()
+
+
+def _rule_table(key, nodes, lo, hi, build):
+    """``(low, table)``: ``build(nodes, low, high)``, read-only, for a range
+    ``low .. high`` that covers ``lo .. hi``.
+
+    ``key`` is ``(kind, *rule)``, where :func:`_rule` of ``rule`` places the
+    rule's nodes.  Each rule keeps one table per kind and thread, grown to
+    the widest range asked for, while all tables kept in the thread fit in
+    :data:`POWER_TABLE_BYTES`, the oldest dropped first.  Nodes that are not
+    the rule's (a grid whose ``angles`` or ``radii`` were replaced) get a
+    table of ``lo .. hi`` built for the call and not kept, and so does a
+    range whose table alone exceeds the bound."""
+    tables, own = _TABLES.__dict__, nodes is _rule(*key[1:])[0]
+    low, high, table = tables.get(key, (0, -1, None)) if own else (0, -1, None)
+    if lo < low or hi > high:
+        low, high = min(lo, low), max(hi, high)
+        table = _frozen(build(nodes, low, high))
+        if own and table.nbytes <= POWER_TABLE_BYTES:
+            while table.nbytes + sum(t.nbytes for *_, t in tables.values()) > POWER_TABLE_BYTES:
+                del tables[next(iter(tables))]
+            tables[key] = low, high, table
+    return low, table
 
 
 def _exponents(pair):
@@ -332,11 +413,7 @@ def _polar_grid(domain, R, n_r, n_theta, radial, angular):
         weights = np.array([math.inf])
     if not np.isfinite(weights).all():
         raise ValueError(f"R is {R!r}, too large for finite grid weights")
-    if angular is None:
-        dtheta = domain.angle_span / n_theta
-        theta, wtheta = (np.arange(n_theta) + 0.5) * dtheta, np.full(n_theta, dtheta)
-    else:
-        theta, wtheta = _rule(n_theta, domain.angle_span, angular)
+    theta, wtheta = _rule(n_theta, domain.angle_span, angular)
     return QuadratureGrid(domain, n_r, n_theta, R, s, theta, weights, wtheta, radial, angular)
 
 

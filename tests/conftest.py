@@ -30,3 +30,25 @@ def corpus():
 @pytest.fixture(scope="session")
 def corpus_functions():
     return corpus()
+
+
+@pytest.fixture
+def power_tables(monkeypatch):
+    """An empty store of the rules' power tables for one test, and the log
+    ``(table function, len(nodes), lo, hi, nbytes)`` of every table built."""
+    import threading
+
+    from polyspace import quadrature
+
+    monkeypatch.setattr(quadrature, "_TABLES", threading.local())
+    built = []
+    for name in ("_harmonic_table", "_radius_powers"):
+        build = getattr(quadrature, name)
+
+        def logged(nodes, lo, hi, build=build, name=name):
+            table = build(nodes, lo, hi)
+            built.append((name, nodes.size, lo, hi, table.nbytes))
+            return table
+
+        monkeypatch.setattr(quadrature, name, logged)
+    return built

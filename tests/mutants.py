@@ -61,6 +61,10 @@ MUTANTS = [
     ("point-term-dropped", "norms.py",
      "full = (point_term + integral) ** (1.0 / spec.p)",
      "full = integral ** (1.0 / spec.p)"),
+    # killed by test_norms.py::test_the_disk_point_term_is_horner_at_0_bit_for_bit
+    ("disk-point-term-reads-coeffs-0-1", "norms.py",
+     "base = f.coeffs[0, 0] if",
+     "base = f.coeffs[0, 1] if"),
     ("expabs-decays", "weights.py",
      "        return np.exp(s)\n",
      "        return np.exp(-s)\n"),
@@ -129,13 +133,18 @@ MUTANTS = [
     # the one power recurrence; killed by
     # test_polyfun.py::test_grid_evaluation_matches_horner and by
     # test_polyfun.py::test_power_recurrence_matches_the_loops_bit_for_bit
-    ("harmonic-rows-not-conjugated", "polyfun.py",
+    ("harmonic-rows-not-conjugated", "quadrature.py",
      "np.conj(table[-2 * lo: -lo: -1], out=table[:-lo])",
      "np.copyto(table[:-lo], table[-2 * lo: -lo: -1])"),
-    # killed by test_polyfun.py::test_power_recurrence_matches_the_loops_bit_for_bit
-    ("moments-carried-row-dropped", "polyfun.py",
-     "        np.multiply(rows[-1], u, out=row)\n",
-     ""),
+    # the power tables kept per rule; killed by
+    # test_quadrature.py::test_a_grid_with_replaced_nodes_never_reads_its_rule_table
+    ("rule-table-ignores-replaced-angles", "quadrature.py",
+     "tables, own = _TABLES.__dict__, nodes is _rule(*key[1:])[0]",
+     "tables, own = _TABLES.__dict__, True"),
+    # killed by test_norms.py::test_node_and_moment_sums_of_the_square_agree
+    ("moments-row-offset-shifted", "polyfun.py",
+     "grid.harmonics(0, width - 1)",
+     "grid.harmonics(-1, width - 2)"),
     ("radius-powers-shifted-by-one", "polyfun.py",
      "radial = powers[rows, :width]",
      "radial = powers[rows, 1:width + 1]"),
@@ -147,8 +156,8 @@ MUTANTS = [
      "mu[lags + index - rows]",
      "mu[lags + rows - index]"),
     ("gram-radial-moments-shifted", "polyfun.py",
-     "** np.arange(2 * width - 1)\n",
-     "** (np.arange(2 * width - 1) + 1)\n"),
+     "np.ascontiguousarray(powers[i: i + step])",
+     "np.ascontiguousarray(powers[i: i + step] * grid.radii[i: i + step, None])"),
     # the level rules kept per space; killed by
     # test_norms.py::test_a_refined_norm_builds_one_rule_per_level_and_the_next_norm_none
     ("level-rule-at-level-0", "norms.py",

@@ -1,6 +1,7 @@
 """Digests of the program's outputs, to show that a change leaves them bit for bit.
 
-    python tests/output_digest.py
+    python tests/output_digest.py                # this tree
+    python tests/output_digest.py --against REV  # this tree and the commit REV
 
 Prints one sha256 prefix (16 hex digits) for each of three outputs:
 
@@ -15,16 +16,22 @@ Prints one sha256 prefix (16 hex digits) for each of three outputs:
   temporary directory of the function files replaced by ``{tmp}``.
 
 Two trees whose three lines agree produce the same floats, flags and
-messages on these inputs.  It reads its inputs from ``bench/reference/`` and
-the helpers of ``bench/workloads.py`` and writes nothing outside a temporary
-directory; pytest does not collect this file.
+messages on these inputs.  With ``--against REV`` it exports ``REV`` with
+``git archive`` into a temporary directory, runs this script there on that
+tree, prints both trees' digests, and exits 1 when any line differs.  It
+reads its inputs from each tree's ``bench/reference/`` and the helpers of its
+``bench/workloads.py``, leaves ``.git`` as it was and writes nothing outside
+a temporary directory; pytest does not collect this file.
 """
 
+import argparse
 import hashlib
-import json
+import io
 import os
+import shutil
 import subprocess
 import sys
+import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -88,15 +95,52 @@ def cli_outputs(env):
     return len(cases), "\n".join(lines)
 
 
-def main():
+def digests():
+    """The three digest lines of this tree."""
     env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
     suite = _cli(["suite"], env)
-    print(f"suite   exit {suite.returncode}       {_digest(suite.stdout)}")
+    lines = [f"suite   exit {suite.returncode}       {_digest(suite.stdout)}"]
     n, text = refine_outputs()
-    print(f"refine  {n} outputs x 2  {_digest(text)}")
+    lines.append(f"refine  {n} outputs x 2  {_digest(text)}")
     n, text = cli_outputs(env)
-    print(f"cli     {n} invocations  {_digest(text)}")
+    lines.append(f"cli     {n} invocations  {_digest(text)}")
+    return lines
+
+
+def digests_at(rev):
+    """The three digest lines of commit ``rev``, computed by this script in a
+    ``git archive`` export of it."""
+    tar = subprocess.run(["git", "-C", ROOT, "archive", "--format=tar", rev],
+                         capture_output=True, check=True).stdout
+    with tempfile.TemporaryDirectory(prefix="digest-rev-") as tmp:
+        with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+            archive.extractall(tmp, filter="data")
+        script = os.path.join(tmp, "tests", "output_digest.py")
+        shutil.copyfile(os.path.abspath(__file__), script)
+        proc = subprocess.run([sys.executable, script], cwd=tmp, capture_output=True,
+                              text=True, timeout=1800)
+    if proc.returncode:
+        sys.exit(f"digests of {rev} failed:\n{proc.stderr}")
+    return proc.stdout.splitlines()
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description="Digests of the program's outputs.")
+    ap.add_argument("--against", metavar="REV",
+                    help="also digest commit REV and exit 1 when any digest differs")
+    args = ap.parse_args(argv)
+    here = digests()
+    if args.against is None:
+        print("\n".join(here))
+        return 0
+    there = digests_at(args.against)
+    print("this tree\n" + "\n".join(here) + f"\n{args.against}\n" + "\n".join(there))
+    differ = [line.split()[0] for line, other in zip(here, there) if line != other]
+    if len(here) != len(there):
+        differ.append("line count")
+    print(f"differ: {', '.join(differ)}" if differ else "identical")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

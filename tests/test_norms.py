@@ -209,6 +209,23 @@ def test_bergman_ignores_derivatives():
         bergman_norm(g, spec).full_norm, rel=1e-14)
 
 
+def test_the_disk_point_term_is_horner_at_0_bit_for_bit():
+    rng = np.random.default_rng(30)
+    special = [0.0, -0.0, 5e-324, -2.5e-310, 1e-300, 1e308, -1.1e308, 1.0]
+    for q, degree in [(1, 0), (1, 5), (3, 0), (2, 7), (4, 30)]:
+        for _ in range(20):
+            parts = rng.choice(special, size=(2, q, degree + 1)) * rng.choice(
+                [1.0, rng.uniform(-1.0, 1.0)], size=(2, q, degree + 1))
+            f = PolyFunction(parts[0] + 1j * parts[1])
+            horner = abs(polyfun.evaluate(f, 0j))
+            assert np.float64(abs(f.coeffs[0, 0])).tobytes() == np.float64(horner).tobytes()
+    # the norm's point term is the one Horner's value gave
+    f = PolyFunction([rng.standard_normal(6) + 1j * rng.standard_normal(6) for _ in range(2)])
+    for kind, p in [(SpaceKind.DIRICHLET, 2), (SpaceKind.BESOV, 3.5)]:
+        res = space_norm(f, disk_spec(kind, p), QuadSettings(refine=False))
+        assert res.point_term == float(np.float64(abs(f(0j))) ** p)
+
+
 def test_point_term_uses_base_point():
     f = from_monomials({(0, 0): 2.0, (0, 1): 1.0}, q=1)  # 2 + z
     disk_res = dirichlet_norm(f, disk_spec(SpaceKind.DIRICHLET, 2))
@@ -955,6 +972,31 @@ def test_norms_never_build_the_flat_nodes():
     spec = disk_spec(SpaceKind.BESOV, 3, ExpRePow(beta=1.0, n=2))
     result = space_norm(monomial(1, 2), spec, QuadSettings(n_r=8, n_theta=16, refine=False))
     assert math.isfinite(result.full_norm)
+
+
+def test_two_disk_norms_share_one_angular_table_per_level(power_tables):
+    f = from_monomials({(0, 3): 1.0, (1, 1): 0.5j, (0, 0): 0.25}, q=2)
+    levels = set()
+    # one midpoint angular rule per level, and two radial rules
+    for weight in (UNI, Product(radial=PowerLaw(gamma=0.5), angular=UNI)):
+        res = space_norm(f, disk_spec(SpaceKind.BERGMAN, 3, weight))
+        first = QuadSettings().first_level(f.degree_z + f.q - 1)
+        visited = set(range(first, res.flags.level + 1))
+        radial = [n for name, n, *_ in power_tables if name == "_radius_powers"]
+        assert sorted(radial[-len(visited):]) == sorted(128 >> -lv if lv < 0 else 128 << lv
+                                                        for lv in visited)
+        levels |= visited
+    angular = [n for name, n, *_ in power_tables if name == "_harmonic_table"]
+    assert sorted(angular) == sorted(256 >> -lv if lv < 0 else 256 << lv for lv in levels)
+
+
+def test_a_refined_degree_1024_norm_keeps_its_power_tables_within_their_bound(power_tables):
+    res = space_norm(_one_plus_z_to(1024), disk_spec(SpaceKind.DIRICHLET, 2))
+    assert res.flags.converged
+    # its band needs tables beyond the bound, which are built and dropped
+    assert max(nbytes for *_, nbytes in power_tables) > quadrature.POWER_TABLE_BYTES
+    kept = vars(quadrature._TABLES).values()
+    assert sum(t.nbytes for *_, t in kept) <= quadrature.POWER_TABLE_BYTES
 
 
 def test_one_norm_on_a_large_grid_allocates_little():

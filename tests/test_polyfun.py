@@ -143,7 +143,7 @@ def test_grid_values_do_not_depend_on_the_companion_functions():
         assert np.array_equal(paired[1](slice(None)), alone)
         assert_allclose(paired[0](slice(None)), evaluate(high, grid.block_nodes(slice(None))),
                         rtol=1e-13)
-    # the table lives in the evaluators only: polyfun holds no array or table
+    # the tables live with the grid's rules in quadrature: polyfun holds no array or table
     state = [name for name, value in vars(polyfun).items()
              if not name.startswith("__") and isinstance(value, (dict, list, np.ndarray))]
     assert state == []
@@ -182,10 +182,10 @@ _ANGLES = {
 def test_power_recurrence_matches_the_loops_bit_for_bit(kind, n, lo, hi, moment_n, blocks,
                                                          offset):
     from polyspace import polyfun
-    from polyspace.quadrature import BLOCK_VALUES
+    from polyspace.quadrature import BLOCK_VALUES, _harmonic_table
 
     angles = _ANGLES[kind](n)
-    table = polyfun._harmonic_table(angles, lo, hi)
+    table = _harmonic_table(angles, lo, hi)
     assert table.shape == (hi - lo + 1, n)
     assert np.array_equal(table, _oracles.loop_harmonic_table(angles, lo, hi))
     for m in range(max(lo, -hi), 0):
@@ -195,7 +195,7 @@ def test_power_recurrence_matches_the_loops_bit_for_bit(kind, n, lo, hi, moment_
     angles = _ANGLES[kind](moment_n)
     weights = np.random.default_rng(moment_n + blocks).uniform(0.5, 2.0, moment_n)
     lags = max(0, blocks * (BLOCK_VALUES // moment_n) + offset)
-    assert np.array_equal(polyfun._angular_moments(angles, weights, lags),
+    assert np.array_equal(polyfun._angular_moments(_harmonic_table(angles, 0, lags), weights),
                           _oracles.loop_angular_moments(angles, weights, lags, BLOCK_VALUES))
 
 

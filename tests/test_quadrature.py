@@ -510,6 +510,7 @@ def test_folded_exponents_are_checked():
 def test_a_radial_and_an_angular_rule_share_one_reference_solve():
     gauss_jacobi = quadrature.gauss_jacobi
     gauss_jacobi.cache_clear()
+    quadrature._rule.cache_clear()
     # x^e0 (end - x)^e1 on (0, end) is the reference weight (1 - x)^e1 (1 + x)^e0
     grid = halfplane_grid.__wrapped__(2.0, 24, 24, radial=(0.25, 0.5), angular=(0.25, 0.5))
     info = gauss_jacobi.cache_info()
@@ -526,10 +527,92 @@ def test_a_radial_and_an_angular_rule_share_one_reference_solve():
 def test_import_builds_no_rule_and_needs_only_numpy():
     code = ("import sys, polyspace.cli; from polyspace import norms, quadrature; "
             "print(quadrature.gauss_jacobi.cache_info().currsize, "
+            "quadrature._rule.cache_info().currsize, len(vars(quadrature._TABLES)), "
             "norms._level_rule.cache_info().currsize, "
             "norms._level_moments.cache_info().currsize, "
             "sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'mpmath'}))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout
-    assert out.split() == ["0", "0", "0", "[]"]
+    assert out.split() == ["0", "0", "0", "0", "0", "[]"]
+
+
+# ---------------------------------------------------------------------------
+# the power tables kept per rule
+
+
+def _kept_bytes():
+    return sum(t.nbytes for *_, t in vars(quadrature._TABLES).values())
+
+
+_TABLE_GRIDS = [
+    lambda: disk_grid.__wrapped__(12, 16),
+    lambda: disk_grid.__wrapped__(9, 7, radial=(0.0, 0.5), angular=(0.25, 0.0)),
+    lambda: halfplane_grid.__wrapped__(8.0, 10, 12, radial=(0.5, 0.0), angular=(0.25, 0.25)),
+]
+
+
+@pytest.mark.parametrize("make", _TABLE_GRIDS)
+def test_rule_tables_are_the_fresh_tables_whatever_order_of_widths(make, power_tables):
+    # the loop oracle is a fresh _harmonic_table bit for bit (test_polyfun.py)
+    fresh = _oracles.loop_harmonic_table
+    grid = make()
+    for lo, hi in [(0, 1), (-1, 3), (-3, 40), (0, 2), (-2, 5), (-4, 45), (0, 0)]:
+        assert np.array_equal(grid.harmonics(lo, hi), fresh(grid.angles, lo, hi))
+    for width in [3, 50, 7, 1, 61]:
+        assert np.array_equal(grid.radius_powers(width),
+                              grid.radii[:, None] ** np.arange(width))
+    # row 1 is u = exp(i theta) itself, so the nodes are as before
+    assert np.array_equal(grid.block_nodes(slice(2, 5)),
+                          grid.radii[2:5, None] * np.exp(1j * grid.angles)[None, :])
+    # each table is built again only when a wider range is asked for
+    ranges = [(lo, hi) for name, _, lo, hi, _ in power_tables if name == "_harmonic_table"]
+    assert ranges == [(0, 1), (-1, 3), (-3, 40), (-4, 45)]
+    widths = [hi + 1 for name, _, _, hi, _ in power_tables if name == "_radius_powers"]
+    assert widths == [3, 50, 61]
+    assert _kept_bytes() <= quadrature.POWER_TABLE_BYTES
+
+
+@pytest.mark.parametrize("field, change", [("angles", lambda a: a + 0.125),
+                                           ("radii", lambda s: s * 0.5)])
+def test_a_grid_with_replaced_nodes_never_reads_its_rule_table(field, change, power_tables):
+    grid = disk_grid.__wrapped__(8, 16)
+    kept = (grid.harmonics(-2, 10), grid.radius_powers(12))
+    tables = dict(vars(quadrature._TABLES))
+    swapped = dataclasses.replace(grid, **{field: change(getattr(grid, field))})
+    got = (swapped.harmonics(-2, 10), swapped.radius_powers(12))
+    assert np.array_equal(got[0], _oracles.loop_harmonic_table(swapped.angles, -2, 10))
+    assert np.array_equal(got[1], swapped.radii[:, None] ** np.arange(12))
+    assert np.array_equal(swapped.block_nodes(slice(None)),
+                          swapped.radii[:, None] * np.exp(1j * swapped.angles)[None, :])
+    changed = 0 if field == "angles" else 1
+    assert not np.array_equal(got[changed], kept[changed])
+    # the rule's tables are kept as they were, and the grid's are not kept
+    assert vars(quadrature._TABLES).keys() == tables.keys()
+    assert all(vars(quadrature._TABLES)[key] is entry for key, entry in tables.items())
+
+
+def test_rule_tables_are_read_only(power_tables):
+    grid = halfplane_grid.__wrapped__(4.0, 6, 8)
+    arrays = [grid.harmonics(-1, 3), grid.radius_powers(4)]
+    arrays += [table for *_, table in vars(quadrature._TABLES).values()]
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr.flat[0] = 0.0
+
+
+def test_rule_tables_keep_within_their_byte_bound(power_tables, monkeypatch):
+    monkeypatch.setattr(quadrature, "POWER_TABLE_BYTES", 64 * 16 * 20)
+    grids = [disk_grid.__wrapped__(4, 64, angular=(e, 0.0)) for e in (0.0, 0.25, 0.5)]
+    for grid in grids:
+        grid.harmonics(0, 15)
+        assert _kept_bytes() <= quadrature.POWER_TABLE_BYTES
+    # three tables of 16 rows do not fit in 20 rows' bytes: the oldest went
+    assert len(vars(quadrature._TABLES)) == 1
+    # a range whose table alone exceeds the bound is built per call, not kept
+    wide = grids[-1].harmonics(0, 40)
+    assert np.array_equal(wide, _oracles.loop_harmonic_table(grids[-1].angles, 0, 40))
+    assert _kept_bytes() <= quadrature.POWER_TABLE_BYTES
+    count = len(power_tables)
+    grids[-1].harmonics(0, 40)
+    assert len(power_tables) == count + 1
