@@ -22,16 +22,17 @@ all the functions passed.
 :func:`gram_sum` forms the grid's sum of ``|f|^2`` from the moments of its
 two rules instead (:func:`gram_moments`), without a value on any node; with
 the exact product :func:`mul`, ``|f|^(2k) = |f^k|^2`` brings every even
-power to it.  Both only read the powers of the grid's rules: the rows
-``u^m`` of ``u = exp(i theta)``, negative harmonics as exact conjugates,
-and the columns ``s^n``, from the tables that each rule keeps
+power to it.  Both form the powers of ``u = exp(i theta)`` by one
+recurrence (:func:`~polyspace.quadrature.power_rows`), negative harmonics
+as exact conjugates.  The node path reads its harmonic table and radius
+powers from the tables that the grid's rules keep
 (:meth:`~polyspace.quadrature.QuadratureGrid.harmonics`,
-:meth:`~polyspace.quadrature.QuadratureGrid.radius_powers`).  The moments
-are kept by :mod:`polyspace.norms`, keyed by space, resolution, level and
-width (at most 256), with the measure-weighted grid they come from (keyed
-by space, resolution and level, at most 128).  Point values use one Horner
-scheme, :func:`evaluate`, in ``z`` along every row at once and then in
-``conj(z)``.
+:meth:`~polyspace.quadrature.QuadratureGrid.radius_powers`); the moments
+form theirs one block at a time.  The moments are kept by
+:mod:`polyspace.norms`, keyed by space, grid size and width (at most 256),
+with the measure-weighted grid they come from (keyed by space and grid
+size, at most 128).  Point values use one Horner scheme, :func:`evaluate`,
+in ``z`` along every row at once and then in ``conj(z)``.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import BLOCK_VALUES, block_rows, scratch
+from .quadrature import BLOCK_VALUES, block_rows, power_rows, scratch
 
 __all__ = [
     "PolyFunction",
@@ -236,16 +237,21 @@ def block_evaluators(fs, grid):
     return [evaluator(b) for b in angular]
 
 
-def _angular_moments(powers, weights):
-    """``mu[k + lags] = sum_l weights_l powers[k, l]``, ``k = -lags .. lags``,
-    from the rows ``powers[k] = exp(i k angles)``, ``k = 0 .. lags``, at
-    most :data:`~polyspace.quadrature.BLOCK_VALUES` values at a time, summed
-    pairwise; ``mu[0]`` exactly rounded (``math.fsum``) and ``mu[-k] =
-    conj(mu[k])``."""
-    lags, step = len(powers) - 1, max(1, BLOCK_VALUES // powers.shape[1])
+def _angular_moments(angles, weights, lags):
+    """``mu[k + lags] = sum_l weights_l exp(i k angles_l)``, ``k = -lags ..
+    lags``: the rows ``k >= 0`` of the harmonic table (:func:`power_rows`),
+    at most :data:`~polyspace.quadrature.BLOCK_VALUES` values at a time, each
+    block carrying on from the last, summed pairwise; ``mu[0]`` exactly
+    rounded (``math.fsum``) and ``mu[-k] = conj(mu[k])``."""
     mu = np.empty(2 * lags + 1, dtype=complex)
-    for start in range(0, lags + 1, step):
-        mu[lags + start: lags + start + step] = (powers[start: start + step] * weights).sum(axis=1)
+    u = np.exp(1j * angles)
+    block = np.empty((max(1, BLOCK_VALUES // u.size), u.size), dtype=complex)
+    row = np.ones(u.size, dtype=complex)
+    for start in range(lags, 2 * lags + 1, len(block)):
+        rows = block[: 2 * lags + 1 - start]
+        power_rows(row, u, rows)
+        mu[start: start + len(rows)] = (rows * weights).sum(axis=1)
+        np.multiply(rows[-1], u, out=row)
     try:
         mu[lags] = math.fsum(weights)
     except OverflowError:   # finite weights whose sum overflows
@@ -260,15 +266,16 @@ def gram_moments(grid, width):
     through, as read-only arrays.  ``R[n] = radial_weights @ s^n``,
     ``n < 2 width - 1``, is summed in chunks of radii of at most
     :data:`~polyspace.quadrature.BLOCK_VALUES` powers, so its bits depend on
-    ``width``; ``mu`` is :func:`_angular_moments` of the harmonics ``0 ..
-    width - 1``.  Both read the rules' power tables.  An overflow leaves inf
-    or nan, which fails :func:`gram_sum`'s bound."""
+    ``width``; ``mu`` is :func:`_angular_moments` with ``width - 1`` lags.
+    Neither builds more than a block of powers, so a wide band takes no
+    table of the grid's size.  An overflow leaves inf or nan, which fails
+    :func:`gram_sum`'s bound."""
     with np.errstate(over="ignore", invalid="ignore"):
-        step, powers = max(1, BLOCK_VALUES // (2 * width)), grid.radius_powers(2 * width - 1)
-        # a product with a few contiguous columns rounds unlike one with a slice
-        radial = sum(grid.radial_weights[i: i + step] @ np.ascontiguousarray(powers[i: i + step])
+        step = max(1, BLOCK_VALUES // (2 * width))
+        radial = sum(grid.radial_weights[i: i + step]
+                     @ grid.radii[i: i + step, None] ** np.arange(2 * width - 1)
                      for i in range(0, grid.n_r, step))
-        mu = _angular_moments(grid.harmonics(0, width - 1), grid.angle_weights)
+        mu = _angular_moments(grid.angles, grid.angle_weights, width - 1)
     radial.flags.writeable = mu.flags.writeable = False
     return radial, mu
 

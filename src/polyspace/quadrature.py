@@ -44,17 +44,16 @@ nodes: :func:`polyspace.polyfun.block_evaluators` forms a polynomial on a
 block as ``powers[rows] @ B``, real powers of the block's radii times an
 angular matrix on ``angles``.
 
-Each 1-D rule is built once (:func:`_rule`) and shared by every grid that
-uses it, and it keeps one table of the powers of its nodes, built on first
-use: ``u^m = exp(i m theta)`` of an angular rule
-(:meth:`QuadratureGrid.harmonics`, row 1 is what :meth:`block_nodes`
-multiplies) and ``s^n`` of a radial one
+Each 1-D rule is built once (:func:`_rule`) and held by every grid that
+uses it, and it keeps the powers of its nodes, built on first use:
+``u^m = exp(i m theta)`` of an angular rule (:meth:`QuadratureGrid.harmonics`,
+row 1 is what :meth:`block_nodes` multiplies) and ``s^n`` of a radial one
 (:meth:`QuadratureGrid.radius_powers`).  A table grows to the widest range
 asked for and is handed out as read-only slices; a row of ``u^m`` and a
-column of ``s^n`` have the same bits whatever the table's width.  Tables
-are keyed by what placed the rule's nodes and serve only grids whose nodes
-are the rule's.  The tables kept in one thread hold at most
-:data:`POWER_TABLE_BYTES`, and a table beyond it is built per call.
+column of ``s^n`` have the same bits whatever the table's width.  A rule
+serves only a grid whose nodes are its own, and keeps a table of at most
+:data:`BLOCK_VALUES` values; a wider one is built per call.  A rule lives
+while :func:`_rule`'s cache (256 rules) or a grid holds it.
 
 Every integral of node values is blockwise.  :func:`blocked_sum` is the one
 reduction: it asks for the integrand one block of radii at a time (at most
@@ -74,7 +73,8 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -182,6 +182,8 @@ class QuadratureGrid:
     The rules' nodes are those of ``s^e0 (radius - s)^e1`` for
     ``radial_exponents`` ``(e0, e1)`` and of ``theta^e0 (span - theta)^e1``
     for ``angular_exponents``, or ``None`` for periodic midpoints.
+    ``radial_rule`` and ``angular_rule`` are the :func:`_rule` records those
+    arrays come from, ``None`` on a grid built by hand.
     """
 
     domain: Domain
@@ -194,6 +196,8 @@ class QuadratureGrid:
     angle_weights: np.ndarray
     radial_exponents: tuple = (0.0, 0.0)
     angular_exponents: tuple | None = None
+    radial_rule: _Rule | None = field(default=None, repr=False, compare=False)
+    angular_rule: _Rule | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         for arr in (self.radii, self.angles, self.radial_weights, self.angle_weights):
@@ -209,17 +213,16 @@ class QuadratureGrid:
 
     def harmonics(self, lo, hi):
         """Rows ``exp(i m angles)``, ``m = lo .. hi`` with ``lo <= 0 <= hi``
-        (:func:`_harmonic_table`), read-only, from the angular rule's power
-        table (:func:`_rule_table`)."""
-        key = ("angle", self.n_theta, self.domain.angle_span, self.angular_exponents)
-        low, table = _rule_table(key, self.angles, lo, hi, _harmonic_table)
+        (:func:`_harmonic_table`), read-only, from the angular rule's table
+        (:func:`_rule_table`)."""
+        low, table = _rule_table(self.angular_rule, self.angles, lo, hi, _harmonic_table)
         return table[lo - low: hi - low + 1]
 
     def radius_powers(self, width):
         """``radii[:, None] ** arange(width)``, read-only, from the radial
-        rule's power table (:func:`_rule_table`); an overflow leaves inf."""
-        key = ("radius", self.n_r, self.radius, self.radial_exponents)
-        return _rule_table(key, self.radii, 0, width - 1, _radius_powers)[1][:, :width]
+        rule's table (:func:`_rule_table`)."""
+        table = _rule_table(self.radial_rule, self.radii, 0, width - 1, _radius_powers)[1]
+        return table[:, :width]
 
     def block_weights(self, rows):
         """Node weights at ``radii[rows]`` x ``angles``, shape ``(len, n_theta)``."""
@@ -318,70 +321,74 @@ def _log_jacobi_mass(a, b):
             - math.lgamma(a + b + 2.0))
 
 
+class _Rule(NamedTuple):
+    """A 1-D rule: read-only ``nodes`` and ``weights``, and the power tables
+    of its nodes that :func:`_rule_table` keeps, one per table builder."""
+
+    nodes: np.ndarray
+    weights: np.ndarray
+    tables: dict
+
+
 @functools.lru_cache(maxsize=256)
 def _rule(n, end, exponents):
-    """The 1-D rule of ``n`` nodes on ``(0, end)`` that integrates ``dx``, as
-    read-only ``(nodes, weights)`` kept for every grid that uses it: uniform
-    midpoints for ``exponents=None``, else Gauss-Jacobi for ``x^e0 (end -
-    x)^e1``, its weights divided by that power, the reference rule mapped to
-    the interval."""
+    """The 1-D rule of ``n`` nodes on ``(0, end)`` that integrates ``dx``,
+    kept for every grid that uses it: uniform midpoints for
+    ``exponents=None``, else Gauss-Jacobi for ``x^e0 (end - x)^e1``, its
+    weights divided by that power, the reference rule mapped to the
+    interval."""
     if exponents is None:
-        return _frozen((np.arange(n) + 0.5) * (end / n)), _frozen(np.full(n, end / n))
+        return _Rule(_frozen((np.arange(n) + 0.5) * (end / n)), _frozen(np.full(n, end / n)), {})
     e0, e1 = exponents
     x, w = gauss_jacobi(n, e1, e0)
     nodes = (x + 1.0) / 2.0 * end
     weights = w * (end / 2.0) ** (1.0 + e0 + e1)
     weights /= nodes**e0 * (end - nodes) ** e1
-    return _frozen(nodes), _frozen(weights)
+    return _Rule(_frozen(nodes), _frozen(weights), {})
+
+
+def power_rows(row, u, out):
+    """Fill ``out[m] = row * u^m`` by repeated multiplication from ``out[0] =
+    row``: the factors Horner's scheme multiplies on grid nodes ``s * u``."""
+    out[0] = row
+    for m in range(1, len(out)):
+        np.multiply(out[m - 1], u, out=out[m])
 
 
 def _harmonic_table(angles, lo, hi):
     """Rows ``exp(i m angles)`` for ``m = lo .. hi``, ``lo <= 0 <= hi``: row
-    ``m >= 0`` is ``u^m`` by repeated multiplication from ``u^0 = 1``, the
-    factors Horner's scheme multiplies on grid nodes ``s * u``, with ``u =
-    exp(i angles)`` rounded once, so a row has the same bits whatever range
-    the table spans; row ``-m`` is its exact conjugate."""
-    table, u = np.empty((max(hi, -lo) - lo + 1, angles.size), dtype=complex), np.exp(1j * angles)
-    table[-lo] = 1.0
-    for m in range(1 - lo, len(table)):
-        np.multiply(table[m - 1], u, out=table[m])
+    ``m >= 0`` is the ``m``-th power of the rounded unit ``u = exp(i
+    angles)`` (:func:`power_rows`), the same bits whatever range the table
+    spans, and row ``-m`` its exact conjugate."""
+    table = np.empty((max(hi, -lo) - lo + 1, angles.size), dtype=complex)
+    power_rows(1.0, np.exp(1j * angles), table[-lo:])
     np.conj(table[-2 * lo: -lo: -1], out=table[:-lo])
     return table[: hi - lo + 1]
 
 
 def _radius_powers(radii, lo, hi):
     """Columns ``radii^n``, ``n = lo .. hi``, each the same bits whatever range
-    the table spans; an overflow leaves inf."""
-    with np.errstate(over="ignore"):
-        return radii[:, None] ** np.arange(lo, hi + 1)
+    the table spans."""
+    return radii[:, None] ** np.arange(lo, hi + 1)
 
 
-# bytes that the kept power tables of all rules hold at most in one thread;
-# a table that alone would exceed it is built per call
-POWER_TABLE_BYTES = 2 << 20
-_TABLES = threading.local()
-
-
-def _rule_table(key, nodes, lo, hi, build):
+def _rule_table(rule, nodes, lo, hi, build):
     """``(low, table)``: ``build(nodes, low, high)``, read-only, for a range
     ``low .. high`` that covers ``lo .. hi``.
 
-    ``key`` is ``(kind, *rule)``, where :func:`_rule` of ``rule`` places the
-    rule's nodes.  Each rule keeps one table per kind and thread, grown to
-    the widest range asked for, while all tables kept in the thread fit in
-    :data:`POWER_TABLE_BYTES`, the oldest dropped first.  Nodes that are not
-    the rule's (a grid whose ``angles`` or ``radii`` were replaced) get a
-    table of ``lo .. hi`` built for the call and not kept, and so does a
-    range whose table alone exceeds the bound."""
-    tables, own = _TABLES.__dict__, nodes is _rule(*key[1:])[0]
-    low, high, table = tables.get(key, (0, -1, None)) if own else (0, -1, None)
+    While ``nodes`` are ``rule``'s own, the rule keeps the table, grown to
+    the widest range asked for, if it holds at most :data:`BLOCK_VALUES`
+    values.  A table is replaced when it grows, never written, so a slice
+    handed out stays valid in every thread.  Other nodes (a grid built by
+    hand, or one whose ``angles`` or ``radii`` were replaced) get a table of
+    ``lo .. hi`` built for the call and not kept."""
+    own = rule is not None and nodes is rule.nodes
+    low, high, table = rule.tables.get(build, (0, -1, None)) if own else (0, -1, None)
     if lo < low or hi > high:
         low, high = min(lo, low), max(hi, high)
         table = _frozen(build(nodes, low, high))
-        if own and table.nbytes <= POWER_TABLE_BYTES:
-            while table.nbytes + sum(t.nbytes for *_, t in tables.values()) > POWER_TABLE_BYTES:
-                del tables[next(iter(tables))]
-            tables[key] = low, high, table
+        if own and table.size <= BLOCK_VALUES:
+            rule.tables[build] = low, high, table
     return low, table
 
 
@@ -407,14 +414,15 @@ def _polar_grid(domain, R, n_r, n_theta, radial, angular):
         raise ValueError("half-plane grids have no periodic angular rule")
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            s, ws = _rule(n_r, R, radial)
-            weights = ws * s
+            s = _rule(n_r, R, radial)
+            weights = s.weights * s.nodes
     except OverflowError:   # the rule's float power of the radius
         weights = np.array([math.inf])
     if not np.isfinite(weights).all():
         raise ValueError(f"R is {R!r}, too large for finite grid weights")
-    theta, wtheta = _rule(n_theta, domain.angle_span, angular)
-    return QuadratureGrid(domain, n_r, n_theta, R, s, theta, weights, wtheta, radial, angular)
+    theta = _rule(n_theta, domain.angle_span, angular)
+    return QuadratureGrid(domain, n_r, n_theta, R, s.nodes, theta.nodes, weights, theta.weights,
+                          radial, angular, s, theta)
 
 
 @functools.lru_cache(maxsize=32)

@@ -34,13 +34,17 @@ def corpus_functions():
 
 @pytest.fixture
 def power_tables(monkeypatch):
-    """An empty store of the rules' power tables for one test, and the log
-    ``(table function, len(nodes), lo, hi, nbytes)`` of every table built."""
-    import threading
+    """Rules with no power tables for one test, and the log ``(table
+    function, len(nodes), lo, hi, nbytes)`` of every table built."""
+    from polyspace import norms, quadrature
 
-    from polyspace import quadrature
+    def clear():
+        # the rules, and the grids that hold them
+        for cache in (quadrature._rule, quadrature.disk_grid, quadrature.halfplane_grid,
+                      norms._level_rule, norms._level_moments):
+            cache.cache_clear()
 
-    monkeypatch.setattr(quadrature, "_TABLES", threading.local())
+    clear()
     built = []
     for name in ("_harmonic_table", "_radius_powers"):
         build = getattr(quadrature, name)
@@ -51,4 +55,5 @@ def power_tables(monkeypatch):
             return table
 
         monkeypatch.setattr(quadrature, name, logged)
-    return built
+    yield built
+    clear()

@@ -990,13 +990,36 @@ def test_two_disk_norms_share_one_angular_table_per_level(power_tables):
     assert sorted(angular) == sorted(256 >> -lv if lv < 0 else 256 << lv for lv in levels)
 
 
-def test_a_refined_degree_1024_norm_keeps_its_power_tables_within_their_bound(power_tables):
-    res = space_norm(_one_plus_z_to(1024), disk_spec(SpaceKind.DIRICHLET, 2))
+def test_a_refined_degree_1024_norm_keeps_no_table_beyond_a_block(power_tables):
+    f, spec = _one_plus_z_to(1024), disk_spec(SpaceKind.DIRICHLET, 3)
+    res = space_norm(f, spec)
     assert res.flags.converged
-    # its band needs tables beyond the bound, which are built and dropped
-    assert max(nbytes for *_, nbytes in power_tables) > quadrature.POWER_TABLE_BYTES
-    kept = vars(quadrature._TABLES).values()
-    assert sum(t.nbytes for *_, t in kept) <= quadrature.POWER_TABLE_BYTES
+    # its band needs tables beyond a block, which are built and dropped
+    assert max(nbytes for *_, nbytes in power_tables) > 16 * quadrature.BLOCK_VALUES
+    first = QuadSettings().first_level(1024)
+    for level in range(first, res.flags.level + 1):
+        grid = _level_rule(spec, *QuadSettings().sizes(level))
+        for rule in (grid.radial_rule, grid.angular_rule):
+            assert all(table.size <= quadrature.BLOCK_VALUES
+                       for *_, table in rule.tables.values())
+
+
+def test_a_refined_degree_1024_moment_norm_allocates_little():
+    import tracemalloc
+
+    f, spec = _one_plus_z_to(1024), disk_spec(SpaceKind.DIRICHLET, 2)
+    space_norm(f, spec)
+    _level_moments.cache_clear()
+    tracemalloc.start()
+    try:
+        res = space_norm(f, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.flags.converged
+    # the moments come one block of powers at a time: a harmonic table of the
+    # band on its first grid, 1025 x 2048, would be 32 MiB
+    assert peak < 2 * 2**20
 
 
 def test_one_norm_on_a_large_grid_allocates_little():

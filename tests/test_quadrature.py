@@ -527,22 +527,24 @@ def test_a_radial_and_an_angular_rule_share_one_reference_solve():
 def test_import_builds_no_rule_and_needs_only_numpy():
     code = ("import sys, polyspace.cli; from polyspace import norms, quadrature; "
             "print(quadrature.gauss_jacobi.cache_info().currsize, "
-            "quadrature._rule.cache_info().currsize, len(vars(quadrature._TABLES)), "
+            "quadrature._rule.cache_info().currsize, "
             "norms._level_rule.cache_info().currsize, "
             "norms._level_moments.cache_info().currsize, "
             "sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'mpmath'}))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout
-    assert out.split() == ["0", "0", "0", "0", "0", "[]"]
+    assert out.split() == ["0", "0", "0", "0", "[]"]
 
 
 # ---------------------------------------------------------------------------
 # the power tables kept per rule
 
 
-def _kept_bytes():
-    return sum(t.nbytes for *_, t in vars(quadrature._TABLES).values())
+def _kept(grid):
+    """The power tables that the grid's rules keep."""
+    return [table for rule in (grid.radial_rule, grid.angular_rule)
+            for *_, table in rule.tables.values()]
 
 
 _TABLE_GRIDS = [
@@ -570,7 +572,8 @@ def test_rule_tables_are_the_fresh_tables_whatever_order_of_widths(make, power_t
     assert ranges == [(0, 1), (-1, 3), (-3, 40), (-4, 45)]
     widths = [hi + 1 for name, _, _, hi, _ in power_tables if name == "_radius_powers"]
     assert widths == [3, 50, 61]
-    assert _kept_bytes() <= quadrature.POWER_TABLE_BYTES
+    # each rule keeps its widest table
+    assert [table.shape for table in _kept(grid)] == [(grid.n_r, 61), (50, grid.n_theta)]
 
 
 @pytest.mark.parametrize("field, change", [("angles", lambda a: a + 0.125),
@@ -578,7 +581,8 @@ def test_rule_tables_are_the_fresh_tables_whatever_order_of_widths(make, power_t
 def test_a_grid_with_replaced_nodes_never_reads_its_rule_table(field, change, power_tables):
     grid = disk_grid.__wrapped__(8, 16)
     kept = (grid.harmonics(-2, 10), grid.radius_powers(12))
-    tables = dict(vars(quadrature._TABLES))
+    rules = (grid.radial_rule, grid.angular_rule)
+    tables = [dict(rule.tables) for rule in rules]
     swapped = dataclasses.replace(grid, **{field: change(getattr(grid, field))})
     got = (swapped.harmonics(-2, 10), swapped.radius_powers(12))
     assert np.array_equal(got[0], _oracles.loop_harmonic_table(swapped.angles, -2, 10))
@@ -587,32 +591,88 @@ def test_a_grid_with_replaced_nodes_never_reads_its_rule_table(field, change, po
                           swapped.radii[:, None] * np.exp(1j * swapped.angles)[None, :])
     changed = 0 if field == "angles" else 1
     assert not np.array_equal(got[changed], kept[changed])
-    # the rule's tables are kept as they were, and the grid's are not kept
-    assert vars(quadrature._TABLES).keys() == tables.keys()
-    assert all(vars(quadrature._TABLES)[key] is entry for key, entry in tables.items())
+    # the swapped grid still holds the rules, whose tables are kept as they
+    # were: the swapped nodes' tables are not kept
+    assert (swapped.radial_rule, swapped.angular_rule) == rules
+    for rule, before in zip(rules, tables):
+        assert rule.tables.keys() == before.keys()
+        assert all(rule.tables[key] is entry for key, entry in before.items())
 
 
 def test_rule_tables_are_read_only(power_tables):
     grid = halfplane_grid.__wrapped__(4.0, 6, 8)
     arrays = [grid.harmonics(-1, 3), grid.radius_powers(4)]
-    arrays += [table for *_, table in vars(quadrature._TABLES).values()]
+    arrays += _kept(grid)
     for arr in arrays:
         with pytest.raises(ValueError):
             arr.flat[0] = 0.0
 
 
-def test_rule_tables_keep_within_their_byte_bound(power_tables, monkeypatch):
-    monkeypatch.setattr(quadrature, "POWER_TABLE_BYTES", 64 * 16 * 20)
-    grids = [disk_grid.__wrapped__(4, 64, angular=(e, 0.0)) for e in (0.0, 0.25, 0.5)]
-    for grid in grids:
-        grid.harmonics(0, 15)
-        assert _kept_bytes() <= quadrature.POWER_TABLE_BYTES
-    # three tables of 16 rows do not fit in 20 rows' bytes: the oldest went
-    assert len(vars(quadrature._TABLES)) == 1
-    # a range whose table alone exceeds the bound is built per call, not kept
-    wide = grids[-1].harmonics(0, 40)
-    assert np.array_equal(wide, _oracles.loop_harmonic_table(grids[-1].angles, 0, 40))
-    assert _kept_bytes() <= quadrature.POWER_TABLE_BYTES
-    count = len(power_tables)
-    grids[-1].harmonics(0, 40)
-    assert len(power_tables) == count + 1
+def test_a_rule_keeps_a_table_of_at_most_a_block_of_values(power_tables):
+    grid = disk_grid.__wrapped__(4, 64)
+    rows = quadrature.BLOCK_VALUES // 64
+    grid.harmonics(0, rows - 1)
+    assert len(power_tables) == 1 and _kept(grid)[0].size == quadrature.BLOCK_VALUES
+    # a wider range is built per call, not kept, and every call builds it
+    for _ in range(2):
+        wide = grid.harmonics(0, rows)
+        assert np.array_equal(wide, _oracles.loop_harmonic_table(grid.angles, 0, rows))
+    assert len(power_tables) == 3 and _kept(grid)[0].shape == (rows, 64)
+    # the kept table still serves what it holds
+    grid.harmonics(0, rows - 1)
+    assert len(power_tables) == 3
+
+
+def test_grids_of_one_rule_share_its_tables(power_tables):
+    plain = disk_grid(8, 16)
+    other = disk_grid(8, 16, radial=(0.0, 0.5), angular=None)
+    assert other.angular_rule is plain.angular_rule
+    assert other.radial_rule is not plain.radial_rule
+    # the second grid reads the first's angular table and builds its own radial one
+    plain.harmonics(-1, 6)
+    other.harmonics(0, 3)
+    plain.radius_powers(5)
+    other.radius_powers(5)
+    assert [name for name, *_ in power_tables] == ["_harmonic_table", "_radius_powers",
+                                                   "_radius_powers"]
+
+
+def test_a_grid_reads_its_rules_tables_without_asking_for_a_rule(power_tables):
+    grid = disk_grid(8, 16, radial=(0.0, 0.5))
+    grid.harmonics(-1, 4)
+    grid.radius_powers(6)
+    quadrature._rule.cache_clear()
+    grid.harmonics(-1, 2)
+    grid.radius_powers(6)
+    # no rule was built to check the nodes, and no table was built again
+    assert quadrature._rule.cache_info().currsize == 0
+    assert len(power_tables) == 2
+
+
+def test_threads_sharing_a_rule_read_the_fresh_tables(power_tables):
+    import sys
+    import threading
+
+    grid = disk_grid(6, 24, angular=(0.25, 0.0))
+    ranges = [(-(i % 4), 3 + 7 * (i % 5)) for i in range(40)]
+    want = {r: _oracles.loop_harmonic_table(grid.angles, *r) for r in set(ranges)}
+    bad = []
+
+    def work(k):
+        for lo, hi in ranges[k:] + ranges[:k]:
+            if not np.array_equal(grid.harmonics(lo, hi), want[lo, hi]):
+                bad.append((lo, hi))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(0, 40, 5)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    # a racing build replaces a table, never writes into one, so every read is whole
+    assert bad == []
