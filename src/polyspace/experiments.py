@@ -19,13 +19,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import polyfun, quadrature
 from .domain import Domain, check_positive
 from .norms import (
     SpaceKind,
     SpaceSpec,
+    dilatation_norms,
     norm_of_difference,
-    space_norm,
     weighted_p_integral,
 )
 from .weights import (
@@ -137,8 +139,7 @@ def dilatation_convergence(
     """Tabulate ``||f_r - f||`` (seminorm and full norm) over ``r_grid``."""
     rs = _checked_r_grid(r_grid)
     check_positive("threshold", threshold)
-    ref = space_norm(f, spec, settings)
-    errs = [norm_of_difference(polyfun.dilate(f, r), f, spec, settings) for r in rs]
+    ref, *errs = dilatation_norms(f, spec, rs, settings)
     rows = [ConvergenceRow(r, err.seminorm, err.full_norm) for r, err in zip(rs, errs)]
     return ConvergenceReport(
         spec=spec,
@@ -206,12 +207,15 @@ def limsup_check(f, spec, r_grid=DEFAULT_R_GRID, tol=1e-3, settings=None,
         raise ValueError("limsup_check applies to Dirichlet and Besov specs only")
     rs = _checked_r_grid(r_grid)
     check_positive("tol", tol)
-    # the right-hand sides, then (d_z, d_zbar) of f_r for each r
-    results = [weighted_p_integral(d(g), spec, settings)
-               for g in [f] + [polyfun.dilate(f, r) for r in rs]
-               for d in (polyfun.d_z, polyfun.d_zbar)]
-    rhs_dz, rhs_dzbar, *lhs = (res.value for res in results)
-    dz, dzbar = lhs[::2], lhs[1::2]
+    # per part d, one family: the right-hand side d(f), then d(f_r) for each
+    # r, whose s^n terms are r^(n + 1) times those of d(f)
+    results = []
+    for d in (polyfun.d_z, polyfun.d_zbar):
+        part = d(f)
+        degrees = np.arange(1, part.degree_z + part.q + 1)
+        members = [(part, None)] + [(d(polyfun.dilate(f, r)), float(r) ** degrees) for r in rs]
+        results.append(weighted_p_integral(part, spec, settings, members))
+    (rhs_dz, *dz), (rhs_dzbar, *dzbar) = ([res.value for res in family] for family in results)
     ok = max(dz) - rhs_dz <= tol * rhs_dz and max(dzbar) - rhs_dzbar <= tol * rhs_dzbar
     return LimsupReport(
         spec=spec,
@@ -220,7 +224,7 @@ def limsup_check(f, spec, r_grid=DEFAULT_R_GRID, tol=1e-3, settings=None,
         rhs_dz=rhs_dz,
         rhs_dzbar=rhs_dzbar,
         tol=tol,
-        verdict=_verdict(ok, results),
+        verdict=_verdict(ok, results[0] + results[1]),
     )
 
 

@@ -14,17 +14,29 @@ Dirichlet norms coincide; the implementation shares the code path bit for bit.
 Derivatives are exact coefficient operations — no finite differences anywhere.
 
 Every integral goes through one integrator, :func:`_integrate`, and comes
-back as one :class:`~polyspace.quadrature.RefineResult`.  Its measure
-is polar-separable: the weight's radial and angular factors times the
-kind/domain factors — Besov ``(1-s^2)^(p-2)`` on the disk; ``s^a sin^a theta``
+back as one :class:`~polyspace.quadrature.RefineResult`.  The integrator
+takes a family: ``f``'s parts and, per member, the member's own parts with
+one factor ``sigma[n]`` per radial degree ``n`` that turns ``f``'s parts
+into the member's — ``r^(n+1)`` for ``d f_r``, ``r^(n+1) - 1`` for ``d (f_r -
+f)`` and ``r^n - 1`` for a Bergman ``f_r - f``.  :func:`space_norm` and
+:func:`weighted_p_integral` are families of one; :func:`dilatation_norms`
+(``f`` and ``f_r - f`` along an r-grid) and ``weighted_p_integral``'s
+``members`` (a part of ``f`` and of each ``f_r``) serve the dilatation
+experiments.  Members share their rules, levels and, on the nodes, each
+part's angular matrix per level and the planar factor per block; each
+member keeps its own stopping level and flags
+(:func:`quadrature.refine_family`).
+
+The measure is polar-separable: the weight's radial and angular factors times
+the kind/domain factors — Besov ``(1-s^2)^(p-2)`` on the disk; ``s^a sin^a theta``
 for ``Im(z)^a`` and ``exp(-beta s^2)`` on the half-plane — as one vector on the
 grid's radii and one on its angles, which multiply the grid's 1-D weights
 (:func:`_measure_density`).  Only :class:`~polyspace.weights.ExpRePow` adds a
 factor that does not separate; it is evaluated on each block's nodes.  The
 grid with its measure-weighted 1-D weights is a space's rule on a grid of
 one size (:func:`_level_rule`); it is built once and kept for every later
-integral in that space, and so are the rule's moments for a width
-(:func:`_level_moments`).
+integral in that space, and so are the rule's moments for a width, with
+their Gram matrix up to width 64 (:func:`_level_moments`).
 
 The measure's endpoint powers — the weight's declared exponents plus Besov
 ``(1-s)^(p-2)``, ``s^a`` and ``sin^a theta ~ [theta (pi - theta)]^a`` — pick
@@ -48,21 +60,24 @@ its :class:`~polyspace.quadrature.QuadSettings`, which states the rule.
 
 At an even ``p = 2k`` on a separable measure whose finest allowed level
 resolves the band of each ``part^k`` (the exact product
-:func:`polyfun.mul`, formed once per integral), the integral of
-``sum_part |part^k|^2`` is a quadratic form in the coefficients of
-``part^k`` and the moments of the measure-weighted radial and angular rules
-(:func:`polyfun.gram_sum`): the same quadrature value, without a value on
-any node.  Otherwise, and at a level whose moment sum is not finite or
-could have lost digits to cancellation, the integrand is formed on the nodes
-one block of radii at a time, in reused block buffers: each part as one
+:func:`polyfun.mul`, formed once per integral from the member's own
+coefficients), the integral of ``sum_part |part^k|^2`` is a quadratic form
+in the coefficients of ``part^k`` and the moments of the measure-weighted
+radial and angular rules (:func:`polyfun.gram_sum`): the same quadrature
+value, without a value on any node.  Otherwise, and at a level whose
+moment sum is not finite or could have lost digits to cancellation, the
+integrand is formed on the nodes one block of radii at a time, in reused block buffers: each part as one
 real product ``powers[rows] @ B`` of the radius powers and the float view of
 its complex angular matrix (:func:`polyfun.block_evaluators`, which reads
 the powers from the tables the grid's rules keep and builds each matrix once
-per level), then ``|.|^p`` (:func:`_power`):
+per level for the whole family), a member's powers scaled by its ``sigma``,
+so that its node sum moves from that of its own coefficients by rounding
+only, then ``|.|^p`` (:func:`_power`):
 for ``p = n + k/4 <= 4`` from products and one or two square roots, which
 cost a fraction of ``pow``, for any other ``p`` by ``**``.
-:func:`quadrature.blocked_sum` sums the blocks through the grid's 1-D rules,
-and its refusals name a node.  No array the size of the grid is ever built.
+:func:`quadrature.blocked_sums` sums the blocks through the grid's 1-D
+rules, every member of the family in one pass, and its refusals name a
+node.  No array the size of the grid is ever built.
 The point term at the disk's base point 0 is ``|C[0, 0]|``, the value
 Horner's scheme gives there; at the half-plane's ``i`` it is Horner's value.
 """
@@ -74,6 +89,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -286,11 +302,15 @@ def _power(a, p, spare):
         a *= root
 
 
-def _block_integrand(parts, spec, grid):
-    """``rows -> sum_part |part|^p`` (times a planar weight factor) on
-    ``grid.radii[rows]`` x ``grid.angles``, in reused block buffers."""
+def _block_integrands(parts, members, spec, grid):
+    """``rows -> `` each member's ``sum_part |part|^p`` (times a planar weight
+    factor) on ``grid.radii[rows]`` x ``grid.angles``, yielded in turn in one
+    reused block buffer.  A member is ``(used, sigma)``: the indices of the
+    ``parts`` it sums, each scaled by ``sigma`` per radial degree
+    (:func:`polyfun.block_evaluators`; ``None``: the part itself)."""
     planar = spec.weight.planar_factor
     evaluators = polyfun.block_evaluators(parts, grid)
+    forms = [([evaluators[i] for i in used], sigma) for used, sigma in members]
 
     def values(rows):
         shape = (rows.stop - rows.start, grid.n_theta)
@@ -299,17 +319,19 @@ def _block_integrand(parts, spec, grid):
         term = quadrature.scratch("term", shape)
         # once |part| is taken, the part's buffer holds two float arrays
         spare = part_vals.reshape(-1).view(float).reshape((2,) + shape)
-        # an overflow leaves inf or nan, which blocked_sum refuses by node
-        for i, evaluate in enumerate(evaluators):
-            evaluate(rows, out=part_vals)
-            out = total if i == 0 else term
-            np.abs(part_vals, out=out)
-            _power(out, spec.p, spare)
-            if i:
-                total += term
-        if planar is not None:
-            total *= planar(grid.block_nodes(rows), spec.domain)
-        return total
+        factor = None if planar is None else planar(grid.block_nodes(rows), spec.domain)
+        for member, sigma in forms:
+            # an overflow leaves inf or nan, which blocked_sums refuses by node
+            for n, evaluate in enumerate(member):
+                evaluate(rows, part_vals, sigma)
+                out = term if n else total
+                np.abs(part_vals, out=out)
+                _power(out, spec.p, spare)
+                if n:
+                    total += term
+            if factor is not None:
+                total *= factor
+            yield total
 
     return values
 
@@ -356,22 +378,48 @@ def _level_moments(spec, n_r, n_theta, width):
     """:func:`polyfun.gram_moments` of :func:`_level_rule` for ``width``, at
     most the grid's ``n_theta`` (:func:`_integrate`).  An entry holds ``2
     width - 1`` radial and angular moments, 48 bytes per unit of width: at
-    most 12 KiB at 128 x 256 and 384 KiB at 4096 x 8192, so the 256 kept
-    reach 96 MiB only after 256 integrals of high degree; a suite's take
-    under 1 MiB.
+    most 12 KiB at 128 x 256 and 384 KiB at 4096 x 8192.  Up to width 64 it
+    also holds the Gram matrix ``W`` and ``|W|``, 24 bytes per entry of
+    ``W``: at most 96 KiB, so such entries take at most 24 MiB.  The 256
+    kept reach 96 MiB only after 256 integrals of high degree; a suite's
+    take under 2 MiB.
     """
     return polyfun.gram_moments(_level_rule(spec, n_r, n_theta), width)
 
 
-def _integrate(parts, spec, settings):
-    """:class:`~polyspace.quadrature.RefineResult` of ``integral sum_part
-    |part|^p`` against the measure of ``spec``, flagged truncated when
-    ``spec`` is, on its rules at the levels of ``settings`` from the
-    :meth:`~polyspace.quadrature.QuadSettings.first_level` of its band up."""
+class _Member(NamedTuple):
+    """What one member of a family integrates: whether every part is
+    identically zero, the indices of the parts it sums on the nodes with its
+    ``sigma``, its band, the level it starts at, and the half powers of its
+    parts for the moments."""
+
+    zero: bool
+    used: list
+    sigma: np.ndarray | None
+    band: int
+    first: int
+    halves: list | None
+
+
+def _integrate(parts, spec, settings, members=None):
+    """One :class:`~polyspace.quadrature.RefineResult` of ``integral
+    sum_part |part|^p`` against the measure of ``spec`` per member of a
+    family, flagged truncated when ``spec`` is, on its rules at the levels of
+    ``settings`` from the
+    :meth:`~polyspace.quadrature.QuadSettings.first_level` of the member's
+    band up (:func:`quadrature.refine_family`).
+
+    A member ``(own, sigma)`` is a list ``own`` of parts of the shapes of
+    ``parts``, whose ``s^n`` terms are ``sigma[n]`` times theirs, as a
+    dilatation's are; ``sigma=None`` is ``parts`` themselves, and ``members``
+    defaults to that one member.  A member's band, moments and Gram sum read
+    its own parts; on the nodes it is formed from the angular matrices of
+    ``parts`` with the radius powers scaled by ``sigma``, built once per
+    level for every member that needs them there.  The error a member raises
+    is raised once every member before it is done, so that it is the error
+    the members would raise one at a time."""
     settings = settings or quadrature.QuadSettings()
-    # a part that is identically zero adds nothing
-    nonzero = [f for f in parts if f.coeffs.any()]
-    zero = not nonzero and spec.weight.planar_factor is None
+    members = members or [(parts, None)]
     finest = settings.sizes(settings.last_level)[1]
     # the angular harmonics of |part|^2 lie within D + q - 1, and those of
     # |part|^p = |part^k|^2 at p = 2k within k times that, on the moments and
@@ -379,44 +427,82 @@ def _integrate(parts, spec, settings):
     # even) keeps the band of |part|^2, as odd and fractional p do
     even = spec.p % 2 == 0 and spec.p < 2 * finest
     k = int(spec.p) // 2 if even else 1
-    band = k * max((f.degree_z + f.q - 1 for f in nonzero), default=0)
-    first = settings.first_level(band)
-    halves = _half_powers(nonzero, k, spec) if even else None
+    plans = []
+    for own, sigma in members:
+        # a part that is identically zero adds nothing
+        used = [i for i, f in enumerate(own) if np.count_nonzero(f.coeffs)]
+        band = k * max((own[i].degree_z + own[i].q - 1 for i in used), default=0)
+        halves = _half_powers([own[i] for i in used], k, spec) if even else None
+        zero = not used
+        if zero:   # on the nodes, a zero integrand is the first part times 0
+            used, sigma = [0], np.zeros(parts[0].degree_z + parts[0].q)
+        plans.append(_Member(zero, used, sigma, band, settings.first_level(band), halves))
+    # the parts that some member sums on the nodes, whose angular matrices a
+    # level builds once, and each member's indices into them
+    on_nodes = sorted({i for plan in plans for i in plan.used})
+    node_parts = [parts[i] for i in on_nodes]
+    forms = [([on_nodes.index(i) for i in plan.used], plan.sigma) for plan in plans]
+    # a zero integrand is 0.0 at a level whose 1-D weights are all finite
+    separable = spec.weight.planar_factor is None
+    errors = {}
 
-    def value_at(level):
+    def values_at(level, running):
         rule = (spec, *settings.sizes(level))
         grid = _level_rule(*rule)
-        # blocked_sum of zeros against finite 1-D weights is exactly 0.0
-        if zero and np.isfinite(grid.radial_weights).all() and np.isfinite(
-                grid.angle_weights).all():
-            return 0.0
-        if halves and (value := polyfun.gram_sum(
-                halves, _level_moments(*rule, band + 1))) is not None:
-            return value
-        # a zero integrand keeps one part on the nodes, where a measure weight
-        # or planar factor that is not finite is refused by its node
-        return quadrature.blocked_sum(_block_integrand(nonzero or parts[:1], spec, grid),
-                                      grid)
+        values, nodes = {}, []
+        for i in running:
+            plan = plans[i]
+            if errors and i > min(errors):   # its error comes after one raised
+                values[i] = math.nan
+            elif plan.zero and separable and np.isfinite(grid.radial_weights).all() and (
+                    np.isfinite(grid.angle_weights).all()):
+                values[i] = 0.0
+            elif plan.halves and (value := polyfun.gram_sum(
+                    plan.halves, _level_moments(*rule, plan.band + 1))) is not None:
+                values[i] = value
+            else:
+                nodes.append(i)
+        if nodes:
+            # a measure weight or planar factor that is not finite is refused
+            # by its node, under a zero integrand too
+            integrands = _block_integrands(node_parts, [forms[i] for i in nodes], spec, grid)
+            for i, value in zip(nodes, quadrature.blocked_sums(integrands, grid, len(nodes))):
+                if isinstance(value, ValueError):
+                    errors.setdefault(i, value)
+                    value = math.nan
+                values[i] = value
+        return [values[i] for i in running]
 
-    res = quadrature.refine_levels(value_at, settings, first)
-    return dataclasses.replace(res, truncated=spec.truncated)
+    results = quadrature.refine_family(values_at, settings, [plan.first for plan in plans],
+                                       spec.truncated)
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
-def space_norm(f, spec, settings=None):
-    """Norm of ``f`` in the space ``spec``; dispatches on ``spec.kind``."""
+def _parts(f, spec):
+    """The functions whose ``|.|^p`` a norm of ``f`` in ``spec`` integrates."""
     if spec.kind is SpaceKind.BERGMAN:
-        parts = [f]
-        point_term = 0.0
-    else:
-        parts = [polyfun.d_z(f), polyfun.d_zbar(f)]
-        # at 0 every term but C[0, 0] vanishes, so Horner's value is C[0, 0]
-        base = f.coeffs[0, 0] if spec.domain is Domain.DISK else f(spec.base_point)
-        with np.errstate(over="ignore"):
-            point_term = float(np.float64(abs(base)) ** spec.p)
-        if not math.isfinite(point_term):
-            raise ValueError(f"point term |f(z0)|^p at the base point "
-                             f"z0 = {spec.base_point} is {point_term}")
-    flags = _integrate(parts, spec, settings)
+        return [f]
+    return [polyfun.d_z(f), polyfun.d_zbar(f)]
+
+
+def _point_term(f, spec):
+    """``|f(z0)|^p`` at the base point of a Dirichlet or Besov ``spec``, else
+    0."""
+    if spec.kind is SpaceKind.BERGMAN:
+        return 0.0
+    # at 0 every term but C[0, 0] vanishes, so Horner's value is C[0, 0]
+    base = f.coeffs[0, 0] if spec.domain is Domain.DISK else f(spec.base_point)
+    with np.errstate(over="ignore"):
+        point_term = float(np.float64(abs(base)) ** spec.p)
+    if not math.isfinite(point_term):
+        raise ValueError(f"point term |f(z0)|^p at the base point "
+                         f"z0 = {spec.base_point} is {point_term}")
+    return point_term
+
+
+def _norm_result(point_term, flags, spec):
     integral = max(flags.value, 0.0)
     try:
         seminorm = integral ** (1.0 / spec.p)
@@ -425,6 +511,48 @@ def space_norm(f, spec, settings=None):
         raise ValueError(f"p is {spec.p!r}, too small: the norm "
                          f"{point_term + integral}^(1/p) overflows") from None
     return NormResult(full, seminorm, point_term, flags)
+
+
+def dilatation_norms(f, spec, r_grid=(), settings=None):
+    """:class:`NormResult` of ``f``, then of ``f_r - f`` for each ``r`` of
+    ``r_grid``: :func:`space_norm` of ``f`` and :func:`norm_of_difference` of
+    ``polyfun.dilate(f, r)`` and ``f``, as one family (:func:`_integrate`).
+
+    The parts of ``f_r - f`` are those of ``f`` with radial degree ``n``
+    scaled by ``r^n - 1`` (Bergman) or ``r^(n+1) - 1`` (the derivatives of
+    Dirichlet and Besov).  Each member's point term, moments and Gram sum
+    read its own coefficients, formed as :func:`norm_of_difference` forms
+    them, so they have its bits; only a member's node sum reads the scaled
+    powers, and moves by rounding."""
+    gs, sigmas = [f], [None]
+    if r_grid:
+        shift = 0 if spec.kind is SpaceKind.BERGMAN else 1
+        degrees = np.arange(shift, shift + f.degree_z + f.q)
+        gs += [polyfun.sub(polyfun.dilate(f, r), f) for r in r_grid]
+        sigmas += [float(r) ** degrees - 1.0 for r in r_grid]
+    members, point_terms = [], []
+    try:
+        for g, sigma in zip(gs, sigmas):
+            parts = _parts(g, spec)
+            point_terms.append(_point_term(g, spec))
+            members.append((parts, sigma))
+    except ValueError:
+        # a refused member is raised once the members before it are done
+        if members:
+            _dilatation_results(members, point_terms, spec, settings)
+        raise
+    return _dilatation_results(members, point_terms, spec, settings)
+
+
+def _dilatation_results(members, point_terms, spec, settings):
+    flags = _integrate(members[0][0], spec, settings, members)
+    return [_norm_result(point, res, spec) for point, res in zip(point_terms, flags)]
+
+
+def space_norm(f, spec, settings=None):
+    """Norm of ``f`` in the space ``spec``; dispatches on ``spec.kind``.  It
+    is :func:`dilatation_norms` of ``f`` alone."""
+    return dilatation_norms(f, spec, (), settings)[0]
 
 
 def _kind_norm(f, spec, settings, kind, name):
@@ -456,12 +584,19 @@ def norm_of_difference(f, g, spec, settings=None):
     return space_norm(polyfun.sub(f, g), spec, settings)
 
 
-def weighted_p_integral(g, spec, settings=None):
+def weighted_p_integral(g, spec, settings=None, members=None):
     """:class:`~polyspace.quadrature.RefineResult` of ``integral |g|^p``
     against the full measure of ``spec`` (weight times boundary/confinement
     factors): the value with the flags of how it was obtained.
 
+    With ``members``, a sequence of ``(h, sigma)``: a list of the result of
+    each ``h``, as one family (:func:`_integrate`), where ``h`` has the shape
+    of ``g`` and its ``s^n`` terms are ``sigma[n]`` times those of ``g``
+    (``sigma=None``: ``h`` is ``g``).
+
     This is one half of a Dirichlet/Besov seminorm; the dilatation-limit
     experiments compare these part integrals side by side.
     """
-    return _integrate([g], spec, settings)
+    if members is None:
+        return _integrate([g], spec, settings)[0]
+    return _integrate([g], spec, settings, [([h], sigma) for h, sigma in members])

@@ -20,26 +20,36 @@ times the float view of the complex angular matrix
 ``n = 0 .. degree_z + q - 1``, which is summed from one harmonic table for
 all the functions passed.
 :func:`gram_sum` forms the grid's sum of ``|f|^2`` from the moments of its
-two rules instead (:func:`gram_moments`), without a value on any node; with
-the exact product :func:`mul`, ``|f|^(2k) = |f^k|^2`` brings every even
-power to it.  Both form the powers of ``u = exp(i theta)`` by one
-recurrence (:func:`~polyspace.quadrature.power_rows`), negative harmonics
-as exact conjugates.  The node path reads its harmonic table and radius
-powers from the tables that the grid's rules keep
+two rules instead (:func:`gram_moments`), without a value on any node, as a
+quadratic form through the Gram matrix ``W[Q, P] = R[P + Q] mu[P - Q]``,
+which the moments keep up to width 64 and which is built chunk by chunk
+beyond it, both by :func:`_gram_block`; with the exact product :func:`mul`,
+``|f|^(2k) = |f^k|^2`` brings every even power to it.  A function keeps its
+coefficients shifted as the form pairs them, once it has been summed.
+With a factor ``sigma[n]`` per radial degree, :func:`block_evaluators`
+forms a function whose ``s^n`` terms are ``sigma[n]`` times ``f``'s, such
+as a dilatation, on ``f``'s angular matrix.  Both paths form the powers of
+``u = exp(i theta)`` by one recurrence
+(:func:`~polyspace.quadrature.power_rows`), negative harmonics as exact
+conjugates.  The node path reads its harmonic table and radius powers from
+the tables that the grid's rules keep
 (:meth:`~polyspace.quadrature.QuadratureGrid.harmonics`,
 :meth:`~polyspace.quadrature.QuadratureGrid.radius_powers`); the moments
 form theirs one block at a time.  The moments are kept by
 :mod:`polyspace.norms`, keyed by space, grid size and width (at most 256),
-with the measure-weighted grid they come from (keyed by space and grid
-size, at most 128).  Point values use one Horner scheme, :func:`evaluate`,
-in ``z`` along every row at once and then in ``conj(z)``.
+with the Gram matrix up to width 64 and the measure-weighted grid they come
+from (keyed by space and grid size, at most 128).  Point values use one
+Horner scheme, :func:`evaluate`, in ``z`` along every row at once and then
+in ``conj(z)``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -147,6 +157,24 @@ class PolyFunction:
     def __call__(self, z):
         return evaluate(self, z)
 
+    @functools.cached_property
+    def _gram_columns(self):
+        """``(s1, s2, |s1|, |s2|)``: :attr:`coeffs` shifted by each order as
+        :func:`gram_sum` pairs them, built on first use and kept with the
+        function, whose Gram sum is formed at every level."""
+        c, (q, m), n = self.coeffs, self.coeffs.shape, self.degree_z + self.q
+        # column x q + y: conj(z)^x from row y on (s1), conj(z)^y from row x on (s2)
+        s1, s2 = np.zeros((2, n, q, q), dtype=complex)
+        for i in range(q):
+            s1[i: i + m, :, i] = s2[i: i + m, i, :] = c.T
+        s1, s2 = s1.reshape(n, q * q), s2.reshape(n, q * q)
+        # an overflow leaves inf, which fails gram_sum's bound
+        with np.errstate(over="ignore"):
+            columns = s1, s2, np.abs(s1), np.abs(s2)
+        for arr in columns:
+            arr.flags.writeable = False
+        return columns
+
     def __eq__(self, other):
         if not isinstance(other, PolyFunction):
             return NotImplemented
@@ -197,10 +225,14 @@ def _angular_matrix(f, table, lo, buf):
 
 
 def block_evaluators(fs, grid):
-    """One ``(rows, out=None) -> values`` per function ``f`` of ``fs``: ``f``
-    at ``grid.radii[rows]`` x ``grid.angles`` as a ``(len, n_theta)`` array
-    ``powers[rows] @ B``, written into ``out`` if given (``rows=slice(None)``,
-    raveled, is node order).
+    """One ``(rows, out=None, sigma=None) -> values`` per function ``f`` of
+    ``fs``: ``f`` at ``grid.radii[rows]`` x ``grid.angles`` as a ``(len,
+    n_theta)`` array ``powers[rows] @ B``, written into ``out`` if given
+    (``rows=slice(None)``, raveled, is node order).  With ``sigma``, a factor
+    per radial degree ``n`` that covers ``f``'s, it is ``(powers[rows] *
+    sigma) @ B`` instead: the function whose ``s^n`` terms are ``sigma[n]``
+    times ``f``'s, such as a dilatation ``f_r`` (``sigma[n] = r^n``), on the
+    same ``B``.
 
     ``grid`` is a polar tensor grid with 1-D ``radii`` and ``angles`` (a
     :class:`polyspace.quadrature.QuadratureGrid`).  On the ring of radius
@@ -225,8 +257,10 @@ def block_evaluators(fs, grid):
     def evaluator(b):
         width, real = b.shape[0], b.view(float)
 
-        def evaluate(rows, out=None):
+        def evaluate(rows, out=None, sigma=None):
             radial = powers[rows, :width]
+            if sigma is not None:
+                radial = radial * sigma[:width]
             if out is None:
                 out = np.empty((radial.shape[0], grid.n_theta), dtype=complex)
             np.matmul(radial, real, out=out.view(float))
@@ -260,24 +294,53 @@ def _angular_moments(angles, weights, lags):
     return mu
 
 
+class Moments(NamedTuple):
+    """The moments of a grid's two rules for a width (:func:`gram_moments`):
+    ``radial`` ``R``, ``mu``, and, while ``width`` is at most 64, the Gram
+    matrix ``gram`` ``W`` with its entrywise modulus ``size`` ``|W|``
+    (:func:`_gram_block`); ``None`` at a wider width."""
+
+    radial: np.ndarray
+    mu: np.ndarray
+    gram: np.ndarray | None
+    size: np.ndarray | None
+
+
+def _gram_block(radial, mu, rows, n):
+    """Rows ``rows`` (a slice) and columns ``0 .. n - 1`` of the Gram matrix
+    ``W[Q, P] = R[P + Q] mu[P - Q]``."""
+    index = np.arange(n)
+    rows = index[rows, None]
+    return radial[rows + index] * mu[mu.size // 2 + index - rows]
+
+
 def gram_moments(grid, width):
-    """``(R, mu)``: the moments of ``grid``'s two rules that :func:`gram_sum`
-    pairs the coefficients of functions with ``degree_z + q <= width``
-    through, as read-only arrays.  ``R[n] = radial_weights @ s^n``,
-    ``n < 2 width - 1``, is summed in chunks of radii of at most
+    """:class:`Moments` of ``grid``'s two rules that :func:`gram_sum` pairs
+    the coefficients of functions with ``degree_z + q <= width`` through, as
+    read-only arrays.  ``R[n] = radial_weights @ s^n``, ``n < 2 width - 1``,
+    is summed in chunks of radii of at most
     :data:`~polyspace.quadrature.BLOCK_VALUES` powers, so its bits depend on
     ``width``; ``mu`` is :func:`_angular_moments` with ``width - 1`` lags.
     Neither builds more than a block of powers, so a wide band takes no
-    table of the grid's size.  An overflow leaves inf or nan, which fails
-    :func:`gram_sum`'s bound."""
+    table of the grid's size.  The Gram matrix ``W`` of the width, and
+    ``|W|``, are kept while ``W`` has at most ``BLOCK_VALUES // 4`` entries
+    (``width <= 64``, 96 KiB); :func:`gram_sum` builds a wider one chunk by
+    chunk.  An overflow leaves inf or nan, which fails :func:`gram_sum`'s
+    bound."""
     with np.errstate(over="ignore", invalid="ignore"):
         step = max(1, BLOCK_VALUES // (2 * width))
         radial = sum(grid.radial_weights[i: i + step]
                      @ grid.radii[i: i + step, None] ** np.arange(2 * width - 1)
                      for i in range(0, grid.n_r, step))
         mu = _angular_moments(grid.angles, grid.angle_weights, width - 1)
-    radial.flags.writeable = mu.flags.writeable = False
-    return radial, mu
+        gram = size = None
+        if width * width <= BLOCK_VALUES // 4:
+            gram = _gram_block(radial, mu, slice(None), width)
+            size = np.abs(gram)
+    for arr in (radial, mu, gram, size):
+        if arr is not None:
+            arr.flags.writeable = False
+    return Moments(radial, mu, gram, size)
 
 
 def gram_sum(fs, moments):
@@ -289,31 +352,30 @@ def gram_sum(fs, moments):
     monomials ``conj(z)^k z^j = s^n exp(i m theta)`` of each ``f``
     (``n = k + j``, ``m = j - k``).  The pair ``a = (x, j)``, ``b = (y, j')``
     meets ``W[Q, P] = R[P + Q] mu[P - Q]`` at ``P = y + j``, ``Q = x + j'``,
-    so ``W``, built in chunks of rows of at most
-    :data:`~polyspace.quadrature.BLOCK_VALUES` entries, multiplies the
-    coefficients of each order shifted by each other order.  The sum is
-    refused when ``sum_(a, b) |c_a| |c_b| |R mu|``, which bounds its terms,
-    is not below ``10^3`` times it: when the terms cancel, or the sum is not
+    so ``W``, read from the kept matrix as ``W[:n, :n]`` or else built in
+    chunks of rows of at most :data:`~polyspace.quadrature.BLOCK_VALUES`
+    entries (:func:`_gram_block`), multiplies the coefficients of each order
+    shifted by each other order.  The sum is refused when ``sum_(a, b) |c_a|
+    |c_b| |R mu|``, which bounds its terms and is summed through ``|W|``, is
+    not below ``10^3`` times it: when the terms cancel, or the sum is not
     positive or not finite.
     """
-    radial, mu = moments
-    lags = mu.size // 2
     total = bound = 0.0
     # an overflow leaves inf or nan, which fails the bound
     with np.errstate(over="ignore", invalid="ignore"):
         for f in fs:
-            n, (q, m) = f.degree_z + f.q, f.coeffs.shape
-            # column x q + y: conj(z)^x from row y on (s1), conj(z)^y from row x on (s2)
-            s1, s2 = np.zeros((2, n, q, q), dtype=complex)
-            for i in range(q):
-                s1[i: i + m, :, i] = s2[i: i + m, i, :] = f.coeffs.T
-            s1, s2 = s1.reshape(n, q * q), s2.reshape(n, q * q)
-            index, step = np.arange(n), max(1, BLOCK_VALUES // n)
+            n = f.degree_z + f.q
+            s1, s2, abs1, abs2 = f._gram_columns
+            # a kept W has at most 64 rows, so its n rows are one chunk
+            kept, step = moments.gram is not None, max(1, BLOCK_VALUES // n)
             for start in range(0, n, step):
-                rows, low = index[start: start + step, None], s2[start: start + step]
-                gram = radial[rows + index] * mu[lags + index - rows]
-                total += np.vdot(low, gram @ s1).real
-                bound += np.vdot(np.abs(low), np.abs(gram) @ np.abs(s1))
+                rows = slice(start, min(start + step, n))
+                gram = (moments.gram[rows, :n] if kept
+                        else _gram_block(moments.radial, moments.mu, rows, n))
+                total += np.vdot(s2[rows], gram @ s1).real
+                size = moments.size[rows, :n] if kept else np.abs(gram)
+                bound += np.vdot(abs2[rows], size @ abs1)
+                del size   # a built |W| is not kept into the next chunk
     return float(total) if bound < 1e3 * total else None
 
 

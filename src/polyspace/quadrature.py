@@ -55,13 +55,17 @@ serves only a grid whose nodes are its own, and keeps a table of at most
 :data:`BLOCK_VALUES` values; a wider one is built per call.  A rule lives
 while :func:`_rule`'s cache (256 rules) or a grid holds it.
 
-Every integral of node values is blockwise.  :func:`blocked_sum` is the one
-reduction: it asks for the integrand one block of radii at a time (at most
-:data:`BLOCK_VALUES` nodes), sums it through the two 1-D rules, refuses a
-non-finite value by naming its node and an overflowing sum as such, and adds
-the block sums exactly rounded.  :class:`QuadSettings` holds the ladder of
-grid levels, and :func:`refine_levels` runs ``level -> value`` up it, fixed
-or refined, and returns one :class:`RefineResult`, the value with its flags.
+Every integral of node values is blockwise.  :func:`blocked_sums` is the
+one reduction: it asks for the integrands of a family one block of radii at
+a time (at most :data:`BLOCK_VALUES` nodes), sums each through the two 1-D
+rules, refuses a non-finite value by naming its node and an overflowing sum
+as such, and adds each integrand's block sums exactly rounded;
+:func:`blocked_sum` is its family of one.  :class:`QuadSettings` holds the
+ladder of grid levels, and :func:`refine_family` runs ``level -> values``
+up it for a family of integrals, fixed or refined, each member from its own
+first level to its own stop, and returns one :class:`RefineResult` per
+member, the value with its flags; :func:`refine_levels` is its family of
+one.
 :func:`integrate` and :func:`refine_until` are these pieces applied to a
 callable of one block of nodes.  Block arrays live in per-thread buffers
 from :func:`scratch`, reused from call to call, so no call allocates memory
@@ -502,51 +506,71 @@ def block_rows(n_theta):
     return max(1, BLOCK_VALUES // n_theta)
 
 
-def blocked_sum(block_values, grid):
-    """The sum of the integrand times the node weights over ``grid``, one
-    block of radii at a time.
+def blocked_sums(block_values, grid, count):
+    """The sum of each of ``count`` integrands times the node weights over
+    ``grid``, in one pass over its blocks of radii.
 
-    ``block_values(rows)`` returns the real integrand on ``grid.radii[rows]``
-    x ``grid.angles`` as a ``(len, n_theta)`` array; ``rows`` are consecutive
-    slices of :func:`block_rows` radii.  Each block is summed through the
-    grid's two 1-D rules, ``radial_weights[rows] @ (vals @ angle_weights)``,
-    and the block sums are added exactly rounded (``math.fsum``).  A
-    non-finite value, or else a non-finite node weight, raises ``ValueError``
-    naming the offending node; a sum of finite terms that overflows raises
-    ``ValueError`` starting with ``integral``.
+    ``block_values(rows)`` yields the real values of each integrand in turn
+    on ``grid.radii[rows]`` x ``grid.angles``, as ``(len, n_theta)`` arrays;
+    ``rows`` are consecutive slices of :func:`block_rows` radii, and each
+    array is summed before the next is asked for, so all may share one
+    buffer.  Each block is summed through the grid's two 1-D rules,
+    ``radial_weights[rows] @ (vals @ angle_weights)``, and an integrand's
+    block sums are added exactly rounded (``math.fsum``).  An integrand is
+    refused, and summed no further, at a non-finite value or else a
+    non-finite node weight, by a ``ValueError`` naming the offending node,
+    and a sum of finite terms that overflows by a ``ValueError`` starting
+    with ``integral``.  Returns each sum, or the ``ValueError`` that refused
+    it.
     """
     step = block_rows(grid.n_theta)
-    sums = []
+    sums = [[] for _ in range(count)]
+    out = [None] * count
     # an overflow or inf times an underflowed weight is refused below
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, grid.n_r, step):
             rows = slice(start, min(start + step, grid.n_r))
-            vals = block_values(rows)
-            total = float(grid.radial_weights[rows] @ (vals @ grid.angle_weights))
-            # a non-finite value or weight makes the block sum non-finite
-            if not math.isfinite(total):
-                _refuse_non_finite(vals, grid, rows, total)
-            sums.append(total)
-    try:
-        return math.fsum(sums)
-    except OverflowError:
-        raise ValueError("integral overflows: its finite block sums add up "
-                         "beyond the float range") from None
+            for i, vals in enumerate(block_values(rows)):
+                if out[i] is not None:
+                    continue
+                total = float(grid.radial_weights[rows] @ (vals @ grid.angle_weights))
+                # a non-finite value or weight makes the block sum non-finite
+                if not math.isfinite(total):
+                    out[i] = _refusal(vals, grid, rows, total)
+                    continue
+                sums[i].append(total)
+    for i, terms in enumerate(sums):
+        if out[i] is None:
+            try:
+                out[i] = math.fsum(terms)
+            except OverflowError:
+                out[i] = ValueError("integral overflows: its finite block sums add up "
+                                    "beyond the float range")
+    return out
 
 
-def _refuse_non_finite(vals, grid, rows, total):
+def blocked_sum(block_values, grid):
+    """:func:`blocked_sums` of one integrand, ``block_values(rows)`` returning
+    its values on the block, raising the ``ValueError`` that refuses it."""
+    (total,) = blocked_sums(lambda rows: (block_values(rows),), grid, 1)
+    if isinstance(total, ValueError):
+        raise total
+    return total
+
+
+def _refusal(vals, grid, rows, total):
     weights = grid.block_weights(rows)
     for what, arr in (("integrand", vals), ("measure weight", weights)):
         bad = np.flatnonzero(~np.isfinite(arr))
         if bad.size:
             i, l = divmod(int(bad[0]), grid.n_theta)
             i += rows.start
-            raise ValueError(
+            return ValueError(
                 f"{what} is {arr.flat[bad[0]]} at node "
                 f"s_{i} e^(i theta_{l}) = {grid.radii[i]} * exp({grid.angles[l]}j)"
             )
-    raise ValueError(f"integral overflows: its block of radii s_{rows.start} to "
-                     f"s_{rows.stop - 1} sums to {total} from finite values and weights")
+    return ValueError(f"integral overflows: its block of radii s_{rows.start} to "
+                      f"s_{rows.stop - 1} sums to {total} from finite values and weights")
 
 
 def integrate(g, grid):
@@ -590,26 +614,58 @@ class RefineResult:
         return out
 
 
+def _walk(settings, first, truncated):
+    """One integral's walk up the ladder, as a generator: it yields each level
+    whose value it needs, is sent that value, and returns the
+    :class:`RefineResult`."""
+    prev = yield first
+    if not settings.refine:
+        return RefineResult(prev, math.nan, True, first, False, truncated)
+    change = np.inf
+    for level in range(first + 1, settings.max_level + 1):
+        cur = yield level
+        denom = max(abs(cur), abs(prev))
+        change = 0.0 if denom == 0.0 else abs(cur - prev) / denom
+        if change <= settings.rel_tol:
+            return RefineResult(cur, change, True, level, True, truncated)
+        prev = cur
+    return RefineResult(prev, change, False, settings.max_level, True, truncated)
+
+
+def refine_family(values_at, settings=None, firsts=(0,), truncated=False):
+    """One :class:`RefineResult` per member of a family of integrals, member
+    ``i`` walking up from level ``firsts[i]`` as :func:`refine_levels` walks
+    one integral, each flagged ``truncated`` as given.  The levels are
+    visited in order, and ``values_at(level, running)`` returns the values
+    at ``level`` of the members ``running`` (their indices, ascending): those
+    that have not stopped and whose walk has reached ``level``.  So a level
+    is computed once for all the members that need it, and each member keeps
+    its own stopping level and flags."""
+    settings = settings or QuadSettings()
+    walks = [_walk(settings, first, truncated) for first in firsts]
+    wants = {i: next(walk) for i, walk in enumerate(walks)}
+    out = [None] * len(walks)
+    while wants:
+        level = min(wants.values())
+        running = [i for i, want in wants.items() if want == level]
+        for i, value in zip(running, values_at(level, running), strict=True):
+            try:
+                wants[i] = walks[i].send(value)
+            except StopIteration as stop:
+                out[i] = stop.value
+                del wants[i]
+    return out
+
+
 def refine_levels(value_at, settings=None, first=0):
     """Compute ``value_at(first), value_at(first + 1), ...`` until successive
     values agree to ``settings.rel_tol`` relative, or ``settings.max_level``
     is hit — then the result is flagged as not converged.  With
     ``settings.refine`` false only ``value_at(first)`` is computed.
     ``settings`` defaults to ``QuadSettings()``; ``first`` is usually its
-    :meth:`~QuadSettings.first_level`."""
-    settings = settings or QuadSettings()
-    prev = value_at(first)
-    if not settings.refine:
-        return RefineResult(prev, math.nan, True, first, refined=False)
-    change = np.inf
-    for level in range(first + 1, settings.max_level + 1):
-        cur = value_at(level)
-        denom = max(abs(cur), abs(prev))
-        change = 0.0 if denom == 0.0 else abs(cur - prev) / denom
-        if change <= settings.rel_tol:
-            return RefineResult(cur, change, True, level)
-        prev = cur
-    return RefineResult(prev, change, False, settings.max_level)
+    :meth:`~QuadSettings.first_level`.  It is :func:`refine_family` of one
+    member."""
+    return refine_family(lambda level, running: [value_at(level)], settings, (first,))[0]
 
 
 def refine_until(g, family, rel_tol=DEFAULT_REL_TOL, max_level=DEFAULT_MAX_LEVEL):

@@ -82,20 +82,20 @@ MUTANTS = [
      "a *= np.multiply(a, a, out=square)",
      "np.multiply(a, a, out=a)"),
     ("zero-shortcut-without-finiteness-check", "norms.py",
-     "if zero and np.isfinite(grid.radial_weights).all() and np.isfinite(\n"
-     "                grid.angle_weights).all():",
-     "if zero:"),
+     "elif plan.zero and separable and np.isfinite(grid.radial_weights).all() and (\n"
+     "                    np.isfinite(grid.angle_weights).all()):",
+     "elif plan.zero and separable:"),
     # refinement
     ("max-level-reported-converged", "quadrature.py",
-     "return RefineResult(prev, change, False, settings.max_level)",
-     "return RefineResult(prev, change, True, settings.max_level)"),
+     "return RefineResult(prev, change, False, settings.max_level, True, truncated)",
+     "return RefineResult(prev, change, True, settings.max_level, True, truncated)"),
     ("refinement-stops-at-level-1", "quadrature.py",
      "for level in range(first + 1, settings.max_level + 1):",
      "for level in range(first + 1, 2):"),
     # killed by test_quadrature.py::test_refine_levels_walks_absolute_levels_from_first
     ("refine-levels-ignores-first", "quadrature.py",
-     "    prev = value_at(first)\n",
-     "    first = 0\n    prev = value_at(first)\n"),
+     "    prev = yield first\n",
+     "    first = 0\n    prev = yield first\n"),
     # coefficient calculus
     ("dilate-uses-r-to-the-j", "polyfun.py",
      "powers = float(r) ** np.add.outer(np.arange(f.q), np.arange(f.degree_z + 1))",
@@ -158,8 +158,8 @@ MUTANTS = [
      "return float(total) if bound < 1e3 * total else None",
      "return float(total)"),
     ("gram-moments-transposed", "polyfun.py",
-     "mu[lags + index - rows]",
-     "mu[lags + rows - index]"),
+     "mu[mu.size // 2 + index - rows]",
+     "mu[mu.size // 2 + rows - index]"),
     ("gram-radial-moments-shifted", "polyfun.py",
      "** np.arange(2 * width - 1)\n",
      "** (np.arange(2 * width - 1) + 1)\n"),
@@ -170,12 +170,13 @@ MUTANTS = [
      "rule = (spec, *settings.sizes(0))"),
     # killed by test_norms.py::test_an_even_p_norm_takes_the_moments_of_its_widest_half
     ("moments-for-the-wrong-width", "norms.py",
-     "_level_moments(*rule, band + 1)",
-     "_level_moments(*rule, band + 2)"),
+     "_level_moments(*rule, plan.band + 1)",
+     "_level_moments(*rule, plan.band + 2)"),
     # killed by test_norms.py::test_an_even_p_norm_takes_the_moments_at_every_level_that_resolves_its_band
     ("half-powers-band-against-level-0", "norms.py",
-     "halves = _half_powers(nonzero, k, spec) if even else None",
-     "halves = _half_powers(nonzero, k, spec) if even and band < settings.n_theta else None"),
+     "halves = _half_powers([own[i] for i in used], k, spec) if even else None",
+     "halves = _half_powers([own[i] for i in used], k, spec) if even and band < settings.n_theta"
+     " else None"),
     # |part|^p = |part^k|^2 has band k (D + q - 1) on the nodes too; killed by
     # test_norms.py::test_a_fixed_grid_even_p_norm_is_refused_on_the_band_of_its_powers
     ("node-band-without-k", "norms.py",
@@ -218,6 +219,27 @@ MUTANTS = [
     ("mu0-summed-pairwise", "polyfun.py",
      "mu[lags] = math.fsum(weights)",
      "mu[lags] = mu[lags]"),
+    # the Gram matrix kept with the moments; killed by
+    # test_norms.py::test_the_gram_bound_reads_the_modulus_of_the_kept_matrix
+    ("gram-bound-reads-the-kept-w", "polyfun.py",
+     "size = moments.size[rows, :n] if kept",
+     "size = moments.gram[rows, :n] if kept"),
+    # killed by test_norms.py::test_a_kept_gram_matrix_sums_bit_for_bit_as_the_built_one
+    ("kept-gram-sliced-from-its-last-columns", "polyfun.py",
+     "gram = (moments.gram[rows, :n] if kept",
+     "gram = (moments.gram[rows, -n:] if kept"),
+    # dilatation families; each sigma mutant is killed by
+    # test_norms.py::test_a_node_family_matches_its_members_one_at_a_time
+    ("limsup-sigma-r-to-the-n", "experiments.py",
+     "degrees = np.arange(1, part.degree_z + part.q + 1)",
+     "degrees = np.arange(0, part.degree_z + part.q)"),
+    ("convergence-sigma-r-to-the-n-minus-1", "norms.py",
+     "shift = 0 if spec.kind is SpaceKind.BERGMAN else 1",
+     "shift = 0"),
+    # killed by test_norms.py::test_a_family_computes_a_level_only_for_members_still_running
+    ("stopped-member-gets-later-levels", "norms.py",
+     "        for i in running:\n            plan = plans[i]\n",
+     "        for i in range(len(plans)):\n            plan = plans[i]\n"),
 ]
 
 # mutants the tier-1 tests are not meant to kill, and what sees them instead

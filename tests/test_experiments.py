@@ -88,13 +88,18 @@ def test_a_limsup_margin_is_certified_up_to_its_tolerance(part, monkeypatch):
     spec, tol, rhs = disk_spec(SpaceKind.DIRICHLET, 2), 1e-3, 2.0
 
     def report(margin, last_converged=True):
-        # limsup_check integrates (d_z, d_zbar) of f, then of f_r at the one r
+        # limsup_check integrates one family per part, d_z then d_zbar: the
+        # part of f, then that of f_r at the one r
         lhs = (rhs + margin, rhs / 2) if part == "dz" else (rhs / 2, rhs + margin)
-        results = iter([RefineResult(rhs, 0.0, True, 0), RefineResult(rhs, 0.0, True, 0),
-                        RefineResult(lhs[0], 0.0, True, 0),
-                        RefineResult(lhs[1], 0.0, last_converged, 0)])
-        monkeypatch.setattr(experiments, "weighted_p_integral",
-                            lambda g, spec, settings: next(results))
+        results = iter([[RefineResult(rhs, 0.0, True, 0), RefineResult(lhs[0], 0.0, True, 0)],
+                        [RefineResult(rhs, 0.0, True, 0),
+                         RefineResult(lhs[1], 0.0, last_converged, 0)]])
+
+        def family(g, spec, settings, members):
+            assert len(members) == 2 and members[0] == (g, None)
+            return next(results)
+
+        monkeypatch.setattr(experiments, "weighted_p_integral", family)
         rep = limsup_check(monomial(0, 1), spec, r_grid=(0.9,), tol=tol)
         assert isinstance(rep, LimsupReport) and next(results, None) is None
         assert (rep.margin_dz, rep.margin_dzbar)[part == "dzbar"] == pytest.approx(

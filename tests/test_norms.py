@@ -45,7 +45,7 @@ from polyspace import (
     sub,
     weighted_p_integral,
 )
-from polyspace.norms import _block_integrand, _level_moments, _level_rule, _power
+from polyspace.norms import _block_integrands, _level_moments, _level_rule, _power
 
 import _oracles
 
@@ -613,7 +613,7 @@ def test_node_and_moment_sums_of_the_square_agree(spec, grid, seed):
                       for d in degrees])
     moments = polyfun.gram_sum([f], polyfun.gram_moments(grid, f.degree_z + f.q))
     assert moments is not None
-    nodes = quadrature.blocked_sum(_block_integrand([f], spec, grid), grid)
+    (nodes,) = quadrature.blocked_sums(_block_integrands([f], [([0], None)], spec, grid), grid, 1)
     assert nodes == pytest.approx(moments, rel=1e-12)
 
 
@@ -783,12 +783,12 @@ def test_an_even_p_norm_takes_the_moments_at_every_level_that_resolves_its_band(
     c = rng.standard_normal(401) + 1j * rng.standard_normal(401)
     node_angles = []
 
-    def traced(parts, spec, grid):
+    def traced(parts, members, spec, grid):
         node_angles.append(grid.n_theta)
-        return block_integrand(parts, spec, grid)
+        return block_integrands(parts, members, spec, grid)
 
-    block_integrand = _block_integrand
-    monkeypatch.setattr(norms, "_block_integrand", traced)
+    block_integrands = _block_integrands
+    monkeypatch.setattr(norms, "_block_integrands", traced)
     res = space_norm(PolyFunction([c]), disk_spec(SpaceKind.BERGMAN, 2))
     exact = math.fsum(abs(cj) ** 2 * math.pi / (j + 1) for j, cj in enumerate(c))
     assert res.flags.converged and res.flags.level >= 2
@@ -918,8 +918,9 @@ def test_level_rules_and_moments_are_read_only():
     spec = hp_spec(SpaceKind.DIRICHLET, 2.5, AngularPoly(alpha=0.5, theta_max=math.pi),
                    alpha=0.5)
     grid = _level_rule(spec, 8, 16)
-    radial, mu = _level_moments(spec, 8, 16, 4)
-    for arr in (grid.radii, grid.angles, grid.radial_weights, grid.angle_weights, radial, mu):
+    moments = _level_moments(spec, 8, 16, 4)
+    assert moments.gram is not None
+    for arr in (grid.radii, grid.angles, grid.radial_weights, grid.angle_weights, *moments):
         assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.0
@@ -1059,6 +1060,201 @@ def test_an_even_p_norm_allocates_little():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+def test_a_refined_degree_1024_bergman_moment_norm_keeps_no_gram_matrix():
+    import tracemalloc
+
+    f, spec = _one_plus_z_to(1024), disk_spec(SpaceKind.BERGMAN, 2)
+    space_norm(f, spec)
+    _level_moments.cache_clear()
+    tracemalloc.start()
+    try:
+        res = space_norm(f, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.flags.converged
+    # width 1025: W would be 1025 x 1025, 16 MiB, so it is built chunk by
+    # chunk per call and the norm peaks near 1.1 MiB
+    level = QuadSettings().sizes(res.flags.level)
+    moments = _level_moments(spec, *level, 1025)
+    assert moments.gram is None and moments.size is None
+    assert _level_moments.cache_info().hits >= 1
+    assert peak < 1.15 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# the Gram matrix kept with the moments
+
+
+def _random_function(rng, q, degree):
+    return PolyFunction([rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+                         for _ in range(q)])
+
+
+@pytest.mark.parametrize("width", [64, 65])
+@pytest.mark.parametrize("spec, grid", [
+    (disk_spec(SpaceKind.BERGMAN, 2), disk_grid(48, 128)),
+    (hp_spec(SpaceKind.BERGMAN, 2, alpha=0.5), halfplane_grid(8.0, 48, 128, radial=(0.5, 0.0))),
+], ids=["disk", "halfplane"])
+def test_a_kept_gram_matrix_sums_bit_for_bit_as_the_built_one(spec, grid, width):
+    from polyspace.norms import _measure_density
+
+    moments = polyfun.gram_moments(_measure_density(spec, grid), width)
+    # W is kept while it has at most BLOCK_VALUES // 4 entries
+    assert (moments.gram is None) == (width > 64)
+    if moments.gram is not None:
+        assert moments.gram.shape == moments.size.shape == (width, width)
+        assert np.array_equal(moments.size, np.abs(moments.gram))
+    built = moments._replace(gram=None, size=None)
+    rng = np.random.default_rng(width)
+    # n = width, then parts narrower than the width, summed together
+    for fs in ([_random_function(rng, 3, width - 3)],
+               [_random_function(rng, 2, 20), _random_function(rng, 1, width - 9)],
+               [_random_function(rng, 4, 0)]):
+        value = polyfun.gram_sum(fs, moments)
+        assert value is not None
+        assert value == polyfun.gram_sum(fs, built)
+        # each function keeps its shifted coefficients, read-only
+        for f in fs:
+            assert f._gram_columns is f._gram_columns
+            assert not any(arr.flags.writeable for arr in f._gram_columns)
+
+
+
+def test_the_gram_bound_reads_the_modulus_of_the_kept_matrix():
+    from polyspace.polyfun import Moments, _gram_block
+
+    # mu[1] = 0.9985i: for 1 + iz the cross terms cancel the diagonal 2 down
+    # to 0.003, which |W| bounds by 3.997 > 10^3 x 0.003; the real parts of
+    # W alone would bound it by 2
+    radial, mu = np.ones(3), np.array([-0.9985j, 1.0, 0.9985j])
+    gram = _gram_block(radial, mu, slice(None), 2)
+    kept = Moments(radial, mu, gram, np.abs(gram))
+    cancels, adds = PolyFunction([[1.0, 1j]]), PolyFunction([[1.0, -1j]])
+    for moments in (kept, kept._replace(gram=None, size=None)):
+        assert polyfun.gram_sum([cancels], moments) is None
+        assert polyfun.gram_sum([adds], moments) == pytest.approx(3.997, rel=1e-15)
+
+# ---------------------------------------------------------------------------
+# dilatation families: f and its dilatations share parts, matrices and levels
+
+
+def _same_flags(a, b):
+    return (a.converged, a.level, a.refined, a.truncated) == (
+        b.converged, b.level, b.refined, b.truncated)
+
+
+def _close(a, b, rel):
+    return abs(a - b) <= rel * max(abs(a), abs(b))
+
+
+_FAMILY_F = from_monomials({(0, 0): 0.5, (0, 1): 1.0 - 0.5j, (1, 2): 0.75j, (2, 1): -0.25,
+                            (0, 4): 0.3, (1, 0): 0.2}, q=3)
+_FAMILY_SETTINGS = [QuadSettings(refine=False), QuadSettings(max_level=1)]
+_FAMILY_R = (0.5, 0.9, 0.999)
+
+
+@pytest.mark.parametrize("settings", _FAMILY_SETTINGS, ids=["fixed", "refined"])
+@pytest.mark.parametrize("spec", [
+    disk_spec(SpaceKind.DIRICHLET, 1),
+    disk_spec(SpaceKind.DIRICHLET, 3, AngularPoly(alpha=1.0, theta_max=2 * math.pi)),
+    disk_spec(SpaceKind.BESOV, 2.5),
+    disk_spec(SpaceKind.DIRICHLET, 2, ExpRePow(beta=1.0, n=2)),
+    hp_spec(SpaceKind.DIRICHLET, 2, ExpRePow(beta=1.0, n=2), alpha=1.0),
+    hp_spec(SpaceKind.BERGMAN, 3, alpha=0.5),
+], ids=["dirichlet-p1", "angular-p3", "besov-p2.5", "exprepow-disk", "exprepow-halfplane",
+        "halfplane-bergman-p3"])
+def test_a_node_family_matches_its_members_one_at_a_time(spec, settings):
+    from polyspace import experiments
+
+    family = norms.dilatation_norms(_FAMILY_F, spec, _FAMILY_R, settings)
+    alone = [space_norm(_FAMILY_F, spec, settings)] + [
+        norm_of_difference(dilate(_FAMILY_F, r), _FAMILY_F, spec, settings) for r in _FAMILY_R]
+    assert len(family) == len(alone)
+    for got, want in zip(family, alone):
+        assert _same_flags(got.flags, want.flags)
+        assert got.point_term == want.point_term
+        for field in ("full_norm", "seminorm"):
+            assert _close(getattr(got, field), getattr(want, field), 1e-13)
+    # f itself is the family's first member, bit for bit
+    assert family[0].flags.value == alone[0].flags.value
+    report = experiments.dilatation_convergence(_FAMILY_F, spec, _FAMILY_R, settings=settings)
+    assert report.ref_norm == alone[0].full_norm
+    for row, want in zip(report.rows, alone[1:]):
+        assert _close(row.err_fullnorm, want.full_norm, 1e-13)
+        assert _close(row.err_seminorm, want.seminorm, 1e-13)
+    if spec.kind is SpaceKind.BERGMAN:
+        return
+    limsup = limsup_check(_FAMILY_F, spec, _FAMILY_R, settings=settings)
+    for d, rhs, lhs in ((d_z, limsup.rhs_dz, [row.lhs_dz for row in limsup.rows]),
+                        (d_zbar, limsup.rhs_dzbar, [row.lhs_dzbar for row in limsup.rows])):
+        part = d(_FAMILY_F)
+        assert rhs == weighted_p_integral(part, spec, settings).value
+        members = [(part, None)] + [(d(dilate(_FAMILY_F, r)), r ** np.arange(1, 8))
+                                    for r in _FAMILY_R]
+        results = weighted_p_integral(part, spec, settings, members)
+        for (h, _), got, value in zip(members, results, [rhs] + lhs):
+            want = weighted_p_integral(h, spec, settings)
+            assert got.value == value
+            assert _same_flags(got, want) and _close(got.value, want.value, 1e-13)
+
+
+@pytest.mark.parametrize("settings", _FAMILY_SETTINGS, ids=["fixed", "refined"])
+@pytest.mark.parametrize("spec", [
+    disk_spec(SpaceKind.DIRICHLET, 2),
+    disk_spec(SpaceKind.BESOV, 4, Product(radial=PowerLaw(gamma=0.5), angular=UNI)),
+    hp_spec(SpaceKind.BERGMAN, 4, alpha=0.5),
+    hp_spec(SpaceKind.DIRICHLET, 2, AngularPoly(alpha=1.0, theta_max=math.pi), alpha=1.0),
+], ids=["dirichlet-p2", "besov-p4", "halfplane-bergman-p4", "halfplane-angular-p2"])
+def test_a_gram_family_is_its_members_bit_for_bit(spec, settings):
+    family = norms.dilatation_norms(_FAMILY_F, spec, _FAMILY_R, settings)
+    alone = [space_norm(_FAMILY_F, spec, settings)] + [
+        norm_of_difference(dilate(_FAMILY_F, r), _FAMILY_F, spec, settings) for r in _FAMILY_R]
+    for got, want in zip(family, alone, strict=True):
+        assert _same_flags(got.flags, want.flags)
+        assert (got.full_norm, got.seminorm, got.point_term, got.flags.value) == (
+            want.full_norm, want.seminorm, want.point_term, want.flags.value)
+    if spec.kind is SpaceKind.BERGMAN:
+        return
+    limsup = limsup_check(_FAMILY_F, spec, _FAMILY_R, settings=settings)
+    for row, r in zip(limsup.rows, _FAMILY_R):
+        fr = dilate(_FAMILY_F, r)
+        assert row.lhs_dz == weighted_p_integral(d_z(fr), spec, settings).value
+        assert row.lhs_dzbar == weighted_p_integral(d_zbar(fr), spec, settings).value
+
+
+def test_a_family_computes_a_level_only_for_members_still_running(monkeypatch):
+    # |z - 1/2| has a conical zero in the disk, so f refines to the last
+    # level; f_r - f = (r - 1) z does not, and stops at the first confirmation
+    f = from_monomials({(0, 0): -0.5, (0, 1): 1.0}, q=1)
+    spec, settings = disk_spec(SpaceKind.BERGMAN, 1), QuadSettings(n_r=16, n_theta=32,
+                                                                    max_level=3)
+    visits = []
+
+    def traced(parts, members, spec, grid):
+        visits.append((grid.n_theta, len(members)))
+        return block_integrands(parts, members, spec, grid)
+
+    block_integrands = _block_integrands
+    monkeypatch.setattr(norms, "_block_integrands", traced)
+    family = norms.dilatation_norms(f, spec, (0.3, 0.9), settings)
+    assert [(res.flags.level, res.flags.converged) for res in family] == [
+        (3, False), (-1, True), (-1, True)]
+    # three members on the first two levels, then f alone
+    assert visits == [(8, 3), (16, 3), (32, 1), (64, 1), (128, 1), (256, 1)]
+
+
+def test_a_family_raises_the_error_of_its_first_refused_member():
+    g = from_monomials({(0, 0): 1.0, (0, 2): 0.5}, q=1)
+    spec, settings = disk_spec(SpaceKind.BERGMAN, 3), QuadSettings(n_r=16, n_theta=32)
+    huge = np.full(3, 1e300)
+    with pytest.raises(ValueError, match="^integrand is inf at node"):
+        weighted_p_integral(g, spec, settings, [(g, None), (g, huge)])
+    # a zero member is 0.0 without a node, so the refused member's error stands
+    with pytest.raises(ValueError, match="^integrand is inf at node"):
+        weighted_p_integral(g, spec, settings, [(scale(g, 0.0), np.zeros(3)), (g, huge)])
 
 
 # |.|^p on the nodes from products and square roots

@@ -223,6 +223,35 @@ def test_refine_levels_walks_absolute_levels_from_first():
     assert (res.value, res.level, res.refined) == (1.25, -1, False)
 
 
+
+def test_refine_family_walks_each_member_as_refine_levels_walks_it_alone():
+    # member i's values settle at level i, so it stops at level i + 1 at most
+    def value(i, level):
+        return 1.0 + 2.0 ** -max(level + 3, 0) * (level < i)
+
+    firsts = (-2, 0, -1, 2)
+    for settings in (QuadSettings(rel_tol=1e-3, max_level=3), QuadSettings(refine=False)):
+        visits = []
+
+        def values_at(level, running):
+            visits.append((level, running))
+            return [value(i, level) for i in running]
+
+        family = quadrature.refine_family(values_at, settings, firsts)
+        alone = [refine_levels(lambda level, i=i: value(i, level), settings, first)
+                 for i, first in enumerate(firsts)]
+        assert family == alone
+        if settings.refine:
+            # a level is asked for once, for the members that have reached it
+            # and not stopped
+            assert visits == [(-2, [0]), (-1, [0, 2]), (0, [0, 1, 2]), (1, [0, 1, 2]),
+                              (2, [1, 2, 3]), (3, [2, 3])]
+            assert [res.level for res in family] == [1, 2, 3, 3]
+            assert [res.converged for res in family] == [True, True, True, False]
+        else:
+            assert visits == [(-2, [0]), (-1, [2]), (0, [1]), (2, [3])]
+
+
 def test_refine_until_flags_non_convergence():
     g = lambda z: np.sqrt(1 - np.abs(z) ** 2)
     family = grid_family(Domain.DISK)

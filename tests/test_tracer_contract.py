@@ -46,10 +46,10 @@ def test_bench_tracer_records_every_norm_layer():
     layers, limsup, refine = (json.loads(line) for line in proc.stdout.splitlines())
     for layer in ("norms.density", "quadrature.grid", "norms.space_norm"):
         assert layers.get(layer, {}).get("calls", 0) >= 1, (layer, sorted(layers))
-    # each of the limsup check's part integrals is a weighted_p_integral:
-    # two right-hand sides and two dilated parts at r = 0.9
+    # each part of the limsup check is one weighted_p_integral family: its
+    # right-hand side and its dilated part at r = 0.9
     assert limsup["experiments"]["calls"] == 1
-    assert limsup.get("norms.weighted_p_integral", {}).get("calls") == 4, sorted(limsup)
+    assert limsup.get("norms.weighted_p_integral", {}).get("calls") == 2, sorted(limsup)
     # a refined norm builds its two levels' grids and evaluates their density
     assert layers["quadrature.grid"]["builds"] >= 2
     assert layers["norms.density"]["nodes"] > 0
