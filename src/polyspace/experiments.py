@@ -213,8 +213,8 @@ def limsup_check(f, spec, r_grid=DEFAULT_R_GRID, tol=1e-3, settings=None,
     for d in (polyfun.d_z, polyfun.d_zbar):
         part = d(f)
         degrees = np.arange(1, part.degree_z + part.q + 1)
-        members = [(part, None)] + [(d(polyfun.dilate(f, r)), float(r) ** degrees) for r in rs]
-        results.append(weighted_p_integral(part, spec, settings, members))
+        results.append(weighted_p_integral(part, spec, settings,
+                                           [None] + [float(r) ** degrees for r in rs]))
     (rhs_dz, *dz), (rhs_dzbar, *dzbar) = ([res.value for res in family] for family in results)
     ok = max(dz) - rhs_dz <= tol * rhs_dz and max(dzbar) - rhs_dzbar <= tol * rhs_dzbar
     return LimsupReport(

@@ -15,17 +15,20 @@ Derivatives are exact coefficient operations — no finite differences anywhere.
 
 Every integral goes through one integrator, :func:`_integrate`, and comes
 back as one :class:`~polyspace.quadrature.RefineResult`.  The integrator
-takes a family: ``f``'s parts and, per member, the member's own parts with
-one factor ``sigma[n]`` per radial degree ``n`` that turns ``f``'s parts
-into the member's — ``r^(n+1)`` for ``d f_r``, ``r^(n+1) - 1`` for ``d (f_r -
-f)`` and ``r^n - 1`` for a Bergman ``f_r - f``.  :func:`space_norm` and
-:func:`weighted_p_integral` are families of one; :func:`dilatation_norms`
-(``f`` and ``f_r - f`` along an r-grid) and ``weighted_p_integral``'s
-``members`` (a part of ``f`` and of each ``f_r``) serve the dilatation
-experiments.  Members share their rules, levels and, on the nodes, each
-part's angular matrix per level and the planar factor per block; each
-member keeps its own stopping level and flags
-(:func:`quadrature.refine_family`).
+takes a family: ``f``'s parts and one ``sigma`` per member, a factor
+``sigma[n]`` per radial degree ``n`` that turns ``f``'s parts into the
+member's — ``r^(n+1)`` for ``d f_r``, ``r^(n+1) - 1`` for ``d (f_r - f)``
+and ``r^n - 1`` for a Bergman ``f_r - f`` — or ``None`` for ``f``'s parts
+themselves.  A member is its ``sigma`` alone: where it needs coefficients,
+for its zero pattern, its Gram sum or its point term, they are ``f``'s
+scaled by it (:func:`polyfun.scale_by_degree`, which :func:`polyfun.dilate`
+is too).  :func:`space_norm` and :func:`weighted_p_integral` are families
+of one; :func:`dilatation_norms` (``f`` and ``f_r - f`` along an r-grid)
+and ``weighted_p_integral``'s ``sigmas`` (a part of ``f`` and of each
+``f_r``) serve the dilatation experiments.  Members share their rules,
+levels and, on the nodes, each part's angular matrix per level and the
+planar factor per block; each member keeps its own stopping level and
+flags (:func:`quadrature.refine_family`).
 
 The measure is polar-separable: the weight's radial and angular factors times
 the kind/domain factors — Besov ``(1-s^2)^(p-2)`` on the disk; ``s^a sin^a theta``
@@ -60,7 +63,7 @@ its :class:`~polyspace.quadrature.QuadSettings`, which states the rule.
 
 At an even ``p = 2k`` on a separable measure whose finest allowed level
 resolves the band of each ``part^k`` (the exact product
-:func:`polyfun.mul`, formed once per integral from the member's own
+:func:`polyfun.mul`, formed once per integral from the member's
 coefficients), the integral of ``sum_part |part^k|^2`` is a quadratic form
 in the coefficients of ``part^k`` and the moments of the measure-weighted
 radial and angular rules (:func:`polyfun.gram_sum`): the same quadrature
@@ -71,7 +74,7 @@ real product ``powers[rows] @ B`` of the radius powers and the float view of
 its complex angular matrix (:func:`polyfun.block_evaluators`, which reads
 the powers from the tables the grid's rules keep and builds each matrix once
 per level for the whole family), a member's powers scaled by its ``sigma``,
-so that its node sum moves from that of its own coefficients by rounding
+so that its node sum moves from that of its coefficients by rounding
 only, then ``|.|^p`` (:func:`_power`):
 for ``p = n + k/4 <= 4`` from products and one or two square roots, which
 cost a fraction of ``pow``, for any other ``p`` by ``**``.
@@ -401,7 +404,7 @@ class _Member(NamedTuple):
     halves: list | None
 
 
-def _integrate(parts, spec, settings, members=None):
+def _integrate(parts, spec, settings, sigmas=(None,)):
     """One :class:`~polyspace.quadrature.RefineResult` of ``integral
     sum_part |part|^p`` against the measure of ``spec`` per member of a
     family, flagged truncated when ``spec`` is, on its rules at the levels of
@@ -409,17 +412,17 @@ def _integrate(parts, spec, settings, members=None):
     :meth:`~polyspace.quadrature.QuadSettings.first_level` of the member's
     band up (:func:`quadrature.refine_family`).
 
-    A member ``(own, sigma)`` is a list ``own`` of parts of the shapes of
-    ``parts``, whose ``s^n`` terms are ``sigma[n]`` times theirs, as a
-    dilatation's are; ``sigma=None`` is ``parts`` themselves, and ``members``
-    defaults to that one member.  A member's band, moments and Gram sum read
-    its own parts; on the nodes it is formed from the angular matrices of
-    ``parts`` with the radius powers scaled by ``sigma``, built once per
-    level for every member that needs them there.  The error a member raises
-    is raised once every member before it is done, so that it is the error
-    the members would raise one at a time."""
+    A member is its ``sigma``, a factor ``sigma[n]`` for each radial degree
+    ``n`` of every part, which scales no coefficient beyond the float range:
+    its parts are ``parts`` with each ``s^n`` term times ``sigma[n]``, as a
+    dilatation's are, and ``None`` is ``parts`` themselves.  Its zero
+    pattern, band and Gram sum read the coefficients
+    :func:`polyfun.scale_by_degree` forms; on the nodes it is formed from
+    the angular matrices of ``parts`` with the radius powers scaled by
+    ``sigma``, built once per level for every member that needs them there.
+    The error a member raises is raised once every member before it is
+    done, so that it is the error the members would raise one at a time."""
     settings = settings or quadrature.QuadSettings()
-    members = members or [(parts, None)]
     finest = settings.sizes(settings.last_level)[1]
     # the angular harmonics of |part|^2 lie within D + q - 1, and those of
     # |part|^p = |part^k|^2 at p = 2k within k times that, on the moments and
@@ -428,7 +431,8 @@ def _integrate(parts, spec, settings, members=None):
     even = spec.p % 2 == 0 and spec.p < 2 * finest
     k = int(spec.p) // 2 if even else 1
     plans = []
-    for own, sigma in members:
+    for sigma in sigmas:
+        own = parts if sigma is None else [polyfun.scale_by_degree(f, sigma) for f in parts]
         # a part that is identically zero adds nothing
         used = [i for i, f in enumerate(own) if np.count_nonzero(f.coeffs)]
         band = k * max((own[i].degree_z + own[i].q - 1 for i in used), default=0)
@@ -437,11 +441,6 @@ def _integrate(parts, spec, settings, members=None):
         if zero:   # on the nodes, a zero integrand is the first part times 0
             used, sigma = [0], np.zeros(parts[0].degree_z + parts[0].q)
         plans.append(_Member(zero, used, sigma, band, settings.first_level(band), halves))
-    # the parts that some member sums on the nodes, whose angular matrices a
-    # level builds once, and each member's indices into them
-    on_nodes = sorted({i for plan in plans for i in plan.used})
-    node_parts = [parts[i] for i in on_nodes]
-    forms = [([on_nodes.index(i) for i in plan.used], plan.sigma) for plan in plans]
     # a zero integrand is 0.0 at a level whose 1-D weights are all finite
     separable = spec.weight.planar_factor is None
     errors = {}
@@ -465,7 +464,8 @@ def _integrate(parts, spec, settings, members=None):
         if nodes:
             # a measure weight or planar factor that is not finite is refused
             # by its node, under a zero integrand too
-            integrands = _block_integrands(node_parts, [forms[i] for i in nodes], spec, grid)
+            forms = [(plans[i].used, plans[i].sigma) for i in nodes]
+            integrands = _block_integrands(parts, forms, spec, grid)
             for i, value in zip(nodes, quadrature.blocked_sums(integrands, grid, len(nodes))):
                 if isinstance(value, ValueError):
                     errors.setdefault(i, value)
@@ -515,37 +515,26 @@ def _norm_result(point_term, flags, spec):
 
 def dilatation_norms(f, spec, r_grid=(), settings=None):
     """:class:`NormResult` of ``f``, then of ``f_r - f`` for each ``r`` of
-    ``r_grid``: :func:`space_norm` of ``f`` and :func:`norm_of_difference` of
-    ``polyfun.dilate(f, r)`` and ``f``, as one family (:func:`_integrate`).
+    ``r_grid``: :func:`space_norm` of ``f`` and, to rounding,
+    :func:`norm_of_difference` of ``polyfun.dilate(f, r)`` and ``f``, as one
+    family (:func:`_integrate`).
 
-    The parts of ``f_r - f`` are those of ``f`` with radial degree ``n``
-    scaled by ``r^n - 1`` (Bergman) or ``r^(n+1) - 1`` (the derivatives of
-    Dirichlet and Besov).  Each member's point term, moments and Gram sum
-    read its own coefficients, formed as :func:`norm_of_difference` forms
-    them, so they have its bits; only a member's node sum reads the scaled
-    powers, and moves by rounding."""
-    gs, sigmas = [f], [None]
-    if r_grid:
-        shift = 0 if spec.kind is SpaceKind.BERGMAN else 1
-        degrees = np.arange(shift, shift + f.degree_z + f.q)
-        gs += [polyfun.sub(polyfun.dilate(f, r), f) for r in r_grid]
-        sigmas += [float(r) ** degrees - 1.0 for r in r_grid]
-    members, point_terms = [], []
+    ``f_r - f`` is ``f`` with radial degree ``n`` scaled by ``r^n - 1``, and
+    a member is that factor alone: its point term reads ``f`` scaled by it,
+    and its integral ``f``'s parts scaled by ``r^n - 1`` (Bergman) or
+    ``r^(n+1) - 1`` (the derivatives of Dirichlet and Besov)."""
+    parts, point_terms, sigmas = _parts(f, spec), [_point_term(f, spec)], [None]
+    shift = 0 if spec.kind is SpaceKind.BERGMAN else 1
     try:
-        for g, sigma in zip(gs, sigmas):
-            parts = _parts(g, spec)
-            point_terms.append(_point_term(g, spec))
-            members.append((parts, sigma))
+        for r in r_grid:
+            sigma = float(r) ** np.arange(f.degree_z + f.q + shift) - 1.0
+            point_terms.append(_point_term(polyfun.scale_by_degree(f, sigma), spec))
+            sigmas.append(sigma[shift:])
     except ValueError:
         # a refused member is raised once the members before it are done
-        if members:
-            _dilatation_results(members, point_terms, spec, settings)
+        _integrate(parts, spec, settings, sigmas)
         raise
-    return _dilatation_results(members, point_terms, spec, settings)
-
-
-def _dilatation_results(members, point_terms, spec, settings):
-    flags = _integrate(members[0][0], spec, settings, members)
+    flags = _integrate(parts, spec, settings, sigmas)
     return [_norm_result(point, res, spec) for point, res in zip(point_terms, flags)]
 
 
@@ -584,19 +573,39 @@ def norm_of_difference(f, g, spec, settings=None):
     return space_norm(polyfun.sub(f, g), spec, settings)
 
 
-def weighted_p_integral(g, spec, settings=None, members=None):
+def weighted_p_integral(g, spec, settings=None, sigmas=None):
     """:class:`~polyspace.quadrature.RefineResult` of ``integral |g|^p``
     against the full measure of ``spec`` (weight times boundary/confinement
     factors): the value with the flags of how it was obtained.
 
-    With ``members``, a sequence of ``(h, sigma)``: a list of the result of
-    each ``h``, as one family (:func:`_integrate`), where ``h`` has the shape
-    of ``g`` and its ``s^n`` terms are ``sigma[n]`` times those of ``g``
-    (``sigma=None``: ``h`` is ``g``).
+    With ``sigmas``, a sequence of factors per radial degree: a list of the
+    result of each member, as one family (:func:`_integrate`).  The member
+    ``sigma`` is ``g`` with its ``s^n`` terms times ``sigma[n]``
+    (:func:`polyfun.scale_by_degree`), such as the part of a dilatation, and
+    ``None`` is ``g``.  A ``sigma`` that is not a finite 1-D array of at
+    least ``g.degree_z + g.q`` real numbers, or that scales a coefficient of
+    ``g`` beyond the float range, raises ``ValueError`` starting with
+    ``sigmas``, before any member is integrated.
 
     This is one half of a Dirichlet/Besov seminorm; the dilatation-limit
     experiments compare these part integrals side by side.
     """
-    if members is None:
+    if sigmas is None:
         return _integrate([g], spec, settings)[0]
-    return _integrate([g], spec, settings, [([h], sigma) for h, sigma in members])
+    return _integrate([g], spec, settings, [_checked_sigma(sigma, i, g)
+                                            for i, sigma in enumerate(sigmas)])
+
+
+def _checked_sigma(sigma, i, g):
+    if sigma is None:
+        return None
+    arr = np.asarray(sigma)
+    if not (arr.ndim == 1 and arr.dtype.kind in "iuf" and arr.size >= g.degree_z + g.q
+            and np.isfinite(arr).all()):
+        raise ValueError(f"sigmas[{i}] is not a finite 1-D array of at least degree_z + q = "
+                         f"{g.degree_z + g.q} real numbers")
+    try:
+        polyfun.scale_by_degree(g, arr)
+    except ValueError:
+        raise ValueError(f"sigmas[{i}] scales a coefficient of g beyond the float range") from None
+    return arr.astype(float)

@@ -26,9 +26,11 @@ which the moments keep up to width 64 and which is built chunk by chunk
 beyond it, both by :func:`_gram_block`; with the exact product :func:`mul`,
 ``|f|^(2k) = |f^k|^2`` brings every even power to it.  A function keeps its
 coefficients shifted as the form pairs them, once it has been summed.
-With a factor ``sigma[n]`` per radial degree, :func:`block_evaluators`
-forms a function whose ``s^n`` terms are ``sigma[n]`` times ``f``'s, such
-as a dilatation, on ``f``'s angular matrix.  Both paths form the powers of
+A factor ``sigma[n]`` per radial degree names the function whose ``s^n``
+terms are ``sigma[n]`` times ``f``'s, such as a dilatation: its
+coefficients are ``C[k, j] sigma[k + j]`` (:func:`scale_by_degree`, which
+:func:`dilate` is at ``sigma[n] = r^n``), and :func:`block_evaluators`
+forms its values on ``f``'s angular matrix.  Both paths form the powers of
 ``u = exp(i theta)`` by one recurrence
 (:func:`~polyspace.quadrature.power_rows`), negative harmonics as exact
 conjugates.  The node path reads its harmonic table and radius powers from
@@ -396,12 +398,23 @@ def d_zbar(f):
         return PolyFunction(f.coeffs[1:] * np.arange(1, f.q)[:, None])
 
 
+def scale_by_degree(f, sigma):
+    """``f`` with each ``conj(z)^k z^j`` times ``sigma[k + j]``, one factor per
+    radial degree, of which ``sigma`` has at least ``degree_z + q``: a member
+    of a dilatation family, such as ``f_r`` (``sigma[n] = r^n``,
+    :func:`dilate`) or ``f_r - f`` (``r^n - 1``).  Coefficients that overflow
+    raise ``ValueError``."""
+    degrees = np.add.outer(np.arange(f.q), np.arange(f.degree_z + 1))
+    # an overflow leaves inf, which PolyFunction refuses as not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        return PolyFunction(f.coeffs * sigma[degrees])
+
+
 def dilate(f, r):
     """The dilatation ``f_r(z) = f(r z)``: each ``conj(z)^k z^j`` picks up ``r^(k+j)``."""
     if not 0.0 < r <= 1.0:
         raise ValueError(f"dilatation factor must lie in (0, 1], got {r}")
-    powers = float(r) ** np.add.outer(np.arange(f.q), np.arange(f.degree_z + 1))
-    return PolyFunction(f.coeffs * powers)
+    return scale_by_degree(f, float(r) ** np.arange(f.degree_z + f.q))
 
 
 def truncate(f, m):

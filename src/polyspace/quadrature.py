@@ -614,24 +614,6 @@ class RefineResult:
         return out
 
 
-def _walk(settings, first, truncated):
-    """One integral's walk up the ladder, as a generator: it yields each level
-    whose value it needs, is sent that value, and returns the
-    :class:`RefineResult`."""
-    prev = yield first
-    if not settings.refine:
-        return RefineResult(prev, math.nan, True, first, False, truncated)
-    change = np.inf
-    for level in range(first + 1, settings.max_level + 1):
-        cur = yield level
-        denom = max(abs(cur), abs(prev))
-        change = 0.0 if denom == 0.0 else abs(cur - prev) / denom
-        if change <= settings.rel_tol:
-            return RefineResult(cur, change, True, level, True, truncated)
-        prev = cur
-    return RefineResult(prev, change, False, settings.max_level, True, truncated)
-
-
 def refine_family(values_at, settings=None, firsts=(0,), truncated=False):
     """One :class:`RefineResult` per member of a family of integrals, member
     ``i`` walking up from level ``firsts[i]`` as :func:`refine_levels` walks
@@ -642,18 +624,23 @@ def refine_family(values_at, settings=None, firsts=(0,), truncated=False):
     is computed once for all the members that need it, and each member keeps
     its own stopping level and flags."""
     settings = settings or QuadSettings()
-    walks = [_walk(settings, first, truncated) for first in firsts]
-    wants = {i: next(walk) for i, walk in enumerate(walks)}
-    out = [None] * len(walks)
-    while wants:
-        level = min(wants.values())
-        running = [i for i, want in wants.items() if want == level]
-        for i, value in zip(running, values_at(level, running), strict=True):
-            try:
-                wants[i] = walks[i].send(value)
-            except StopIteration as stop:
-                out[i] = stop.value
-                del wants[i]
+    out, prev, change = [None] * len(firsts), [None] * len(firsts), [np.inf] * len(firsts)
+    # a member whose first level lies above max_level still computes it
+    for level in range(min(firsts, default=0), max([settings.max_level, *firsts]) + 1):
+        if all(out):
+            break
+        running = [i for i, first in enumerate(firsts) if first <= level and out[i] is None]
+        for i, cur in zip(running, values_at(level, running) if running else (), strict=True):
+            if level == firsts[i] and not settings.refine:
+                out[i] = RefineResult(cur, math.nan, True, level, False, truncated)
+            elif level > firsts[i]:
+                denom = max(abs(cur), abs(prev[i]))
+                change[i] = 0.0 if denom == 0.0 else abs(cur - prev[i]) / denom
+                if change[i] <= settings.rel_tol:
+                    out[i] = RefineResult(cur, change[i], True, level, True, truncated)
+            if out[i] is None and level >= settings.max_level:
+                out[i] = RefineResult(cur, change[i], False, settings.max_level, True, truncated)
+            prev[i] = cur
     return out
 
 

@@ -87,19 +87,28 @@ MUTANTS = [
      "elif plan.zero and separable:"),
     # refinement
     ("max-level-reported-converged", "quadrature.py",
-     "return RefineResult(prev, change, False, settings.max_level, True, truncated)",
-     "return RefineResult(prev, change, True, settings.max_level, True, truncated)"),
+     "RefineResult(cur, change[i], False, settings.max_level, True, truncated)",
+     "RefineResult(cur, change[i], True, settings.max_level, True, truncated)"),
     ("refinement-stops-at-level-1", "quadrature.py",
-     "for level in range(first + 1, settings.max_level + 1):",
-     "for level in range(first + 1, 2):"),
+     "if out[i] is None and level >= settings.max_level:",
+     "if out[i] is None and level >= min(settings.max_level, 1):"),
     # killed by test_quadrature.py::test_refine_levels_walks_absolute_levels_from_first
     ("refine-levels-ignores-first", "quadrature.py",
-     "    prev = yield first\n",
-     "    first = 0\n    prev = yield first\n"),
+     "settings, (first,))[0]",
+     "settings, (0,))[0]"),
+    # killed by test_quadrature.py::test_a_converged_walk_reports_the_value_of_its_last_level
+    ("converged-member-reports-the-previous-value", "quadrature.py",
+     "RefineResult(cur, change[i], True, level, True, truncated)",
+     "RefineResult(prev[i], change[i], True, level, True, truncated)"),
     # coefficient calculus
     ("dilate-uses-r-to-the-j", "polyfun.py",
-     "powers = float(r) ** np.add.outer(np.arange(f.q), np.arange(f.degree_z + 1))",
-     "powers = float(r) ** np.arange(f.degree_z + 1)"),
+     "return scale_by_degree(f, float(r) ** np.arange(f.degree_z + f.q))",
+     "return PolyFunction(f.coeffs * float(r) ** np.arange(f.degree_z + 1))"),
+    # every member of a dilatation family reads its coefficients here; killed by
+    # test_polyfun.py::test_scale_by_degree_scales_each_monomial_by_its_radial_degree
+    ("sigma-indexed-by-j", "polyfun.py",
+     "return PolyFunction(f.coeffs * sigma[degrees])",
+     "return PolyFunction(f.coeffs * sigma[np.arange(f.degree_z + 1)])"),
     ("d-zbar-factor-changed", "polyfun.py",
      "f.coeffs[1:] * np.arange(1, f.q)[:, None]",
      "f.coeffs[1:] * np.arange(2, f.q + 1)[:, None]"),

@@ -95,8 +95,8 @@ def test_a_limsup_margin_is_certified_up_to_its_tolerance(part, monkeypatch):
                         [RefineResult(rhs, 0.0, True, 0),
                          RefineResult(lhs[1], 0.0, last_converged, 0)]])
 
-        def family(g, spec, settings, members):
-            assert len(members) == 2 and members[0] == (g, None)
+        def family(g, spec, settings, sigmas):
+            assert len(sigmas) == 2 and sigmas[0] is None
             return next(results)
 
         monkeypatch.setattr(experiments, "weighted_p_integral", family)

@@ -1175,11 +1175,15 @@ def test_a_node_family_matches_its_members_one_at_a_time(spec, settings):
     assert len(family) == len(alone)
     for got, want in zip(family, alone):
         assert _same_flags(got.flags, want.flags)
-        assert got.point_term == want.point_term
-        for field in ("full_norm", "seminorm"):
+        for field in ("full_norm", "seminorm", "point_term"):
             assert _close(getattr(got, field), getattr(want, field), 1e-13)
-    # f itself is the family's first member, bit for bit
+    # f itself is the family's first member, bit for bit, and a member's
+    # point term is that of f scaled by r^n - 1
     assert family[0].flags.value == alone[0].flags.value
+    assert family[0].point_term == alone[0].point_term
+    for got, r in zip(family[1:], _FAMILY_R):
+        scaled = polyfun.scale_by_degree(_FAMILY_F, r ** np.arange(7) - 1.0)
+        assert got.point_term == norms._point_term(scaled, spec)
     report = experiments.dilatation_convergence(_FAMILY_F, spec, _FAMILY_R, settings=settings)
     assert report.ref_norm == alone[0].full_norm
     for row, want in zip(report.rows, alone[1:]):
@@ -1194,7 +1198,7 @@ def test_a_node_family_matches_its_members_one_at_a_time(spec, settings):
         assert rhs == weighted_p_integral(part, spec, settings).value
         members = [(part, None)] + [(d(dilate(_FAMILY_F, r)), r ** np.arange(1, 8))
                                     for r in _FAMILY_R]
-        results = weighted_p_integral(part, spec, settings, members)
+        results = weighted_p_integral(part, spec, settings, [sigma for _, sigma in members])
         for (h, _), got, value in zip(members, results, [rhs] + lhs):
             want = weighted_p_integral(h, spec, settings)
             assert got.value == value
@@ -1214,15 +1218,24 @@ def test_a_gram_family_is_its_members_bit_for_bit(spec, settings):
         norm_of_difference(dilate(_FAMILY_F, r), _FAMILY_F, spec, settings) for r in _FAMILY_R]
     for got, want in zip(family, alone, strict=True):
         assert _same_flags(got.flags, want.flags)
-        assert (got.full_norm, got.seminorm, got.point_term, got.flags.value) == (
-            want.full_norm, want.seminorm, want.point_term, want.flags.value)
+        assert _close(got.point_term, want.point_term, 1e-13)
+        for field in ("full_norm", "seminorm"):
+            assert _close(getattr(got, field), getattr(want, field), 1e-13)
+    # f itself, and a Bergman member f_r - f, which is f scaled by r^n - 1,
+    # are what one call gives bit for bit
+    assert family[0] == alone[0]
     if spec.kind is SpaceKind.BERGMAN:
+        for got, r in zip(family[1:], _FAMILY_R):
+            scaled = polyfun.scale_by_degree(_FAMILY_F, r ** np.arange(7) - 1.0)
+            assert got == space_norm(scaled, spec, settings)
         return
+    # a limsup member d(f_r) is d(f) scaled by r^(n + 1)
     limsup = limsup_check(_FAMILY_F, spec, _FAMILY_R, settings=settings)
     for row, r in zip(limsup.rows, _FAMILY_R):
-        fr = dilate(_FAMILY_F, r)
-        assert row.lhs_dz == weighted_p_integral(d_z(fr), spec, settings).value
-        assert row.lhs_dzbar == weighted_p_integral(d_zbar(fr), spec, settings).value
+        sigma = r ** np.arange(1, 8)
+        for d, got in ((d_z, row.lhs_dz), (d_zbar, row.lhs_dzbar)):
+            part = polyfun.scale_by_degree(d(_FAMILY_F), sigma)
+            assert got == weighted_p_integral(part, spec, settings).value
 
 
 def test_a_family_computes_a_level_only_for_members_still_running(monkeypatch):
@@ -1251,10 +1264,41 @@ def test_a_family_raises_the_error_of_its_first_refused_member():
     spec, settings = disk_spec(SpaceKind.BERGMAN, 3), QuadSettings(n_r=16, n_theta=32)
     huge = np.full(3, 1e300)
     with pytest.raises(ValueError, match="^integrand is inf at node"):
-        weighted_p_integral(g, spec, settings, [(g, None), (g, huge)])
+        weighted_p_integral(g, spec, settings, [None, huge])
     # a zero member is 0.0 without a node, so the refused member's error stands
     with pytest.raises(ValueError, match="^integrand is inf at node"):
-        weighted_p_integral(g, spec, settings, [(scale(g, 0.0), np.zeros(3)), (g, huge)])
+        weighted_p_integral(g, spec, settings, [np.zeros(3), huge])
+    # a sigma whose coefficients overflow is refused before any member is
+    # integrated, as an invalid sigma is
+    big = scale(g, 1e10)
+    with pytest.raises(ValueError, match=r"^sigmas\[1\] scales a coefficient of g beyond"):
+        weighted_p_integral(big, spec, settings, [np.full(3, 1e290), huge])
+
+
+_SIGMA_G = from_monomials({(0, 0): 1.0, (0, 3): 0.5}, q=1)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_a_sigma_member_is_its_scaled_part_integrated_alone(p):
+    # the Gram path (p = 2, 4) and the node path (p = 3) read one member alike
+    spec, sigma = disk_spec(SpaceKind.BERGMAN, p), np.full(4, 0.5)
+    f, member = weighted_p_integral(_SIGMA_G, spec, None, [None, sigma])
+    alone = weighted_p_integral(polyfun.scale_by_degree(_SIGMA_G, sigma), spec)
+    assert _same_flags(member, alone) and _close(member.value, alone.value, 1e-13)
+    if p % 2 == 0:
+        assert member.value == alone.value
+    assert member.value / f.value == pytest.approx(0.5**p, rel=1e-13)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("sigma", [np.full(3, 0.5), np.full(4, np.nan), np.full((1, 4), 0.5),
+                                   np.full(4, 0.5j), [0.5, 0.5, 0.5, "x"]],
+                         ids=["short", "nan", "2-d", "complex", "strings"])
+def test_a_sigma_is_checked_on_the_gram_and_the_node_path_alike(p, sigma):
+    spec = disk_spec(SpaceKind.BERGMAN, p)
+    with pytest.raises(ValueError, match=r"^sigmas\[1\] is not a finite 1-D array of at least "
+                                         r"degree_z \+ q = 4 real numbers"):
+        weighted_p_integral(_SIGMA_G, spec, None, [None, sigma])
 
 
 # |.|^p on the nodes from products and square roots

@@ -23,7 +23,7 @@ from polyspace import (
     truncate,
     zero,
 )
-from polyspace.polyfun import PowerSeries
+from polyspace.polyfun import PowerSeries, scale_by_degree
 
 # ---------------------------------------------------------------------------
 # hypothesis strategies: small polyanalytic polynomials.  Integer coefficients
@@ -396,6 +396,23 @@ def test_dilate_scales_each_monomial():
     f = from_monomials({(1, 2): 1.0, (0, 1): 3.0}, q=2)
     g = dilate(f, 0.5)
     assert g == from_monomials({(1, 2): 0.125, (0, 1): 1.5}, q=2)
+
+
+@given(_int_polys, st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=9, max_size=9))
+@settings(max_examples=60, deadline=None)
+def test_scale_by_degree_scales_each_monomial_by_its_radial_degree(f, sigma):
+    sigma = np.array(sigma)
+    g = scale_by_degree(f, sigma)
+    assert g.coeffs.shape == f.coeffs.shape
+    for (k, j), c in np.ndenumerate(f.coeffs):
+        assert g.coeffs[k, j] == c * sigma[k + j]
+
+
+@given(_int_polys, st.floats(min_value=0.1, max_value=1.0))
+@settings(max_examples=60, deadline=None)
+def test_dilate_is_the_termwise_product_bit_for_bit(f, r):
+    powers = r ** np.add.outer(np.arange(f.q), np.arange(f.degree_z + 1))
+    assert np.array_equal(dilate(f, r).coeffs, f.coeffs * powers)
 
 
 def test_dilate_identity_and_validation():

@@ -224,6 +224,12 @@ def test_refine_levels_walks_absolute_levels_from_first():
 
 
 
+def test_a_converged_walk_reports_the_value_of_its_last_level():
+    values = {0: 1.0, 1: 1.5, 2: 1.5 + 1e-12, 3: 2.0}
+    res = refine_levels(values.get, QuadSettings(rel_tol=1e-9, max_level=3))
+    assert res == RefineResult(values[2], (values[2] - values[1]) / values[2], True, 2)
+
+
 def test_refine_family_walks_each_member_as_refine_levels_walks_it_alone():
     # member i's values settle at level i, so it stops at level i + 1 at most
     def value(i, level):
